@@ -42,18 +42,6 @@ enum class Comparison : std::uint8_t {
   return 0;
 }
 
-[[nodiscard]] constexpr Word32 apply(Comparison op, Word32 a, Word32 b) {
-  switch (op) {
-    case Comparison::kAnd:
-      return a & b;
-    case Comparison::kXor:
-      return a ^ b;
-    case Comparison::kAndNot:
-      return a & ~b;
-  }
-  return 0;
-}
-
 /// Number of logic-pipe operations (AND/XOR/NOT/ADD) the GPU kernel issues
 /// per word, excluding the popcount itself. AND/XOR: op + accumulate = 2;
 /// fused AND-NOT on hardware without a fused unit: op + negate + accumulate

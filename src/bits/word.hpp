@@ -3,7 +3,7 @@
 // The GPU path (paper Section V) operates on 32-bit words ("each element is
 // (by default) 4 bytes"); the CPU path of Alachiotis et al. [11] operates on
 // 64-bit words. BitMatrix stores bits contiguously so both views are valid;
-// this header pins down the bit-order convention and the popcount helpers.
+// this header pins down the bit-order convention and the popcount helper.
 #pragma once
 
 #include <bit>
@@ -35,7 +35,6 @@ static_assert(std::endian::native == std::endian::little,
   return ceil_div(a, b) * b;
 }
 
-[[nodiscard]] constexpr int popcount(Word32 w) { return std::popcount(w); }
 [[nodiscard]] constexpr int popcount(Word64 w) { return std::popcount(w); }
 
 /// Mask keeping the low `n` bits of a 64-bit word (n in [0, 64]).

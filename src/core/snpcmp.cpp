@@ -346,8 +346,8 @@ CompareResult Context::compare(const BitMatrix& a, const BitMatrix& b,
     // the delivered rows form an exact prefix of the streamed operand, so
     // the host engine recomputes only the remainder — streaming consumers
     // see each chunk exactly once, and the merged counts are bit-identical
-    // to a clean run (the functional kernels and the host engine agree
-    // bit-for-bit by the conformance suite).
+    // to a clean run (the device's functional kernel is the same host
+    // engine).
     const std::string gpu_name = gpu_->name();
     const auto wall0 = std::chrono::steady_clock::now();
     if (options.functional) {
@@ -360,13 +360,8 @@ CompareResult Context::compare(const BitMatrix& a, const BitMatrix& b,
                                        : a.row_slice(delivered, total_rows);
         const BitMatrix& cpu_a = sb ? a : remainder;
         const BitMatrix& cpu_b = sb ? remainder : b;
-        CountMatrix part;
-        if (options.threads > 0) {
-          exec::ThreadPool pool(options.threads);
-          part = cpu::compare_blocked_async(cpu_a, cpu_b, op, pool);
-        } else {
-          part = cpu::compare_blocked(cpu_a, cpu_b, op);
-        }
+        const CountMatrix part =
+            cpu::compare(cpu_a, cpu_b, op, options.threads);
         // The host rung really popcounts the remainder; the cost ledger
         // should see that work even though no device kernel ran it.
         result.timing.wordops +=
@@ -429,15 +424,7 @@ CompareResult Context::compare_cpu(const BitMatrix& a, const BitMatrix& b,
       bits::ceil_div(a.bit_cols(), bits::kBitsPerWord32);
   if (options.functional) {
     const auto t0 = std::chrono::steady_clock::now();
-    bits::CountMatrix counts;
-    if (options.threads > 0) {
-      // Macro-tile task graph on a pool instead of the OpenMP pragma path;
-      // bit-identical counts (see cpu::compare_blocked_async).
-      exec::ThreadPool pool(options.threads);
-      counts = cpu::compare_blocked_async(a, b, op, pool);
-    } else {
-      counts = cpu::compare_blocked(a, b, op);
-    }
+    bits::CountMatrix counts = cpu::compare(a, b, op, options.threads);
     const auto t1 = std::chrono::steady_clock::now();
     result.timing.kernel_s =
         std::chrono::duration<double>(t1 - t0).count();
@@ -687,7 +674,7 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
     }
 
     // Kernel: timing from the analytical model, results (when functional)
-    // from the identical tiling.
+    // from the host engine.
     const sim::KernelShape shape{stream_b ? a.rows() : rows,
                                  stream_b ? rows : b_eff.rows(), k_words};
     const sim::KernelTiming kt = kernel.timing(shape);
@@ -744,8 +731,9 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
           SNP_OBS_SPAN("core.chunk.execute");
           const BitMatrix* ap = sb ? resident_ptr : &state->chunk;
           const BitMatrix* bp = sb ? &state->chunk : resident_ptr;
+          // A fresh block is already zero, so accumulate into it.
           state->part = CountMatrix(ap->rows(), bp->rows());
-          kptr->execute(*ap, *bp, state->part);
+          kptr->execute(*ap, *bp, state->part, /*accumulate=*/true);
         });
         SNP_OBS_FLIGHT(obs::FlightKind::kChunkExec,
                        obs::current_trace().trace_id, 0, ci_ix,

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "exec/task_graph.hpp"
@@ -138,17 +139,26 @@ void run_macro_tile(MicroKernelFn kernel, const Word64* a_packed,
   }
 }
 
-}  // namespace
-
-bits::CountMatrix compare_blocked(const bits::BitMatrix& a,
-                                  const bits::BitMatrix& b, Comparison op,
-                                  const CpuBlocking& blocking) {
+/// Operand checks shared by every entry point; `where` names the caller.
+void check_operands(const bits::BitMatrix& a, const bits::BitMatrix& b,
+                    const CpuBlocking& blocking, const char* where) {
   if (a.bit_cols() != b.bit_cols()) {
-    throw std::invalid_argument(
-        "compare_blocked: operands must share the K dimension");
+    throw std::invalid_argument(std::string(where) +
+                                ": operands must share the K dimension");
   }
   if (!blocking.valid()) {
-    throw std::invalid_argument("compare_blocked: invalid blocking");
+    throw std::invalid_argument(std::string(where) + ": invalid blocking");
+  }
+}
+
+}  // namespace
+
+void compare_accumulate(const bits::BitMatrix& a, const bits::BitMatrix& b,
+                        Comparison op, bits::CountMatrix& c,
+                        const CpuBlocking& blocking) {
+  check_operands(a, b, blocking, "compare_blocked");
+  if (c.rows() != a.rows() || c.cols() != b.rows()) {
+    throw std::invalid_argument("compare_blocked: output shape mismatch");
   }
   SNP_OBS_SPAN("cpu.compare_blocked");
   const MicroKernelFn kernel = select_kernel(op);
@@ -157,36 +167,52 @@ bits::CountMatrix compare_blocked(const bits::BitMatrix& a,
   const std::size_t n = b.rows();
   const std::size_t k_words = bits::ceil_div(a.bit_cols(),
                                              bits::kBitsPerWord64);
-  bits::CountMatrix c(m, n);
   if (m == 0 || n == 0 || k_words == 0) {
-    return c;
+    return;
   }
-  // Edge-safe C staging: micro-tiles on the fringe write here first.
   const std::size_t ldc = n;
   std::uint32_t* cdata = c.raw().data();
+  const std::size_t m_blocks = bits::ceil_div(m, blocking.m_c);
+  const std::size_t tiles = m_blocks * bits::ceil_div(n, blocking.n_c);
 
-  // Loop 5 (n_c) and loop 4 (k_c) around the macro-kernel.
-  for (std::size_t jc = 0; jc < n; jc += blocking.n_c) {
-    const std::size_t nc = std::min(blocking.n_c, n - jc);
-    for (std::size_t pc = 0; pc < k_words; pc += blocking.k_c) {
-      const std::size_t kw = std::min(blocking.k_c, k_words - pc);
+  // Loop 4 (k_c) around one parallel loop over the 2-D grid of loops 5
+  // (n_c) and 3 (m_c): each macro-tile owns a disjoint block of C, so no
+  // synchronization is needed, and a single tile wakes no team. Tiles are
+  // numbered column-major, so the tiles a thread takes in turn mostly
+  // share an n_c block, and it repacks its B panel only when the block
+  // changes.
+  for (std::size_t pc = 0; pc < k_words; pc += blocking.k_c) {
+    const std::size_t kw = std::min(blocking.k_c, k_words - pc);
+#pragma omp parallel if (tiles > 1) default(none) \
+    shared(a, b, cdata, kernel) \
+    firstprivate(m, n, pc, kw, ldc, blocking, m_blocks, tiles)
+    {
+      std::vector<Word64> a_packed;
       std::vector<Word64> b_packed;
-      pack_b(b, jc, nc, pc, kw, b_packed);
-
-      // Loop 3 (m_c): parallel across A panels; each iteration owns a
-      // disjoint row block of C, so no synchronization is needed.
-#pragma omp parallel for schedule(dynamic) default(none) \
-    shared(a, b_packed, cdata, kernel) \
-    firstprivate(m, n, jc, nc, pc, kw, ldc, blocking)
-      for (std::size_t ic = 0; ic < m; ic += blocking.m_c) {
+      std::size_t packed_jc = n;  // no B panel packed yet
+#pragma omp for schedule(dynamic) nowait
+      for (std::size_t t = 0; t < tiles; ++t) {
+        const std::size_t ic = (t % m_blocks) * blocking.m_c;
+        const std::size_t jc = (t / m_blocks) * blocking.n_c;
         const std::size_t mc = std::min(blocking.m_c, m - ic);
-        std::vector<Word64> a_packed;
+        const std::size_t nc = std::min(blocking.n_c, n - jc);
+        if (jc != packed_jc) {
+          pack_b(b, jc, nc, pc, kw, b_packed);
+          packed_jc = jc;
+        }
         pack_a(a, ic, mc, pc, kw, a_packed);
         run_macro_tile(kernel, a_packed.data(), b_packed.data(), ic, mc,
                        jc, nc, kw, m, n, cdata, ldc);
       }
     }
   }
+}
+
+bits::CountMatrix compare_blocked(const bits::BitMatrix& a,
+                                  const bits::BitMatrix& b, Comparison op,
+                                  const CpuBlocking& blocking) {
+  bits::CountMatrix c(a.rows(), b.rows());
+  compare_accumulate(a, b, op, c, blocking);
   return c;
 }
 
@@ -195,13 +221,7 @@ bits::CountMatrix compare_blocked_async(const bits::BitMatrix& a,
                                         Comparison op,
                                         exec::ThreadPool& pool,
                                         const CpuBlocking& blocking) {
-  if (a.bit_cols() != b.bit_cols()) {
-    throw std::invalid_argument(
-        "compare_blocked_async: operands must share the K dimension");
-  }
-  if (!blocking.valid()) {
-    throw std::invalid_argument("compare_blocked_async: invalid blocking");
-  }
+  check_operands(a, b, blocking, "compare_blocked_async");
   SNP_OBS_SPAN("cpu.compare_blocked_async");
   const MicroKernelFn kernel = select_kernel(op);
 
@@ -311,6 +331,16 @@ bits::CountMatrix compare_blocked_async(const bits::BitMatrix& a,
   }
   graph.wait();
   return c;
+}
+
+bits::CountMatrix compare(const bits::BitMatrix& a,
+                          const bits::BitMatrix& b, Comparison op,
+                          std::size_t threads) {
+  if (threads == 0) {
+    return compare_blocked(a, b, op);
+  }
+  exec::ThreadPool pool(threads);
+  return compare_blocked_async(a, b, op, pool);
 }
 
 bits::CountMatrix ld_counts(const bits::BitMatrix& a,

@@ -6,8 +6,9 @@
 // reach 80-90 % of the CPU's popcount-throughput peak. This module is that
 // algorithm: the classic five-loop blocking (n_c -> k_c -> m_c -> n_r ->
 // m_r) with packed A/B panels and a register-blocked micro-kernel,
-// parallelized with OpenMP. It is both the paper's CPU baseline and the
-// ground-truth engine the simulated GPU kernels are verified against.
+// parallelized with OpenMP. It is the paper's CPU baseline and the only
+// dense popcount-GEMM on the host: the simulated GPU kernel
+// (kern::GpuSnpKernel::execute) computes its counts with it too.
 #pragma once
 
 #include <cstddef>
@@ -36,8 +37,18 @@ struct CpuBlocking {
   }
 };
 
-/// gamma[i,j] = sum_k popcount(op(A[i,k], B[j,k])), blocked and packed.
-/// A is (M x K bits), B is (N x K bits), both row-major over K.
+/// The engine's core entry, BLIS's C += AB: adds
+/// gamma[i,j] = sum_k popcount(op(A[i,k], B[j,k])) into the caller-owned
+/// `c`, which must be a.rows() x b.rows(); no m x n temporary is
+/// allocated. A is (M x K bits), B is (N x K bits), both row-major over
+/// K. One OpenMP loop runs over the 2-D grid of m_c x n_c macro-tiles, so
+/// a one-row query still spreads across B's n_c blocks; a problem of one
+/// macro-tile runs on the calling thread alone.
+void compare_accumulate(const bits::BitMatrix& a, const bits::BitMatrix& b,
+                        bits::Comparison op, bits::CountMatrix& c,
+                        const CpuBlocking& blocking = {});
+
+/// gamma = A op B into a fresh matrix: compare_accumulate from zero.
 [[nodiscard]] bits::CountMatrix compare_blocked(
     const bits::BitMatrix& a, const bits::BitMatrix& b, bits::Comparison op,
     const CpuBlocking& blocking = {});
@@ -53,6 +64,15 @@ struct CpuBlocking {
 [[nodiscard]] bits::CountMatrix compare_blocked_async(
     const bits::BitMatrix& a, const bits::BitMatrix& b, bits::Comparison op,
     exec::ThreadPool& pool, const CpuBlocking& blocking = {});
+
+/// The host engine as the framework calls it: `threads` = 0 runs
+/// compare_blocked (OpenMP, on the calling thread), `threads` > 0 runs
+/// compare_blocked_async on a pool of that many threads. The counts are
+/// the same either way.
+[[nodiscard]] bits::CountMatrix compare(const bits::BitMatrix& a,
+                                        const bits::BitMatrix& b,
+                                        bits::Comparison op,
+                                        std::size_t threads);
 
 /// Convenience single-call LD (Eq. 1): C = (A & A)^T-style self-comparison,
 /// i.e. compare_blocked(a, a, kAnd).

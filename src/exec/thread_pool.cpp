@@ -159,6 +159,9 @@ void ThreadPool::worker_loop() {
     }
     SNP_OBS_COUNT("exec.pool.tasks_run", 1);
     SNP_OBS_GAUGE_SUB("exec.pool.active_workers", 1);
+    // Drop the task's captures before reporting idle: a wait_idle() caller
+    // may go on to release what they share.
+    task.fn = nullptr;
     {
       const std::lock_guard lock(mu_);
       --active_;

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <vector>
+
+#include "cpu/engine.hpp"
 
 namespace snp::kern {
 
 using bits::Comparison;
-using bits::Word32;
 
 GpuSnpKernel::GpuSnpKernel(model::GpuSpec dev, model::KernelConfig cfg,
                            bits::Comparison op)
@@ -43,68 +43,7 @@ void GpuSnpKernel::execute(const bits::BitMatrix& a, const bits::BitMatrix& b,
   if (!accumulate) {
     std::fill(c.raw().begin(), c.raw().end(), 0u);
   }
-  const Comparison op = lowered_op();
-  const std::size_t m = a.rows();
-  const std::size_t n = b.rows();
-  const std::size_t k_words =
-      bits::ceil_div(a.bit_cols(), bits::kBitsPerWord32);
-  if (m == 0 || n == 0 || k_words == 0) {
-    return;
-  }
-  const auto m_c = static_cast<std::size_t>(cfg_.m_c);
-  const auto n_r = static_cast<std::size_t>(cfg_.n_r);
-  const auto k_c = static_cast<std::size_t>(cfg_.k_c);
-  const std::size_t tiles_m = bits::ceil_div(m, m_c);
-  const std::size_t tiles_n = bits::ceil_div(n, n_r);
-  const std::size_t tiles = tiles_m * tiles_n;
-  std::uint32_t* cdata = c.raw().data();
-
-  // Each iteration is one tile job exactly as a compute core would run it.
-#pragma omp parallel default(none) \
-    shared(a, b, cdata) firstprivate(m, n, k_words, m_c, n_r, k_c, tiles, \
-                                         tiles_n, op)
-  {
-    // "Shared memory": the packed m_c x k_c A tile, k-major per row so the
-    // inner loop walks it with unit stride (bank-friendly layout).
-    std::vector<Word32> shared_a(m_c * k_c);
-#pragma omp for schedule(dynamic)
-    for (std::size_t tile = 0; tile < tiles; ++tile) {
-      const std::size_t tm = tile / tiles_n;
-      const std::size_t tn = tile % tiles_n;
-      const std::size_t row0 = tm * m_c;
-      const std::size_t col0 = tn * n_r;
-      const std::size_t rows = std::min(m_c, m - row0);
-      const std::size_t cols = std::min(n_r, n - col0);
-
-      for (std::size_t k0 = 0; k0 < k_words; k0 += k_c) {
-        const std::size_t kw = std::min(k_c, k_words - k0);
-        // Pack the A panel into shared memory (zero-fill edge rows so the
-        // full-tile compute below stays branch-free, as on the GPU).
-        for (std::size_t r = 0; r < m_c; ++r) {
-          Word32* dst = shared_a.data() + r * k_c;
-          if (row0 + r < m) {
-            const auto src = a.row32(row0 + r);
-            std::copy_n(src.data() + k0, kw, dst);
-          } else {
-            std::fill_n(dst, kw, Word32{0});
-          }
-        }
-        // Stream B from "global memory"; accumulate into C registers.
-        for (std::size_t j = 0; j < cols; ++j) {
-          const Word32* brow = b.row32(col0 + j).data() + k0;
-          for (std::size_t r = 0; r < rows; ++r) {
-            const Word32* arow = shared_a.data() + r * k_c;
-            std::uint32_t acc = 0;
-            for (std::size_t k = 0; k < kw; ++k) {
-              acc += static_cast<std::uint32_t>(
-                  bits::popcount(bits::apply(op, arow[k], brow[k])));
-            }
-            cdata[(row0 + r) * n + col0 + j] += acc;
-          }
-        }
-      }
-    }
-  }
+  cpu::compare_accumulate(a, b, lowered_op(), c);
 }
 
 sim::KernelTiming GpuSnpKernel::timing(const sim::KernelShape& shape) const {

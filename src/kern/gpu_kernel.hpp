@@ -9,10 +9,12 @@
 // with a model::KernelConfig — same four values (m_c, m_r, k_c, n_r) plus
 // the core grid.
 //
-// Execution here is functional (it produces the real counts, on 32-bit
-// words as on the GPU) with the identical tiling/traversal; the time the
-// simulated device takes comes from sim::estimate_kernel on the same
-// config, so results and timings always describe the same loop structure.
+// Execution here is functional: the counts come from the host engine
+// (cpu::compare_accumulate), the one popcount-GEMM on the host, and the
+// time the simulated device takes comes from sim::estimate_kernel on this
+// config. The GPU tiling itself lives in kernel_program's IR, which the
+// dataflow verifier (analyze/) proves in bounds, and in the rendered
+// OpenCL source (opencl_source.hpp).
 #pragma once
 
 #include <optional>
@@ -41,14 +43,14 @@ class GpuSnpKernel {
   [[nodiscard]] bits::Comparison lowered_op() const;
 
   /// Functional execution: accumulates gamma[i,j] += popc(op(A[i,:],
-  /// B[j,:])) into `c` with the GPU tiling (32-bit words, shared-memory
-  /// A tile, streamed B). `c` must be a.rows() x b.rows(); pass
-  /// `accumulate = false` to overwrite instead (beta = 0).
+  /// B[j,:])) into `c` under lowered_op(), computed by the host engine.
+  /// `c` must be a.rows() x b.rows(); pass `accumulate = false` to
+  /// overwrite instead (beta = 0).
   void execute(const bits::BitMatrix& a, const bits::BitMatrix& b,
                bits::CountMatrix& c, bool accumulate = false) const;
 
-  /// Largest K (in 32-bit words) a single A tile supports: k_c. Problems
-  /// deeper than this run multiple packed panels (handled by execute).
+  /// Largest K (in 32-bit words) a single A tile supports on the device:
+  /// k_c. Deeper problems run multiple packed panels.
   [[nodiscard]] std::size_t max_panel_words() const {
     return static_cast<std::size_t>(cfg_.k_c);
   }

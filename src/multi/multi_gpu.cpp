@@ -133,8 +133,8 @@ void for_each_shard(std::size_t count, std::size_t threads, Fn&& task) {
 
 /// Host-engine fallback for one shard's row range — the final rung of the
 /// recovery ladder when the shard's device (and, under failover, every
-/// other device) is gone. Counts are bit-identical to the device path by
-/// the cross-engine conformance suite.
+/// other device) is gone. Counts are bit-identical to the device path,
+/// whose functional kernel is the same host engine.
 CompareResult host_compare_shard(const BitMatrix& a, const BitMatrix& b,
                                  Comparison op, bool shard_b,
                                  const Shard& s,
@@ -146,12 +146,7 @@ CompareResult host_compare_shard(const BitMatrix& a, const BitMatrix& b,
                                    : a.row_slice(s.begin, s.end);
     const BitMatrix& ca = shard_b ? a : part;
     const BitMatrix& cb = shard_b ? part : b;
-    if (opts.threads > 0) {
-      exec::ThreadPool pool(opts.threads);
-      r.counts = cpu::compare_blocked_async(ca, cb, op, pool);
-    } else {
-      r.counts = cpu::compare_blocked(ca, cb, op);
-    }
+    r.counts = cpu::compare(ca, cb, op, opts.threads);
     if (opts.chunk_callback) {
       // Same shard-relative offsets as the device pipeline's chunks.
       opts.chunk_callback(

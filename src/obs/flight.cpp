@@ -129,6 +129,10 @@ struct FlightRecorder::Ring {
   std::size_t mask;
   std::atomic<std::uint64_t> head{0};  ///< next write position
   std::unique_ptr<Slot[]> slots;
+  /// Cleared when the owning thread exits (or moves to another
+  /// recorder); the next thread that registers takes the ring over,
+  /// records intact.
+  std::atomic<bool> owned{true};
 };
 
 FlightRecorder::FlightRecorder() : FlightRecorder(configured_capacity()) {}
@@ -153,24 +157,40 @@ FlightRecorder& FlightRecorder::global() {
 }
 
 FlightRecorder::Ring* FlightRecorder::ring_for_this_thread() {
-  // Per-thread ring cache, keyed by the recorder's never-reused instance
-  // id rather than its address: a destroyed test recorder whose address
-  // is recycled by a new one must not alias the stale cached ring (the
-  // old ring is freed with its owner). A thread that alternates between
-  // two live recorders re-registers a fresh ring on each switch — fine
-  // for tests; production threads only ever touch global().
-  thread_local std::uint64_t t_ring_owner = 0;
-  thread_local Ring* t_ring = nullptr;
-  if (t_ring_owner == id_ && t_ring != nullptr) {
-    return t_ring;
+  // Per-thread registration, keyed by the recorder's never-reused
+  // instance id rather than its address, so a recorder allocated where a
+  // destroyed one lived cannot alias it. The thread co-owns its ring, so
+  // giving the ring up at thread exit never touches a recorder that was
+  // destroyed first.
+  struct Registration {
+    std::uint64_t owner = 0;
+    std::shared_ptr<Ring> ring;
+    void release() {
+      if (ring != nullptr) ring->owned.store(false, std::memory_order_release);
+      ring.reset();
+      owner = 0;
+    }
+    ~Registration() { release(); }
+  };
+  thread_local Registration t_reg;
+  if (t_reg.owner == id_) {
+    return t_reg.ring.get();
   }
+  t_reg.release();  // a ring held in another recorder
   const std::lock_guard lock(mu_);
-  auto ring = std::make_unique<Ring>(
-      static_cast<std::uint32_t>(rings_.size()), capacity_);
-  t_ring = ring.get();
-  t_ring_owner = id_;
-  rings_.push_back(std::move(ring));
-  return t_ring;
+  for (const auto& ring : rings_) {
+    if (!ring->owned.load(std::memory_order_acquire)) {
+      ring->owned.store(true, std::memory_order_relaxed);
+      t_reg.ring = ring;
+      break;
+    }
+  }
+  if (t_reg.ring == nullptr) {
+    t_reg.ring = rings_.emplace_back(std::make_shared<Ring>(
+        static_cast<std::uint32_t>(rings_.size()), capacity_));
+  }
+  t_reg.owner = id_;
+  return t_reg.ring.get();
 }
 
 void FlightRecorder::record(FlightKind kind, std::uint64_t trace_id,

@@ -155,7 +155,7 @@ class FlightRecorder {
   std::size_t capacity_;
   std::chrono::steady_clock::time_point epoch_;
   mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Ring>> rings_;
+  std::vector<std::shared_ptr<Ring>> rings_;
   std::atomic<CodeNamer> namer_{nullptr};
   std::string dump_path_;
 };

@@ -127,6 +127,7 @@ struct ServiceEngine::Impl {
 
   Impl(bits::BitMatrix database, ServiceConfig config)
       : cfg(std::move(config)),
+        bit_cols(database.bit_cols()),
         ctx(make_context(cfg.device)),
         pool(1),
         slo_mon(cfg.slo),
@@ -181,7 +182,7 @@ struct ServiceEngine::Impl {
     // flight recorder and the Perfetto flow chain.
     const std::uint64_t trace_id = obs::next_trace_id();
     if (options.trace_out != nullptr) *options.trace_out = trace_id;
-    if (query.rows() != 1 || query.bit_cols() != db_bit_cols()) {
+    if (query.rows() != 1 || query.bit_cols() != bit_cols) {
       throw std::invalid_argument(
           "svc: query must be a single row with the database's bit_cols");
     }
@@ -384,7 +385,7 @@ struct ServiceEngine::Impl {
   }
 
   void update_database(bits::BitMatrix database) {
-    if (database.empty() || database.bit_cols() != db_bit_cols()) {
+    if (database.empty() || database.bit_cols() != bit_cols) {
       throw std::invalid_argument(
           "svc: replacement database must be non-empty with matching "
           "bit_cols");
@@ -517,6 +518,10 @@ struct ServiceEngine::Impl {
         // Already delivered to the batch's promises in execute_batch().
       }
       pool.clear_error();
+      // Destroy the batch's promises before drain() can return, so a
+      // client that reads a failed future after drain() holds the last
+      // reference to its exception and frees it on its own thread.
+      batch.reset();
 
       lock.lock();
       inflight = 0;
@@ -553,7 +558,7 @@ struct ServiceEngine::Impl {
       }
     }
     try {
-      bits::BitMatrix a(n, db_bit_cols());
+      bits::BitMatrix a(n, bit_cols);
       for (std::size_t i = 0; i < n; ++i) {
         auto dst = a.row64(i);
         const auto& src = batch.requests[i].words;
@@ -834,8 +839,6 @@ struct ServiceEngine::Impl {
     entry.row = row;
   }
 
-  [[nodiscard]] std::size_t db_bit_cols() const { return db->bit_cols(); }
-
   ServiceStats stats() const {
     std::vector<double> lat;
     std::vector<double> waits;
@@ -916,6 +919,9 @@ struct ServiceEngine::Impl {
   // ---- state -------------------------------------------------------------
 
   const ServiceConfig cfg;
+  /// The database's bit width, fixed for the engine's life
+  /// (update_database rejects another); read without mu.
+  const std::size_t bit_cols;
   Context ctx;
   bits::Comparison effective_op = bits::Comparison::kXor;
   exec::ThreadPool pool;  ///< 1-thread batch executor (sticky-error channel)

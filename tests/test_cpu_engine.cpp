@@ -55,7 +55,11 @@ INSTANTIATE_TEST_SUITE_P(
                           EngineCase{64, 64, 512},   // one full block
                           EngineCase{65, 63, 1000},  // block + fringe
                           EngineCase{3, 130, 64},    // wide
-                          EngineCase{130, 3, 64}),   // tall
+                          EngineCase{130, 3, 64},    // tall
+                          // FastID queries: m below m_r against several
+                          // n_c column blocks plus a fringe.
+                          EngineCase{1, 2 * 2048 + 5, 1024},
+                          EngineCase{3, 2 * 2048 + 5, 1024}),
         ::testing::Values(Comparison::kAnd, Comparison::kXor,
                           Comparison::kAndNot)));
 

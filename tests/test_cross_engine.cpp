@@ -57,7 +57,10 @@ INSTANTIATE_TEST_SUITE_P(
                           CrossCase{13, 29, 257, 0.2, 2000},
                           CrossCase{70, 35, 1537, 0.5, 3000},
                           CrossCase{33, 130, 96, 0.8, 4000},
-                          CrossCase{128, 128, 512, 0.35, 5000}),
+                          CrossCase{128, 128, 512, 0.35, 5000},
+                          // FastID queries across several n_c blocks.
+                          CrossCase{1, 2 * 2048 + 5, 1024, 0.5, 7000},
+                          CrossCase{3, 2 * 2048 + 5, 1024, 0.3, 8000}),
         ::testing::Values(Comparison::kAnd, Comparison::kXor,
                           Comparison::kAndNot)));
 

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -172,14 +174,22 @@ TEST(Flight, ConcurrentWritersAndDumperYieldOnlyWholeRecords) {
     }
   });
 
+  // Every writer registers its ring before any writer can exit (an
+  // exited writer's ring passes to the next thread that registers), so
+  // four rings are live at the end.
+  std::atomic<int> registered{0};
   std::vector<std::thread> writers;
   for (std::uint64_t t = 0; t < kWriters; ++t) {
-    writers.emplace_back([&rec, t] {
+    writers.emplace_back([&rec, &registered, t] {
       for (std::int64_t i = 0; i < kPerWriter; ++i) {
         rec.record(FlightKind::kChunkExec,
                    t << 32 | static_cast<std::uint64_t>(i),
                    static_cast<std::uint32_t>(i % 251), i,
                    static_cast<std::int64_t>(t));
+        if (i == 0) {
+          registered.fetch_add(1);
+          while (registered.load() < kWriters) std::this_thread::yield();
+        }
       }
     });
   }
@@ -195,6 +205,45 @@ TEST(Flight, ConcurrentWritersAndDumperYieldOnlyWholeRecords) {
   EXPECT_EQ(rec.dropped(),
             static_cast<std::uint64_t>(kWriters) * kPerWriter -
                 final_events.size());
+}
+
+TEST(Flight, ExitedThreadsHandTheirRingToTheNext) {
+  // A long-running process starts and joins threads (every engine built
+  // and destroyed brings a dispatcher and a pool worker): the ring count
+  // must follow the threads alive at once, and an exited thread's
+  // records must survive the handover.
+  FlightRecorder rec(128);
+  constexpr std::int64_t kThreads = 64;
+  for (std::int64_t i = 0; i < kThreads; ++i) {
+    std::thread([&rec, i] {
+      rec.record(FlightKind::kEnqueue, 0, 0, i, 0);
+    }).join();
+  }
+  const auto events = rec.snapshot();
+  ASSERT_EQ(events.size(), static_cast<std::size_t>(kThreads));
+  std::set<std::uint32_t> rings;
+  for (std::int64_t i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(events[static_cast<std::size_t>(i)].a, i);
+    rings.insert(events[static_cast<std::size_t>(i)].thread);
+  }
+  EXPECT_LE(rings.size(), 2u);
+}
+
+TEST(Flight, RecorderDestroyedBeforeItsThreadsIsNeverTouched) {
+  // The thread co-owns its ring, so giving it up at exit touches no
+  // recorder; ASan catches any touch of the freed one.
+  auto rec = std::make_unique<FlightRecorder>(16);
+  std::atomic<bool> recorded{false};
+  std::atomic<bool> destroyed{false};
+  std::thread t([&] {
+    rec->record(FlightKind::kBatch, 1, 0, 0, 0);
+    recorded.store(true);
+    while (!destroyed.load()) std::this_thread::yield();
+  });
+  while (!recorded.load()) std::this_thread::yield();
+  rec.reset();
+  destroyed.store(true);
+  t.join();
 }
 
 // ---------------------------------------------------------------------

@@ -1,4 +1,4 @@
-// The parameterized GPU kernel: functional correctness of the tiled path
+// The parameterized GPU kernel: functional correctness of its execution
 // against the reference, config validation, Eq. 3 lowering, timing hookup.
 #include "kern/gpu_kernel.hpp"
 
@@ -89,8 +89,7 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(0, 1, 2)));
 
 TEST(GpuKernel, MultiPanelDeepK) {
-  // K deeper than k_c exercises the multi-panel shared-memory path:
-  // 383 words = 12,256 bits on NVIDIA, so go beyond it.
+  // K deeper than the device's k_c (383 words = 12,256 bits on NVIDIA).
   const auto dev = model::gtx980();
   const auto cfg = model::paper_preset(dev, model::WorkloadKind::kLd);
   const GpuSnpKernel kernel(dev, cfg, Comparison::kAnd);
@@ -105,19 +104,25 @@ TEST(GpuKernel, AccumulateMode) {
   const auto dev = model::titan_v();
   const auto cfg = model::paper_preset(dev, model::WorkloadKind::kLd);
   const GpuSnpKernel kernel(dev, cfg, Comparison::kXor);
-  const auto a = io::random_bitmatrix(3, 100, 0.5, 205);
-  const auto b = io::random_bitmatrix(4, 100, 0.5, 206);
-  bits::CountMatrix out(3, 4);
-  kernel.execute(a, b, out);
-  const auto once = out;
-  kernel.execute(a, b, out, /*accumulate=*/true);
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 4; ++j) {
-      EXPECT_EQ(out.at(i, j), 2 * once.at(i, j));
+  // One micro-tile, and a shape wider than one host macro-tile in both
+  // dimensions (m_c = 64 rows, n_c = 2048 columns).
+  for (const KernelCase c : {KernelCase{3, 4, 100},
+                             KernelCase{70, 2 * 2048 + 5, 200}}) {
+    const auto a = io::random_bitmatrix(c.m, c.bits, 0.5, 205);
+    const auto b = io::random_bitmatrix(c.n, c.bits, 0.5, 206);
+    bits::CountMatrix out(c.m, c.n);
+    kernel.execute(a, b, out);
+    const auto once = out;
+    EXPECT_TRUE(once == bits::compare_reference(a, b, Comparison::kXor));
+    kernel.execute(a, b, out, /*accumulate=*/true);
+    for (std::size_t i = 0; i < c.m; ++i) {
+      for (std::size_t j = 0; j < c.n; ++j) {
+        EXPECT_EQ(out.at(i, j), 2 * once.at(i, j));
+      }
     }
+    kernel.execute(a, b, out);  // overwrite resets
+    EXPECT_TRUE(out == once);
   }
-  kernel.execute(a, b, out);  // overwrite resets
-  EXPECT_TRUE(out == once);
 }
 
 TEST(GpuKernel, PreNegatedMatchesFused) {

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "bits/compare.hpp"
 #include "core/snpcmp.hpp"
 #include "exec/thread_pool.hpp"
 #include "io/datagen.hpp"
@@ -252,6 +253,53 @@ TEST(ServiceCache, RepeatQueryHitsAndEpochBumpInvalidates) {
 
   // And the new epoch caches too.
   EXPECT_TRUE(engine.submit(queries.row_slice(0, 1)).get().cache_hit);
+}
+
+TEST(ServiceCache, ConcurrentDatabaseSwapsResolveAgainstTheirEpoch) {
+  // One client submits while another swaps the database: every result
+  // must be exact against the database of the epoch it reports. Epoch e
+  // serves dbs[(e - 1) % 2], because the swapper alternates starting
+  // from dbs[1]. The TSan stage of tools/check.sh runs this.
+  const std::vector<BitMatrix> dbs{io::random_bitmatrix(41, 192, 0.5, 661),
+                                   io::random_bitmatrix(41, 192, 0.5, 662)};
+  const BitMatrix queries = io::random_bitmatrix(6, 192, 0.4, 663);
+  ServiceConfig cfg = base_config("cpu", Comparison::kXor, 4);
+  cfg.cache_capacity = 4;
+  cfg.start_paused = false;
+  ServiceEngine engine(dbs[0], cfg);
+
+  constexpr std::size_t kSubmits = 200;  // below the 256-request queue
+  constexpr std::size_t kSwaps = 60;
+  std::vector<std::future<QueryResult>> futs;
+  futs.reserve(kSubmits);
+  std::thread submitter([&] {
+    for (std::size_t i = 0; i < kSubmits; ++i) {
+      const std::size_t q = i % queries.rows();
+      futs.push_back(engine.submit(queries.row_slice(q, q + 1)));
+    }
+  });
+  std::thread swapper([&] {
+    for (std::size_t i = 0; i < kSwaps; ++i) {
+      engine.update_database(dbs[(i + 1) % 2]);
+    }
+  });
+  submitter.join();
+  swapper.join();
+  engine.drain();
+
+  EXPECT_EQ(engine.epoch(), kSwaps + 1);
+  for (std::size_t i = 0; i < kSubmits; ++i) {
+    const std::size_t q = i % queries.rows();
+    const QueryResult r = futs[i].get();
+    ASSERT_GE(r.epoch, 1U);
+    ASSERT_LE(r.epoch, kSwaps + 1);
+    const auto expected = bits::compare_reference(
+        queries.row_slice(q, q + 1), dbs[(r.epoch - 1) % 2],
+        Comparison::kXor);
+    const auto want = expected.raw();
+    EXPECT_EQ(r.row, std::vector<std::uint32_t>(want.begin(), want.end()))
+        << "submit " << i << " epoch " << r.epoch;
+  }
 }
 
 TEST(ServiceCache, CapacityZeroDisablesCaching) {

@@ -24,9 +24,11 @@
 # Usage: tools/check.sh [--skip-sanitizers | --ci]
 #
 # --ci is the GitHub Actions profile: release build, the full test
-# suite, the telemetry smoke, the bench_compare self-test, and a quick
+# suite, the telemetry smoke, the bench_compare self-test, a quick
 # benchmark-regression smoke (a mini aggregate compared against itself
-# must be clean) — but no sanitizer rebuilds, which dominate wall time.
+# must be clean), and the repository benchmark (snpbench/) built as its
+# own tree and smoke-run by its ctest — but no sanitizer rebuilds, which
+# dominate wall time.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -291,6 +293,15 @@ print(f"aggregate ok: {len(doc['benches'])} benches carry "
 EOF
 tools/bench_compare "$smoke/bench.json" "$smoke/bench.json" --quiet
 echo "self-comparison clean"
+
+echo "== repository benchmark build + smoke (snpbench) =="
+# snpbench/ is its own CMake tree over the same src/ libraries; its ctest
+# runs every workload briefly (snpbench_smoke) and the comparison tool's
+# fixtures (snpbench_compare_selftest), so a src/ change that breaks the
+# benchmark fails here.
+cmake -S snpbench -B build/snpbench -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build/snpbench -j "$jobs"
+ctest --test-dir build/snpbench --output-on-failure
 
 if [[ "$skip_san" == yes ]]; then
   if [[ "$ci_mode" == yes ]]; then
