@@ -1378,17 +1378,13 @@ void print_service_report(std::ostream& out, const svc::ServiceEngine& eng) {
         << (s.brownout_active ? " active=yes" : " active=no") << "\n";
   }
   // Honest percentiles: the SLO monitor's histogram gives bucket upper
-  // bounds, marked '~=' (docs/observability.md). Falls back to the exact
-  // sorted-sample readout when obs is compiled out (empty histogram).
+  // bounds, marked '~=' (docs/observability.md). Silent until a request
+  // has completed.
   const svc::SloReport slo = eng.slo();
   if (slo.state.total > 0) {
     out << "slo:         p50~=" << slo.p50_le_s * 1e3 << " ms p99~="
         << slo.p99_le_s * 1e3 << " ms max=" << s.max_latency_s * 1e3
         << " ms (bucket upper bounds)\n";
-  } else {
-    out << "slo:         p50=" << s.p50_latency_s * 1e3 << " ms p99="
-        << s.p99_latency_s * 1e3 << " ms max=" << s.max_latency_s * 1e3
-        << " ms\n";
   }
   if (slo.objective_s > 0.0) {
     out << "slo:         objective=" << slo.objective_s * 1e3
@@ -1409,11 +1405,11 @@ void print_service_report(std::ostream& out, const svc::ServiceEngine& eng) {
 /// is empty (SNPCMP_OBS=OFF or attribution disabled).
 void print_cost_report(std::ostream& out, const svc::ServiceEngine& eng) {
   const obs::CostSnapshot cs = eng.cost();
-  if (cs.total_requests == 0 && cs.batches.empty()) {
+  if (cs.total_requests == 0) {
     return;
   }
   out << "cost:        requests=" << cs.total_requests << " cache-hits="
-      << cs.cache_hits << " batches=" << cs.batches.size() << " dropped="
+      << cs.cache_hits << " batches=" << cs.total_batches << " dropped="
       << cs.dropped_requests << "\n"
       << "cost:        h2d=" << cs.h2d_bytes << " B d2h=" << cs.d2h_bytes
       << " B wordops=" << cs.wordops << "\n";

@@ -114,13 +114,18 @@ void CostLedger::record_batch(const BatchCostTotals& batch,
                               std::span<const RequestCost> costs) {
   const std::lock_guard lock(mu_);
   batches_.push_back(batch);
+  if (batches_.size() > kMaxRequests) {
+    batches_.pop_front();
+    totals_.dropped_batches++;
+  }
   for (const RequestCost& c : costs) {
     requests_.push_back(c);
   }
   while (requests_.size() > kMaxRequests) {
     requests_.pop_front();
-    dropped_++;
+    totals_.dropped_requests++;
   }
+  totals_.total_batches++;
   totals_.total_requests += costs.size();
   totals_.device_ns += batch.device_ns;
   totals_.h2d_ns += batch.h2d_ns;
@@ -140,7 +145,7 @@ void CostLedger::record_cache_hit(const RequestCost& cost) {
   requests_.push_back(cost);
   while (requests_.size() > kMaxRequests) {
     requests_.pop_front();
-    dropped_++;
+    totals_.dropped_requests++;
   }
   totals_.total_requests++;
   totals_.cache_hits++;
@@ -149,9 +154,8 @@ void CostLedger::record_cache_hit(const RequestCost& cost) {
 CostSnapshot CostLedger::snapshot() const {
   const std::lock_guard lock(mu_);
   CostSnapshot snap = totals_;
-  snap.batches = batches_;
+  snap.batches.assign(batches_.begin(), batches_.end());
   snap.requests.assign(requests_.begin(), requests_.end());
-  snap.dropped_requests = dropped_;
   return snap;
 }
 
@@ -159,7 +163,6 @@ void CostLedger::clear() {
   const std::lock_guard lock(mu_);
   batches_.clear();
   requests_.clear();
-  dropped_ = 0;
   totals_ = CostSnapshot{};
 }
 
@@ -177,6 +180,7 @@ void CostLedger::write_json(std::ostream& os) const {
      << ", \"failovers\": " << snap.failovers
      << ", \"degraded_batches\": " << snap.degraded_batches
      << "},\n  \"dropped_requests\": " << snap.dropped_requests
+     << ",\n  \"dropped_batches\": " << snap.dropped_batches
      << ",\n  \"batches\": [";
   bool first = true;
   for (const BatchCostTotals& b : snap.batches) {

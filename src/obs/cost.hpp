@@ -113,10 +113,12 @@ struct BatchCostTotals {
 
 /// Point-in-time copy of a ledger's records plus running totals.
 struct CostSnapshot {
-  std::vector<BatchCostTotals> batches;  ///< in execution order
+  std::vector<BatchCostTotals> batches;  ///< in execution order, FIFO-capped
   std::vector<RequestCost> requests;     ///< in recording order, FIFO-capped
+  std::uint64_t dropped_batches = 0;     ///< evicted past kMaxRequests
   std::uint64_t dropped_requests = 0;    ///< evicted past kMaxRequests
   // Running totals over everything ever recorded (never evicted).
+  std::uint64_t total_batches = 0;
   std::uint64_t total_requests = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t device_ns = 0;
@@ -136,8 +138,10 @@ struct CostSnapshot {
 /// paired A/B arm in bench/abl_obs_overhead.
 class CostLedger {
  public:
-  /// Bounded retention: per-request records beyond this are evicted FIFO
-  /// (counted in dropped_requests); batch totals are small and kept.
+  /// Bounded retention: per-request records and per-batch totals beyond
+  /// this many each are evicted FIFO (counted in dropped_requests /
+  /// dropped_batches). Every batch holds at least one request, so a
+  /// retained request's batch is always retained too.
   static constexpr std::size_t kMaxRequests = 1U << 16U;
 
   /// Process-wide runtime kill switch for attribution (the compile-time
@@ -170,10 +174,9 @@ class CostLedger {
   static std::atomic<bool> attribution_enabled_;
 
   mutable std::mutex mu_;
-  std::vector<BatchCostTotals> batches_;
+  std::deque<BatchCostTotals> batches_;
   std::deque<RequestCost> requests_;
-  std::uint64_t dropped_ = 0;
-  CostSnapshot totals_;  ///< only the running-total fields are used
+  CostSnapshot totals_;  ///< only the counter fields are used
 };
 
 }  // namespace snp::obs

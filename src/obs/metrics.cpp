@@ -25,7 +25,7 @@ Histogram::Histogram(std::vector<double> bounds)
   }
 }
 
-void Histogram::observe(double v) {
+std::size_t Histogram::observe(double v) {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
   const auto idx = static_cast<std::size_t>(it - bounds_.begin());
   buckets_[idx].fetch_add(1, std::memory_order_relaxed);
@@ -34,6 +34,7 @@ void Histogram::observe(double v) {
   while (!sum_.compare_exchange_weak(cur, cur + v,
                                      std::memory_order_relaxed)) {
   }
+  return idx;
 }
 
 std::vector<std::uint64_t> Histogram::bucket_counts() const {
@@ -44,32 +45,20 @@ std::vector<std::uint64_t> Histogram::bucket_counts() const {
   return out;
 }
 
-std::vector<double> Histogram::latency_bounds() {
-  std::vector<double> bounds;
-  for (double decade = 1e-6; decade < 10.0; decade *= 10.0) {
-    bounds.push_back(decade);
-    bounds.push_back(decade * 2.0);
-    bounds.push_back(decade * 5.0);
-  }
-  bounds.push_back(10.0);
-  return bounds;
-}
-
-std::vector<double> Histogram::service_latency_bounds() {
-  static const double kSteps[] = {1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 7.5};
-  std::vector<double> bounds;
-  for (double decade = 1e-5; decade < 1.0; decade *= 10.0) {
-    for (const double step : kSteps) {
-      bounds.push_back(decade * step);
+const std::vector<double>& Histogram::latency_bounds() {
+  static const std::vector<double> bounds = [] {
+    std::vector<double> b;
+    for (int i = 0; b.empty() || b.back() < 10.0; ++i) {
+      b.push_back(1e-7 * std::exp2(i / 8.0));
     }
-  }
-  bounds.push_back(1.0);
-  bounds.push_back(1.5);
-  bounds.push_back(2.5);
+    return b;
+  }();
   return bounds;
 }
 
-double MetricsSnapshot::HistogramView::percentile_le(double q) const {
+double percentile_le(std::span<const double> bounds,
+                     std::span<const std::uint64_t> counts,
+                     std::uint64_t count, double q) {
   if (count == 0) {
     return std::numeric_limits<double>::quiet_NaN();
   }
@@ -78,7 +67,7 @@ double MetricsSnapshot::HistogramView::percentile_le(double q) const {
   const auto rank = static_cast<std::uint64_t>(
       std::max(1.0, std::ceil(q * static_cast<double>(count))));
   std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < bounds.size(); ++i) {
+  for (std::size_t i = 0; i < bounds.size() && i < counts.size(); ++i) {
     cumulative += counts[i];
     if (cumulative >= rank) {
       return bounds[i];
@@ -278,7 +267,7 @@ void write_metrics_json(const MetricsSnapshot& snap, std::ostream& os) {
          {std::pair<const char*, double>{"p50_le", 0.50},
           {"p90_le", 0.90},
           {"p99_le", 0.99}}) {
-      const double le = h.percentile_le(q);
+      const double le = percentile_le(h.bounds, h.counts, h.count, q);
       os << sep << "\"" << label << "\": ";
       if (std::isfinite(le)) {
         os << le;

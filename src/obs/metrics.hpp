@@ -28,6 +28,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -92,7 +93,9 @@ class Histogram {
  public:
   explicit Histogram(std::vector<double> bounds);
 
-  void observe(double v);
+  /// Counts `v` and returns the index of the bucket it landed in
+  /// (bounds().size() for the overflow bucket).
+  std::size_t observe(double v);
   [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
   [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const;
   [[nodiscard]] std::uint64_t count() const {
@@ -103,15 +106,14 @@ class Histogram {
     return sum_.load(std::memory_order_relaxed);
   }
 
-  /// Default latency bounds in seconds: 1 us .. 10 s, decade steps with
-  /// 1-2-5 subdivision — wide enough for pack tasks and end-to-end runs.
-  [[nodiscard]] static std::vector<double> latency_bounds();
-
-  /// Tighter bounds for service request latencies (svc.request.latency):
-  /// 10 us .. 2.5 s with 1-1.5-2-2.5-3-4-5-7.5 decade subdivision, so a
-  /// bucket-resolution percentile is within ~50% of the true value in
-  /// the millisecond range a serving SLO cares about.
-  [[nodiscard]] static std::vector<double> service_latency_bounds();
+  /// The one latency bucket layout, in seconds: the geometric grid
+  /// 100 ns * 2^(i/8), eight buckets per octave, up to the first bound
+  /// >= 10 s (214 bounds, built once per process). Adjacent bounds differ
+  /// by a ratio of at most 2^(1/8), so for an exact quantile t in
+  /// [100 ns, 10 s] the bucket-resolution percentile_le() reports a value
+  /// in [t, 2^(1/8) t]: at most ~9.1% high, never low. Every registry
+  /// latency histogram (SNP_OBS_OBSERVE) and the SLO monitor use it.
+  [[nodiscard]] static const std::vector<double>& latency_bounds();
 
  private:
   std::vector<double> bounds_;
@@ -119,6 +121,17 @@ class Histogram {
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
 };
+
+/// Honest bucket-resolution quantile: the upper bound ("le") of the
+/// bucket holding the ceil-rank q-quantile of `count` observations — an
+/// upper bound, not an interpolation, so presentation must carry a '~'
+/// or "approx":true marker. Returns +inf when the quantile lands past the
+/// last bound, NaN when count is 0. Reads only the first
+/// min(bounds.size(), counts.size()) buckets, so it is safe on parsed,
+/// untrusted documents whose arrays disagree in length.
+[[nodiscard]] double percentile_le(std::span<const double> bounds,
+                                   std::span<const std::uint64_t> counts,
+                                   std::uint64_t count, double q);
 
 /// Point-in-time copy of every registered metric, safe to serialize while
 /// the hot path keeps mutating the live registry.
@@ -128,12 +141,6 @@ struct MetricsSnapshot {
     std::vector<std::uint64_t> counts;  ///< bounds.size() + 1 entries
     std::uint64_t count = 0;
     double sum = 0.0;
-    /// Honest bucket-resolution quantile: the upper bound ("le") of the
-    /// bucket holding the q-quantile observation — an upper bound, not
-    /// an interpolation, so presentation must carry a '~' or
-    /// "approx":true marker. Returns +inf when the quantile lands in
-    /// the overflow bucket, NaN on an empty histogram.
-    [[nodiscard]] double percentile_le(double q) const;
   };
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, std::int64_t> gauges;
@@ -175,7 +182,7 @@ class MetricsRegistry {
 ///                          "percentiles": {"p50_le": x, "p90_le": y,
 ///                                          "p99_le": z, "approx": true}}}}
 /// Percentile values are bucket upper bounds (see
-/// HistogramView::percentile_le), hence the explicit "approx" flag.
+/// obs::percentile_le), hence the explicit "approx" flag.
 void write_metrics_json(const MetricsSnapshot& snap, std::ostream& os);
 
 /// Escapes a Prometheus label value per the text exposition format:

@@ -9,6 +9,8 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "obs/metrics.hpp"
+
 namespace snp::obs::jsonlite {
 
 namespace {
@@ -337,26 +339,6 @@ namespace snp::obs {
 namespace {
 
 using jsonlite::Value;
-
-/// Honest bucket-resolution percentile over a parsed histogram view
-/// (mirrors MetricsSnapshot::HistogramView::percentile_le).
-double percentile_le(const std::vector<double>& bounds,
-                     const std::vector<std::uint64_t>& counts,
-                     std::uint64_t count, double q) {
-  if (count == 0) {
-    return 0.0;
-  }
-  const auto rank = static_cast<std::uint64_t>(
-      std::max(1.0, std::ceil(q * static_cast<double>(count))));
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < bounds.size() && i < counts.size(); ++i) {
-    cumulative += counts[i];
-    if (cumulative >= rank) {
-      return bounds[i];
-    }
-  }
-  return std::numeric_limits<double>::infinity();
-}
 
 struct HistogramDoc {
   bool present = false;

@@ -1,18 +1,14 @@
 #include "obs/slo.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-
-#include "obs/metrics.hpp"
 
 namespace snp::obs {
 
 SloMonitor::SloMonitor(SloOptions options)
-    : options_(options), bounds_(Histogram::service_latency_bounds()),
+    : options_(options),
       bucket_width_s_(std::max(options.fast_window_s / 10.0, 1e-3)),
-      hist_counts_(bounds_.size() + 1, 0),
-      hist_exemplars_(bounds_.size() + 1),
+      hist_(Histogram::latency_bounds()),
+      hist_exemplars_(hist_.bounds().size() + 1),
       epoch_(std::chrono::steady_clock::now()) {}
 
 bool SloMonitor::record(double latency_s, std::uint64_t trace_id) {
@@ -22,12 +18,8 @@ bool SloMonitor::record(double latency_s, std::uint64_t trace_id) {
           .count();
   const std::lock_guard lock(mu_);
 
-  const auto it =
-      std::lower_bound(bounds_.begin(), bounds_.end(), latency_s);
-  const auto bucket = static_cast<std::size_t>(it - bounds_.begin());
-  ++hist_counts_[bucket];
-  hist_exemplars_[bucket] = SloExemplar{latency_s, trace_id};
-  ++total_;
+  hist_exemplars_[hist_.observe(latency_s)] =
+      SloExemplar{latency_s, trace_id};
 
   if (options_.objective_s <= 0.0) {
     return false;
@@ -92,7 +84,7 @@ SloSnapshot SloMonitor::snapshot() const {
           .count();
   const std::lock_guard lock(mu_);
   SloSnapshot snap;
-  snap.total = total_;
+  snap.total = hist_.count();
   snap.breaches = breaches_;
   snap.burn_fast = burn_rate_locked(now_s, options_.fast_window_s);
   snap.burn_slow = burn_rate_locked(now_s, options_.slow_window_s);
@@ -102,7 +94,7 @@ SloSnapshot SloMonitor::snapshot() const {
 
 std::vector<std::uint64_t> SloMonitor::bucket_counts() const {
   const std::lock_guard lock(mu_);
-  return hist_counts_;
+  return hist_.bucket_counts();
 }
 
 std::vector<std::optional<SloExemplar>> SloMonitor::exemplars() const {
@@ -112,19 +104,8 @@ std::vector<std::optional<SloExemplar>> SloMonitor::exemplars() const {
 
 double SloMonitor::percentile_le(double q) const {
   const std::lock_guard lock(mu_);
-  if (total_ == 0) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-  const auto rank = static_cast<std::uint64_t>(
-      std::max(1.0, std::ceil(q * static_cast<double>(total_))));
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < bounds_.size(); ++i) {
-    cumulative += hist_counts_[i];
-    if (cumulative >= rank) {
-      return bounds_[i];
-    }
-  }
-  return std::numeric_limits<double>::infinity();
+  return obs::percentile_le(hist_.bounds(), hist_.bucket_counts(),
+                            hist_.count(), q);
 }
 
 }  // namespace snp::obs

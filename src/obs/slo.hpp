@@ -14,10 +14,14 @@
 // (edge-detected), which the service uses to take a flight-recorder
 // dump while the evidence is still in the rings.
 //
-// Exemplars: the monitor also maintains a latency histogram over
-// Histogram::service_latency_bounds() where each bucket retains the
-// most recent trace id observed in it — so "which request was that
-// 250 ms outlier?" is answerable straight from the report.
+// Latency record: every recorded request also lands in an obs::Histogram
+// over Histogram::latency_bounds() (the one latency grid; quantiles at
+// most ~9.1% high between 100 ns and 10 s), so the monitor's memory is
+// fixed no matter how many requests it has seen. The service engine
+// feeds it on every completion, in every build, and reads its stats()
+// percentiles from it. Exemplars: each bucket also retains the most
+// recent trace id observed in it — so "which request was that 250 ms
+// outlier?" is answerable straight from the report.
 //
 // Thread safety: record()/snapshot() are mutex-protected; the monitor
 // sits on the service's per-request completion path (thousands of QPS,
@@ -30,6 +34,8 @@
 #include <mutex>
 #include <optional>
 #include <vector>
+
+#include "obs/metrics.hpp"
 
 namespace snp::obs {
 
@@ -73,13 +79,15 @@ class SloMonitor {
 
   /// Histogram bounds / counts / per-bucket exemplars (one entry per
   /// bound plus overflow; exemplar is nullopt for untouched buckets).
-  [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
+  [[nodiscard]] const std::vector<double>& bounds() const {
+    return hist_.bounds();
+  }
   [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const;
   [[nodiscard]] std::vector<std::optional<SloExemplar>> exemplars() const;
 
-  /// Honest bucket-resolution percentile over the recorded latencies:
-  /// upper bound of the quantile's bucket (+inf in overflow, NaN when
-  /// empty). Present with a '~' marker.
+  /// Honest bucket-resolution percentile over the recorded latencies
+  /// (obs::percentile_le): upper bound of the quantile's bucket (+inf in
+  /// overflow, NaN when empty). Present with a '~' marker.
   [[nodiscard]] double percentile_le(double q) const;
 
  private:
@@ -95,14 +103,12 @@ class SloMonitor {
   void prune_locked(double now_s);
 
   SloOptions options_;
-  std::vector<double> bounds_;
   const double bucket_width_s_;
 
   mutable std::mutex mu_;
   std::deque<Bucket> window_;  ///< trailing slow_window_s of time buckets
-  std::vector<std::uint64_t> hist_counts_;
+  Histogram hist_;             ///< every recorded latency; count() = total
   std::vector<std::optional<SloExemplar>> hist_exemplars_;
-  std::uint64_t total_ = 0;
   std::uint64_t breaches_ = 0;
   std::uint64_t trips_ = 0;
   bool armed_ = true;

@@ -60,13 +60,6 @@ using Clock = std::chrono::steady_clock;
   return h;
 }
 
-[[nodiscard]] double percentile(std::vector<double> sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(sorted.size())));
-  return sorted[std::min(sorted.size(), std::max<std::size_t>(rank, 1)) - 1];
-}
-
 }  // namespace
 
 std::string_view to_string(AdmissionPolicy policy) {
@@ -249,11 +242,9 @@ struct ServiceEngine::Impl {
             deadline_met_count++;
           }
         }
-        latencies.push_back(qr.latency_s);
-        // A cache hit never queues: wait 0, the whole latency is service.
-        queue_waits.push_back(0.0);
-        service_times.push_back(qr.latency_s);
+        max_latency = std::max(max_latency, qr.latency_s);
         SNP_OBS_OBSERVE("svc.request_latency_seconds", qr.latency_s);
+        // A cache hit never queues: wait 0, the whole latency is service.
         SNP_OBS_OBSERVE("svc.queue.wait_seconds", 0.0);
         SNP_OBS_OBSERVE("svc.service.time_seconds", qr.latency_s);
         if constexpr (obs::kEnabled) {
@@ -266,13 +257,12 @@ struct ServiceEngine::Impl {
             ledger.record_cache_hit(qr.cost);
           }
         }
-        bool tripped = false;
-        if constexpr (obs::kEnabled) {
-          tripped = slo_mon.record(qr.latency_s, trace_id);
-          if (cfg.slo.objective_s > 0.0 &&
-              qr.latency_s > cfg.slo.objective_s) {
-            SNP_OBS_COUNT("svc.slo.breaches", 1);
-          }
+        // The monitor is the engine's latency record in every build; only
+        // telemetry builds act on its burn-rate trip.
+        const bool tripped =
+            slo_mon.record(qr.latency_s, trace_id) && obs::kEnabled;
+        if (cfg.slo.objective_s > 0.0 && qr.latency_s > cfg.slo.objective_s) {
+          SNP_OBS_COUNT("svc.slo.breaches", 1);
         }
         SNP_OBS_FLIGHT(obs::FlightKind::kResolve, trace_id, 0, 0,
                        static_cast<std::int64_t>(qr.latency_s * 1e6));
@@ -615,7 +605,7 @@ struct ServiceEngine::Impl {
         }
       }
 
-      [[maybe_unused]] std::uint64_t trip_trace = 0;
+      std::uint64_t trip_trace = 0;
       {
         const std::lock_guard lock(mu);
         completed_count += n;
@@ -636,22 +626,19 @@ struct ServiceEngine::Impl {
               static_cast<double>(batch.requests[i].queue_wait_ns) * 1e-9;
           // Formation -> resolution; enqueued + wait is the formation
           // instant, so this excludes any pre-queue admission block.
-          const double service_s = std::max(
+          [[maybe_unused]] const double service_s = std::max(
               0.0,
               seconds_between(batch.requests[i].enqueued, done) - wait_s);
-          latencies.push_back(rows[i].latency_s);
-          queue_waits.push_back(wait_s);
-          service_times.push_back(service_s);
+          max_latency = std::max(max_latency, rows[i].latency_s);
           SNP_OBS_OBSERVE("svc.request_latency_seconds", rows[i].latency_s);
           SNP_OBS_OBSERVE("svc.service.time_seconds", service_s);
-          if constexpr (obs::kEnabled) {
-            if (slo_mon.record(rows[i].latency_s, rows[i].trace_id)) {
-              trip_trace = rows[i].trace_id;
-            }
-            if (cfg.slo.objective_s > 0.0 &&
-                rows[i].latency_s > cfg.slo.objective_s) {
-              SNP_OBS_COUNT("svc.slo.breaches", 1);
-            }
+          if (slo_mon.record(rows[i].latency_s, rows[i].trace_id) &&
+              obs::kEnabled) {
+            trip_trace = rows[i].trace_id;
+          }
+          if (cfg.slo.objective_s > 0.0 &&
+              rows[i].latency_s > cfg.slo.objective_s) {
+            SNP_OBS_COUNT("svc.slo.breaches", 1);
           }
           if (cfg.cache_capacity > 0 && batch.epoch == epoch) {
             cache_insert(batch.requests[i], rows[i].row);
@@ -660,10 +647,8 @@ struct ServiceEngine::Impl {
       }
       SNP_OBS_COUNT("svc.batches", 1);
       SNP_OBS_COUNT("svc.batch.rows", n);
-      if constexpr (obs::kEnabled) {
-        // Dump outside the service mutex: the breach path does file I/O.
-        if (trip_trace != 0) on_slo_trip(trip_trace);
-      }
+      // Dump outside the service mutex: the breach path does file I/O.
+      if (trip_trace != 0) on_slo_trip(trip_trace);
 
       // Exactly-once: every promise is resolved here and nowhere else.
       for (std::size_t i = 0; i < n; ++i) {
@@ -840,54 +825,39 @@ struct ServiceEngine::Impl {
   }
 
   ServiceStats stats() const {
-    std::vector<double> lat;
-    std::vector<double> waits;
-    std::vector<double> services;
     ServiceStats s;
-    {
-      const std::lock_guard lock(mu);
-      s.submitted = submitted_count;
-      s.completed = completed_count;
-      s.failed = failed_count;
-      s.rejected = rejected_count;
-      s.batches = batch_count;
-      s.cache_hits = cache_hits;
-      s.cache_misses = cache_misses;
-      s.fault_events = fault_event_count;
-      s.degraded_batches = degraded_batch_count;
-      s.deadline_shed = deadline_shed_count;
-      s.deadline_expired = deadline_expired_count;
-      s.deadline_met = deadline_met_count;
-      s.brownout_entries = brownout_entry_count;
-      s.brownout_shed = brownout_shed_count;
-      s.brownout_active = brownout;
-      s.max_batch_rows = max_batch;
-      s.mean_batch_rows =
-          batch_count == 0 ? 0.0
-                           : static_cast<double>(batch_rows_total) /
-                                 static_cast<double>(batch_count);
-      s.peak_queue_depth = peak_queue;
-      s.epoch = epoch;
-      lat = latencies;
-      waits = queue_waits;
-      services = service_times;
-    }
-    std::sort(lat.begin(), lat.end());
-    s.p50_latency_s = percentile(lat, 0.50);
-    s.p99_latency_s = percentile(lat, 0.99);
-    s.max_latency_s = lat.empty() ? 0.0 : lat.back();
-    const auto mean = [](const std::vector<double>& v) {
-      if (v.empty()) return 0.0;
-      double sum = 0.0;
-      for (const double x : v) sum += x;
-      return sum / static_cast<double>(v.size());
+    const std::lock_guard lock(mu);
+    s.submitted = submitted_count;
+    s.completed = completed_count;
+    s.failed = failed_count;
+    s.rejected = rejected_count;
+    s.batches = batch_count;
+    s.cache_hits = cache_hits;
+    s.cache_misses = cache_misses;
+    s.fault_events = fault_event_count;
+    s.degraded_batches = degraded_batch_count;
+    s.deadline_shed = deadline_shed_count;
+    s.deadline_expired = deadline_expired_count;
+    s.deadline_met = deadline_met_count;
+    s.brownout_entries = brownout_entry_count;
+    s.brownout_shed = brownout_shed_count;
+    s.brownout_active = brownout;
+    s.max_batch_rows = max_batch;
+    s.mean_batch_rows =
+        batch_count == 0 ? 0.0
+                         : static_cast<double>(batch_rows_total) /
+                               static_cast<double>(batch_count);
+    s.peak_queue_depth = peak_queue;
+    s.epoch = epoch;
+    // Read under mu, which every slo_mon.record() call holds too, so the
+    // bucket bounds and the exact max describe the same completions.
+    const auto capped = [this](double q) {
+      const double le = slo_mon.percentile_le(q);
+      return std::isnan(le) ? 0.0 : std::min(le, max_latency);
     };
-    s.mean_queue_wait_s = mean(waits);
-    s.mean_service_time_s = mean(services);
-    std::sort(waits.begin(), waits.end());
-    std::sort(services.begin(), services.end());
-    s.p99_queue_wait_s = percentile(waits, 0.99);
-    s.p99_service_time_s = percentile(services, 0.99);
+    s.p50_latency_s = capped(0.50);
+    s.p99_latency_s = capped(0.99);
+    s.max_latency_s = max_latency;
     if constexpr (obs::kEnabled) {
       const auto slo = slo_mon.snapshot();
       s.slo_breaches = slo.breaches;
@@ -925,8 +895,9 @@ struct ServiceEngine::Impl {
   Context ctx;
   bits::Comparison effective_op = bits::Comparison::kXor;
   exec::ThreadPool pool;  ///< 1-thread batch executor (sticky-error channel)
-  /// Internally locked; fed on completion paths, never under mu for the
-  /// dump-triggering edge (see on_slo_trip).
+  /// Internally locked; fed under mu on every completion path (the
+  /// engine's one latency record, in every build), never under mu for
+  /// the dump-triggering edge (see on_slo_trip).
   obs::SloMonitor slo_mon;
 
   mutable std::mutex mu;
@@ -969,9 +940,8 @@ struct ServiceEngine::Impl {
   std::uint64_t brownout_shed_count = 0;
   std::size_t max_batch = 0;
   std::size_t peak_queue = 0;
-  std::vector<double> latencies;
-  std::vector<double> queue_waits;    ///< enqueue -> batch formation
-  std::vector<double> service_times;  ///< formation -> resolution
+  /// Exact max of completed latencies; caps the monitor's bucket bounds.
+  double max_latency = 0.0;
   /// Queue-depth time integral state (note_queue_transition).
   std::uint64_t depth_time_ns = 0;
   Clock::time_point last_queue_change;
@@ -985,16 +955,6 @@ ServiceEngine::ServiceEngine(bits::BitMatrix database, ServiceConfig config)
     : impl_(std::make_unique<Impl>(std::move(database), std::move(config))) {}
 
 ServiceEngine::~ServiceEngine() = default;
-
-std::future<QueryResult> ServiceEngine::submit(
-    const bits::BitMatrix& query,
-    const std::optional<rt::RecoveryOptions>& recovery,
-    std::uint64_t* trace_out) {
-  SubmitOptions options;
-  options.recovery = recovery;
-  options.trace_out = trace_out;
-  return impl_->submit(query, options);
-}
 
 std::future<QueryResult> ServiceEngine::submit(const bits::BitMatrix& query,
                                                const SubmitOptions& options) {

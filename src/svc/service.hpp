@@ -145,7 +145,7 @@ struct ServiceConfig {
   int brownout_class_max = 0;
 };
 
-/// Per-submission options (the richer submit() overload).
+/// Per-submission options for submit().
 struct SubmitOptions {
   /// Recovery-policy override for this request's class (engine default
   /// when unset). Requests of different classes never share a batch.
@@ -200,6 +200,9 @@ struct QueryResult {
 };
 
 /// Point-in-time service telemetry (also published as "svc.*" metrics).
+/// Every field is a counter or a single value: the engine keeps no
+/// per-request history, so its telemetry memory is fixed however many
+/// requests it serves.
 struct ServiceStats {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
@@ -213,17 +216,15 @@ struct ServiceStats {
   std::size_t max_batch_rows = 0;
   double mean_batch_rows = 0.0;
   std::size_t peak_queue_depth = 0;
+  /// Submit -> delivery latency of completed requests. p50/p99 are the
+  /// SLO monitor's bucket upper bounds (obs::percentile_le over
+  /// Histogram::latency_bounds(), at most ~9.1% above the exact value
+  /// between 100 ns and 10 s) capped at the exact max; all 0 before the
+  /// first completion. The queue-wait / service-time split is published
+  /// as the svc.queue.wait_seconds / svc.service.time_seconds histograms.
   double p50_latency_s = 0.0;
   double p99_latency_s = 0.0;
   double max_latency_s = 0.0;
-  /// Queue-wait / service-time decomposition of the latency above
-  /// (wait = enqueue -> batch formation, service = formation ->
-  /// resolution; cache hits count as wait 0). Published as the
-  /// svc.queue.wait_seconds / svc.service.time_seconds histograms too.
-  double mean_queue_wait_s = 0.0;
-  double p99_queue_wait_s = 0.0;
-  double mean_service_time_s = 0.0;
-  double p99_service_time_s = 0.0;
   std::uint64_t epoch = 1;
   /// SLO monitor readout (all zero when obs is compiled out or no
   /// requests have completed).
@@ -245,10 +246,12 @@ struct ServiceStats {
   bool brownout_active = false;
 };
 
-/// Point-in-time SLO report from the engine's burn-rate monitor. The
-/// percentiles are honest bucket upper bounds (obs::SloMonitor
-/// ::percentile_le): NaN when nothing was recorded, +inf when the
-/// quantile fell in the overflow bucket; render with a '~' marker.
+/// Point-in-time SLO report from the engine's burn-rate monitor, which
+/// records every completed request in every build. The percentiles are
+/// honest bucket upper bounds over Histogram::latency_bounds()
+/// (obs::SloMonitor::percentile_le): NaN when nothing was recorded, +inf
+/// when the quantile fell in the overflow bucket; render with a '~'
+/// marker.
 struct SloReport {
   double objective_s = 0.0;  ///< 0 = burn evaluation disabled
   obs::SloSnapshot state;    ///< totals, breaches, burn rates, trips
@@ -283,25 +286,18 @@ class ServiceEngine {
   /// Submits one query profile (a 1-row BitMatrix with the database's
   /// bit_cols). Returns a future resolved exactly once — with the gamma
   /// row, or with the rt::Error that killed this request's batch.
-  /// Throws rt::Error(kOverload) when the queue is full under kReject;
-  /// blocks under kBlock; throws std::invalid_argument on shape
-  /// mismatch. `recovery` overrides the engine default for this
-  /// request's class; requests of different classes never share a batch.
-  /// `trace_out`, when non-null, receives the request's trace id as soon
+  /// Throws rt::Error(kOverload) when the queue is full under kReject or
+  /// when brown-out sheds the request's class; blocks under kBlock;
+  /// throws std::invalid_argument on shape mismatch, and
+  /// rt::Error(kDeadline) for an already-expired deadline or when a
+  /// kBlock admission wait outlives the deadline. `options` carries the
+  /// request's recovery-class override (requests of different classes
+  /// never share a batch), deadline, request class and trace-id
+  /// out-parameter (see SubmitOptions); the trace id is written as soon
   /// as it is allocated — before any possible throw — so callers can
   /// correlate even shed/failed submissions with the flight recorder.
   [[nodiscard]] std::future<QueryResult> submit(
-      const bits::BitMatrix& query,
-      const std::optional<rt::RecoveryOptions>& recovery = std::nullopt,
-      std::uint64_t* trace_out = nullptr);
-
-  /// Full-options submit: adds an end-to-end deadline and a request
-  /// class (see SubmitOptions). Additionally throws rt::Error(kDeadline)
-  /// for an already-expired deadline or when a kBlock admission wait
-  /// outlives the deadline, and rt::Error(kOverload) when brown-out
-  /// sheds the request's class.
-  [[nodiscard]] std::future<QueryResult> submit(const bits::BitMatrix& query,
-                                               const SubmitOptions& options);
+      const bits::BitMatrix& query, const SubmitOptions& options = {});
 
   /// Atomically swaps the resident database and bumps the epoch; every
   /// cached result is invalidated (the cache key carries the epoch, and

@@ -240,6 +240,33 @@ TEST(CostLedger, FifoEvictionCountsDroppedKeepsTotals) {
   EXPECT_EQ(snap.total_requests, obs::CostLedger::kMaxRequests + kOver);
   // FIFO: the oldest records went first.
   EXPECT_EQ(snap.requests.front().trace_id, kOver + 1);
+
+  // Batch totals are capped the same way. Every batch holds at least one
+  // request, so the oldest retained request's batch is still retained.
+  obs::CostLedger batched;
+  for (std::uint64_t i = 0; i < obs::CostLedger::kMaxRequests + kOver; ++i) {
+    BatchCostTotals b;
+    b.batch_id = i + 1;
+    b.width = 1;
+    b.rows = 1;
+    b.wordops = 3;
+    const std::vector<std::uint64_t> traces{i + 1};
+    const std::vector<std::uint64_t> rows{1};
+    batched.record_batch(b, obs::attribute_batch(b, traces, rows));
+  }
+  const CostSnapshot bs = batched.snapshot();
+  EXPECT_EQ(bs.batches.size(), obs::CostLedger::kMaxRequests);
+  EXPECT_EQ(bs.dropped_batches, kOver);
+  EXPECT_EQ(bs.dropped_requests, kOver);
+  EXPECT_EQ(bs.total_batches, obs::CostLedger::kMaxRequests + kOver);
+  EXPECT_EQ(bs.wordops, 3 * (obs::CostLedger::kMaxRequests + kOver));
+  EXPECT_EQ(bs.batches.front().batch_id, kOver + 1);
+  EXPECT_EQ(bs.requests.front().batch_id, bs.batches.front().batch_id);
+  std::ostringstream json;
+  batched.write_json(json);
+  EXPECT_NE(json.str().find("\"dropped_requests\": 5,\n  "
+                            "\"dropped_batches\": 5,"),
+            std::string::npos);
 }
 
 // ---- service-level attribution -----------------------------------------
@@ -589,11 +616,15 @@ TEST(PipelineAnalyzer, ComputesOverlapCoalescingWaitShareAndLittles) {
 
 TEST(PipelineAnalyzer, LittlesFailsBeyondToleranceAndTopNIsStable) {
   const auto trace = obs::jsonlite::parse("[]");
+  // The service histogram's counts array is shorter than its bounds
+  // (untrusted input): the quantile walk must stop at the last count.
   const auto metrics = obs::jsonlite::parse(R"({
     "counters": {}, "gauges": {"svc.queue.depth_time_us": 2000},
     "histograms": {
       "svc.queue.wait_seconds": {"bounds": [0.01],
-        "counts": [4, 0], "count": 4, "sum": 0.004}
+        "counts": [4, 0], "count": 4, "sum": 0.004},
+      "svc.service.time_seconds": {"bounds": [0.001, 0.01, 0.1],
+        "counts": [1], "count": 4, "sum": 0.008}
     }
   })");
   const auto cost = obs::jsonlite::parse(R"({
@@ -611,6 +642,9 @@ TEST(PipelineAnalyzer, LittlesFailsBeyondToleranceAndTopNIsStable) {
   // 0.004 s vs 0.002 s: 100% relative error, far over the 10% default.
   ASSERT_TRUE(rep.littles.evaluated);
   EXPECT_FALSE(rep.littles.pass);
+  // The rank-4 observation lies past the one bucket the counts cover.
+  EXPECT_DOUBLE_EQ(rep.mean_service_s, 0.002);
+  EXPECT_TRUE(std::isinf(rep.p99_service_le_s));
   // Equal device time ranks by trace id ascending; truncation to top_n.
   ASSERT_TRUE(rep.has_cost);
   EXPECT_EQ(rep.cost_requests, 3U);

@@ -101,8 +101,9 @@ TEST(ServiceTracing, ResultsCarryUniqueIdsMatchingTraceOut) {
   std::vector<std::uint64_t> submitted_ids;
   for (std::size_t q = 0; q < queries.rows(); ++q) {
     std::uint64_t id = 0;
-    futs.push_back(
-        engine.submit(queries.row_slice(q, q + 1), std::nullopt, &id));
+    svc::SubmitOptions options;
+    options.trace_out = &id;
+    futs.push_back(engine.submit(queries.row_slice(q, q + 1), options));
     submitted_ids.push_back(id);
   }
   engine.resume();
@@ -154,8 +155,9 @@ TEST(ServiceTracing, CollectorFlowChainsAreWellFormed) {
     std::vector<std::future<QueryResult>> futs;
     for (std::size_t q = 0; q < queries.rows(); ++q) {
       std::uint64_t id = 0;
-      futs.push_back(
-          engine.submit(queries.row_slice(q, q + 1), std::nullopt, &id));
+      svc::SubmitOptions options;
+      options.trace_out = &id;
+      futs.push_back(engine.submit(queries.row_slice(q, q + 1), options));
       ids.push_back(id);
     }
     engine.resume();
@@ -228,8 +230,9 @@ TEST(ServiceTracing, FiftySeedFaultSoakPropagatesIdsEverywhere) {
       std::vector<std::future<QueryResult>> futs;
       for (std::size_t q = 0; q < queries.rows(); ++q) {
         std::uint64_t id = 0;
-        futs.push_back(
-            engine.submit(queries.row_slice(q, q + 1), std::nullopt, &id));
+        svc::SubmitOptions options;
+        options.trace_out = &id;
+        futs.push_back(engine.submit(queries.row_slice(q, q + 1), options));
         ids.insert(id);
       }
       engine.resume();

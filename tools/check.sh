@@ -15,6 +15,7 @@
 #      soak) — OpenMP is compiled out under TSan, so
 #      every data race the thread-pool pipeline could introduce is
 #      visible to the tool.
+#   4. Telemetry compiled out (-DSNPCMP_OBS=OFF) build + tier-1 tests.
 #
 # The release stage also runs a fault-injection smoke: an injected
 # search under --fail-policy degrade must match the clean ranking and
@@ -27,8 +28,8 @@
 # suite, the telemetry smoke, the bench_compare self-test, a quick
 # benchmark-regression smoke (a mini aggregate compared against itself
 # must be clean), and the repository benchmark (snpbench/) built as its
-# own tree and smoke-run by its ctest — but no sanitizer rebuilds, which
-# dominate wall time.
+# own tree and smoke-run by its ctest — but no sanitizer or
+# telemetry-off rebuilds, which dominate wall time.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -336,5 +337,14 @@ TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_chaos
 # trace-context propagation suite are the PR-7 concurrency surface.
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_flight
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_tracing
+
+echo "== telemetry-off build (SNPCMP_OBS=OFF) + tier-1 tests =="
+# Every SNP_OBS_* call site compiles to a no-op here, while the service
+# still records each completion in its SLO monitor (its one latency
+# record); tests that need telemetry skip themselves.
+cmake -S . -B build-noobs -DCMAKE_BUILD_TYPE=Release -DSNPCMP_OBS=OFF \
+  >/dev/null
+cmake --build build-noobs -j "$jobs"
+ctest --test-dir build-noobs -L tier1 --output-on-failure -j "$jobs"
 
 echo "== all checks passed =="
