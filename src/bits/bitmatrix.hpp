@@ -87,6 +87,15 @@ class BitMatrix {
   std::vector<Word64> data_;
 };
 
+/// Rows [row0, row0 + rows) of a BitMatrix, by reference: lets a kernel
+/// read a block of an operand in place instead of copying it out with
+/// row_slice.
+struct RowWindow {
+  const BitMatrix* matrix = nullptr;
+  std::size_t row0 = 0;
+  std::size_t rows = 0;
+};
+
 /// Dense count matrix produced by SNP comparisons: gamma[i,j] as in Eqs. 1-3.
 class CountMatrix {
  public:

@@ -1,7 +1,6 @@
 #include "cl/clmini.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 #include "rt/fault.hpp"
@@ -85,14 +84,12 @@ Event CommandQueue::enqueue_write(Buffer& dst,
   h2d_free_ = ev.end;
   dst.ready_at_ = ev.end;
   last_end_ = std::max(last_end_, ev.end);
-  std::memcpy(dst.data_.data(), src.data(), src.size());
   return ev;
 }
 
-Event CommandQueue::enqueue_read(const Buffer& src,
-                                 std::span<std::byte> dst) {
-  if (dst.size() > src.size()) {
-    throw std::out_of_range("enqueue_read: destination larger than buffer");
+Event CommandQueue::enqueue_read(const Buffer& src, std::size_t bytes) {
+  if (bytes > src.size()) {
+    throw std::out_of_range("enqueue_read: read larger than buffer");
   }
   rt::maybe_inject(rt::FaultSite::kReadback);
   Event ev;
@@ -100,13 +97,12 @@ Event CommandQueue::enqueue_read(const Buffer& src,
   ev.submitted = std::max(d2h_free_, ev.queued);
   ev.start = std::max(ev.submitted, src.ready_at_) +
              sim::pcie_latency_seconds();
-  ev.end = ev.start + sim::pcie_seconds(ctx_.device().spec(), dst.size());
+  ev.end = ev.start + sim::pcie_seconds(ctx_.device().spec(), bytes);
   d2h_free_ = ev.end;
   // Reading marks the buffer busy until the copy completes.
   const_cast<Buffer&>(src).last_read_at_ =
       std::max(src.last_read_at_, ev.end);
   last_end_ = std::max(last_end_, ev.end);
-  std::memcpy(dst.data(), src.data_.data(), dst.size());
   return ev;
 }
 

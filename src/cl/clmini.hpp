@@ -11,6 +11,11 @@
 // (queued / submitted / start / end) — except that "the device" is the
 // simulator, and all timestamps advance on a virtual clock.
 //
+// Device memory is modeled, not mirrored: a buffer is a size charged
+// against the device's limits plus the virtual times that carry its
+// hazards, and transfers charge the clock for their bytes without copying
+// any. A kernel's functional body computes from the host operands.
+//
 // Engine semantics match real discrete GPUs: one host-to-device copy
 // engine, one compute engine, one device-to-host copy engine, each
 // in-order, with cross-engine dependencies carried by buffers. Double
@@ -67,32 +72,20 @@ struct Event {
 
 class Context;
 
-/// A device buffer with a host-visible backing store (we are simulating;
-/// the backing store is what "device memory" resolves to functionally).
+/// A device buffer: its size and the virtual times of its last write and
+/// last read. It holds no bytes (see the module comment).
 class Buffer {
  public:
   Buffer() = default;
 
-  [[nodiscard]] std::size_t size() const { return data_.size(); }
-  [[nodiscard]] std::span<std::byte> bytes() { return data_; }
-  [[nodiscard]] std::span<const std::byte> bytes() const { return data_; }
-
-  template <typename T>
-  [[nodiscard]] std::span<T> as() {
-    return {reinterpret_cast<T*>(data_.data()), data_.size() / sizeof(T)};
-  }
-  template <typename T>
-  [[nodiscard]] std::span<const T> as() const {
-    return {reinterpret_cast<const T*>(data_.data()),
-            data_.size() / sizeof(T)};
-  }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
  private:
   friend class Context;
   friend class CommandQueue;
-  explicit Buffer(std::size_t bytes) : data_(bytes) {}
+  explicit Buffer(std::size_t bytes) : size_(bytes) {}
 
-  std::vector<std::byte> data_;
+  std::size_t size_ = 0;
   double ready_at_ = 0.0;      ///< end of the last operation writing it
   double last_read_at_ = 0.0;  ///< end of the last operation reading it
 };
@@ -137,11 +130,13 @@ class CommandQueue {
  public:
   explicit CommandQueue(Context& ctx);
 
-  /// Host -> device bulk copy (clEnqueueWriteBuffer).
+  /// Host -> device bulk copy (clEnqueueWriteBuffer) of `src`: charges
+  /// the h2d engine for its bytes; nothing is copied.
   Event enqueue_write(Buffer& dst, std::span<const std::byte> src);
 
-  /// Device -> host bulk copy (clEnqueueReadBuffer).
-  Event enqueue_read(const Buffer& src, std::span<std::byte> dst);
+  /// Device -> host bulk copy (clEnqueueReadBuffer) of the first `bytes`
+  /// of `src`: charges the d2h engine for them; nothing is copied.
+  Event enqueue_read(const Buffer& src, std::size_t bytes);
 
   /// Kernel launch: `simulated_seconds` of device compute, with the given
   /// buffer dependencies; `functional` runs immediately on the host to

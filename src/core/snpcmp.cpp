@@ -62,6 +62,21 @@ void check_operands(const BitMatrix& a, const BitMatrix& b, Comparison op,
   }
 }
 
+/// Copies one chunk's block out of the full gamma matrix: columns
+/// [row0, row0 + rows) when B streams, rows [row0, row0 + rows) otherwise.
+CountMatrix chunk_block(const CountMatrix& counts, std::size_t row0,
+                        std::size_t rows, bool stream_b) {
+  CountMatrix part(stream_b ? counts.rows() : rows,
+                   stream_b ? rows : counts.cols());
+  const std::uint32_t* src =
+      counts.raw().data() + (stream_b ? row0 : row0 * counts.cols());
+  for (std::size_t i = 0; i < part.rows(); ++i) {
+    std::copy_n(src + i * counts.cols(), part.cols(),
+                part.raw().data() + i * part.cols());
+  }
+  return part;
+}
+
 }  // namespace
 
 Context::Context() = default;
@@ -580,15 +595,17 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
   result.timing.chunk_events.resize(n_chunks);
 
   // Asynchronous host pipeline (options.threads > 0, functional runs
-  // only): per chunk, a pack task slices the streamed operand, an execute
-  // task (depending on the pack) runs the functional kernel, and a drain
-  // task (depending on the execute AND the previous drain) delivers the
-  // chunk callback and scatters the block into the gamma matrix. The
-  // drain chain makes delivery order and the reduction deterministic and
-  // identical to the serial path for every thread count; the semaphore
-  // bounds chunks in flight so host memory stays bounded at paper scale.
-  // The virtual-clock command enqueues below stay on the calling thread
-  // in both modes — simulated timing is independent of host threading.
+  // only): per chunk, a pack task binds the chunk's row window of the
+  // streamed operand, an execute task (depending on the pack) runs the
+  // functional kernel on it in place, and a drain task (depending on the
+  // execute AND the previous drain) delivers the chunk callback. With
+  // keep_counts the kernel writes its block of the gamma matrix directly;
+  // a chunk-shaped block exists only for a callback. The drain chain
+  // makes delivery order deterministic and identical to the serial path
+  // for every thread count; the semaphore bounds chunks in flight so host
+  // memory stays bounded at paper scale. The virtual-clock command
+  // enqueues below stay on the calling thread in both modes — simulated
+  // timing is independent of host threading.
   const bool async = options.threads > 0 && options.functional;
   std::unique_ptr<exec::ThreadPool> pool;
   std::unique_ptr<exec::TaskGraph> graph;
@@ -625,11 +642,10 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
   } quiesce{graph.get()};
 
   struct ChunkState {
-    BitMatrix chunk;    ///< packed slice of the streamed operand
-    CountMatrix part;   ///< this chunk's block of the gamma matrix
+    bits::RowWindow window;  ///< this chunk's rows of the streamed operand
+    CountMatrix part;        ///< its block, when a chunk callback needs one
   };
 
-  std::vector<std::byte> readback;
   for (std::size_t ci = 0; ci < n_chunks; ++ci) {
     // Cooperative cancellation boundary: a fired token (explicit cancel
     // or expired request deadline) stops the pipeline here, before this
@@ -651,8 +667,8 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
     cev.rows = rows;
 
     // Upload this chunk of the streamed operand. Chunk rows are contiguous
-    // in the parent matrix, so the upload reads the parent's storage
-    // directly; the functional pack task makes its own slice.
+    // in the parent matrix, so the upload names the parent's storage
+    // directly.
     {
       const auto raw = streamed.raw64().subspan(
           row0 * streamed.words64_per_row(),
@@ -693,7 +709,7 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
       CountMatrix* counts =
           options.keep_counts ? &result.counts : nullptr;
       const BitMatrix* streamed_ptr = &streamed;
-      const BitMatrix* resident_ptr = stream_b ? &a : &b_eff;
+      const bits::RowWindow resident_rows{&resident, 0, resident.rows()};
       const std::size_t off = row0;
       const bool sb = stream_b;
       const kern::GpuSnpKernel* kptr = &kernel;
@@ -718,26 +734,38 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
         rt::with_retry(rec, "pool.pack", ci_ix, fault_log, [&] {
           rt::maybe_inject(rt::FaultSite::kPool, ci_ix);
           SNP_OBS_SPAN("core.chunk.pack");
-          state->chunk = streamed_ptr->row_slice(off, off + rows);
+          state->window = bits::RowWindow{streamed_ptr, off, rows};
         });
         SNP_OBS_FLIGHT(obs::FlightKind::kChunkPack,
                        obs::current_trace().trace_id, 0, ci_ix, rows);
       };
-      auto execute = [state, resident_ptr, sb, kptr, rec, fault_log,
-                      cancel, ci_ix]() {
+      // The block's rows: every row of A when B streams, else the chunk's.
+      const std::size_t block_rows = sb ? a.rows() : rows;
+      auto execute = [state, resident_rows, counts, off, sb, block_rows,
+                      kptr, rec, fault_log, cancel, ci_ix]() {
         if (cancel != nullptr) cancel->checkpoint(ci_ix);
         rt::with_retry(rec, "pool.execute", ci_ix, fault_log, [&] {
           rt::maybe_inject(rt::FaultSite::kPool, ci_ix);
           SNP_OBS_SPAN("core.chunk.execute");
-          const BitMatrix* ap = sb ? resident_ptr : &state->chunk;
-          const BitMatrix* bp = sb ? &state->chunk : resident_ptr;
-          // A fresh block is already zero, so accumulate into it.
-          state->part = CountMatrix(ap->rows(), bp->rows());
-          kptr->execute(*ap, *bp, state->part, /*accumulate=*/true);
+          const bits::RowWindow& ap = sb ? resident_rows : state->window;
+          const bits::RowWindow& bp = sb ? state->window : resident_rows;
+          // Straight into this chunk's block of the gamma matrix, or into
+          // a block of its own when only a callback takes the results.
+          std::uint32_t* block = nullptr;
+          std::size_t ldc = bp.rows;
+          if (counts != nullptr) {
+            ldc = counts->cols();
+            block = counts->raw().data() + (sb ? off : off * ldc);
+          } else {
+            state->part = CountMatrix(ap.rows, bp.rows);
+            block = state->part.raw().data();
+          }
+          // The kernel zeroes the block before accumulating into it, so a
+          // retried body does not count twice.
+          kptr->execute(ap, bp, block, ldc);
         });
         SNP_OBS_FLIGHT(obs::FlightKind::kChunkExec,
-                       obs::current_trace().trace_id, 0, ci_ix,
-                       state->part.rows());
+                       obs::current_trace().trace_id, 0, ci_ix, block_rows);
       };
       auto drain = [state, counts, off, sb, callback, rec, fault_log,
                     cancel, ci_ix, rows, progress]() {
@@ -745,28 +773,18 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
         rt::with_retry(rec, "pool.drain", ci_ix, fault_log, [&] {
           rt::maybe_inject(rt::FaultSite::kPool, ci_ix);
           SNP_OBS_SPAN("core.chunk.drain");
-          const CountMatrix& part = state->part;
           if (callback != nullptr) {
-            (*callback)(ComputeOptions::ChunkView{off, sb, part});
-          }
-          if (counts != nullptr) {
-            // Scatter the chunk block into the full gamma matrix.
-            for (std::size_t i = 0; i < part.rows(); ++i) {
-              for (std::size_t j = 0; j < part.cols(); ++j) {
-                if (sb) {
-                  counts->at(i, off + j) = part.at(i, j);
-                } else {
-                  counts->at(off + i, j) = part.at(i, j);
-                }
-              }
+            if (counts != nullptr) {
+              state->part = chunk_block(*counts, off, rows, sb);
             }
+            (*callback)(ComputeOptions::ChunkView{off, sb, state->part});
           }
         });
         SNP_OBS_FLIGHT(obs::FlightKind::kChunkDrain,
                        obs::current_trace().trace_id, 0, ci_ix, rows);
-        // Only after a fully delivered chunk (callback ran, block
-        // scattered) does the delivered prefix grow — the degradation
-        // rung trusts this to never redeliver or skip rows.
+        // Only after a fully delivered chunk (block computed, callback
+        // ran) does the delivered prefix grow — the degradation rung
+        // trusts this to never redeliver or skip rows.
         progress->delivered_rows.store(off + rows);
       };
       if (async) {
@@ -835,16 +853,13 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
     cev.kernel_end = evk.end;
 
     // Read the C chunk back.
-    readback.resize(rows * c_row_bytes);
+    const std::size_t c_bytes = rows * c_row_bytes;
     const cl::Event evr = rt::with_retry(
-        rec, "readback", static_cast<std::int64_t>(ci), fault_log, [&] {
-          return q.enqueue_read(
-              *c_bufs[slot],
-              std::span<std::byte>(readback.data(), readback.size()));
-        });
+        rec, "readback", static_cast<std::int64_t>(ci), fault_log,
+        [&] { return q.enqueue_read(*c_bufs[slot], c_bytes); });
     result.timing.d2h_s += evr.duration();
-    result.timing.d2h_bytes += readback.size();
-    SNP_OBS_COUNT("core.d2h.bytes", readback.size());
+    result.timing.d2h_bytes += c_bytes;
+    SNP_OBS_COUNT("core.d2h.bytes", c_bytes);
     cev.d2h_start = evr.start;
     cev.d2h_end = evr.end;
   }

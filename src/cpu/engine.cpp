@@ -153,25 +153,24 @@ void check_operands(const bits::BitMatrix& a, const bits::BitMatrix& b,
 
 }  // namespace
 
-void compare_accumulate(const bits::BitMatrix& a, const bits::BitMatrix& b,
-                        Comparison op, bits::CountMatrix& c,
+void compare_accumulate(bits::RowWindow a, bits::RowWindow b, Comparison op,
+                        std::uint32_t* c, std::size_t ldc,
                         const CpuBlocking& blocking) {
-  check_operands(a, b, blocking, "compare_blocked");
-  if (c.rows() != a.rows() || c.cols() != b.rows()) {
-    throw std::invalid_argument("compare_blocked: output shape mismatch");
+  check_operands(*a.matrix, *b.matrix, blocking, "compare_blocked");
+  if (a.row0 + a.rows > a.matrix->rows() ||
+      b.row0 + b.rows > b.matrix->rows() || ldc < b.rows) {
+    throw std::invalid_argument("compare_blocked: rectangle out of range");
   }
   SNP_OBS_SPAN("cpu.compare_blocked");
   const MicroKernelFn kernel = select_kernel(op);
 
-  const std::size_t m = a.rows();
-  const std::size_t n = b.rows();
-  const std::size_t k_words = bits::ceil_div(a.bit_cols(),
+  const std::size_t m = a.rows;
+  const std::size_t n = b.rows;
+  const std::size_t k_words = bits::ceil_div(a.matrix->bit_cols(),
                                              bits::kBitsPerWord64);
   if (m == 0 || n == 0 || k_words == 0) {
     return;
   }
-  const std::size_t ldc = n;
-  std::uint32_t* cdata = c.raw().data();
   const std::size_t m_blocks = bits::ceil_div(m, blocking.m_c);
   const std::size_t tiles = m_blocks * bits::ceil_div(n, blocking.n_c);
 
@@ -184,7 +183,7 @@ void compare_accumulate(const bits::BitMatrix& a, const bits::BitMatrix& b,
   for (std::size_t pc = 0; pc < k_words; pc += blocking.k_c) {
     const std::size_t kw = std::min(blocking.k_c, k_words - pc);
 #pragma omp parallel if (tiles > 1) default(none) \
-    shared(a, b, cdata, kernel) \
+    shared(a, b, c, kernel) \
     firstprivate(m, n, pc, kw, ldc, blocking, m_blocks, tiles)
     {
       std::vector<Word64> a_packed;
@@ -197,15 +196,25 @@ void compare_accumulate(const bits::BitMatrix& a, const bits::BitMatrix& b,
         const std::size_t mc = std::min(blocking.m_c, m - ic);
         const std::size_t nc = std::min(blocking.n_c, n - jc);
         if (jc != packed_jc) {
-          pack_b(b, jc, nc, pc, kw, b_packed);
+          pack_b(*b.matrix, b.row0 + jc, nc, pc, kw, b_packed);
           packed_jc = jc;
         }
-        pack_a(a, ic, mc, pc, kw, a_packed);
+        pack_a(*a.matrix, a.row0 + ic, mc, pc, kw, a_packed);
         run_macro_tile(kernel, a_packed.data(), b_packed.data(), ic, mc,
-                       jc, nc, kw, m, n, cdata, ldc);
+                       jc, nc, kw, m, n, c, ldc);
       }
     }
   }
+}
+
+void compare_accumulate(const bits::BitMatrix& a, const bits::BitMatrix& b,
+                        Comparison op, bits::CountMatrix& c,
+                        const CpuBlocking& blocking) {
+  if (c.rows() != a.rows() || c.cols() != b.rows()) {
+    throw std::invalid_argument("compare_blocked: output shape mismatch");
+  }
+  compare_accumulate({&a, 0, a.rows()}, {&b, 0, b.rows()}, op,
+                     c.raw().data(), c.cols(), blocking);
 }
 
 bits::CountMatrix compare_blocked(const bits::BitMatrix& a,

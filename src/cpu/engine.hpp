@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "bits/bitmatrix.hpp"
 #include "bits/compare.hpp"
@@ -37,13 +38,20 @@ struct CpuBlocking {
   }
 };
 
-/// The engine's core entry, BLIS's C += AB: adds
-/// gamma[i,j] = sum_k popcount(op(A[i,k], B[j,k])) into the caller-owned
-/// `c`, which must be a.rows() x b.rows(); no m x n temporary is
-/// allocated. A is (M x K bits), B is (N x K bits), both row-major over
-/// K. One OpenMP loop runs over the 2-D grid of m_c x n_c macro-tiles, so
-/// a one-row query still spreads across B's n_c blocks; a problem of one
-/// macro-tile runs on the calling thread alone.
+/// The engine's core entry, BLIS's C += AB on a rectangle: adds
+/// gamma[i,j] = sum_k popcount(op(A[i,k], B[j,k])) for the rows of the
+/// windows `a` (M rows) and `b` (N rows) into the M x N block of C at `c`,
+/// whose rows are `ldc` >= N counts apart, so the block may sit inside a
+/// larger matrix. The operands are read in place and no M x N temporary
+/// is allocated. One OpenMP loop runs over the 2-D grid of m_c x n_c
+/// macro-tiles, so a one-row query still spreads across B's n_c blocks; a
+/// problem of one macro-tile runs on the calling thread alone.
+void compare_accumulate(bits::RowWindow a, bits::RowWindow b,
+                        bits::Comparison op, std::uint32_t* c,
+                        std::size_t ldc, const CpuBlocking& blocking = {});
+
+/// The rectangle form over whole operands: `c` must be
+/// a.rows() x b.rows().
 void compare_accumulate(const bits::BitMatrix& a, const bits::BitMatrix& b,
                         bits::Comparison op, bits::CountMatrix& c,
                         const CpuBlocking& blocking = {});

@@ -30,20 +30,29 @@ Comparison GpuSnpKernel::lowered_op() const {
   return op_;
 }
 
-void GpuSnpKernel::execute(const bits::BitMatrix& a, const bits::BitMatrix& b,
-                           bits::CountMatrix& c, bool accumulate) const {
-  if (a.bit_cols() != b.bit_cols()) {
+void GpuSnpKernel::execute(bits::RowWindow a, bits::RowWindow b,
+                           std::uint32_t* c, std::size_t ldc,
+                           bool accumulate) const {
+  if (a.matrix->bit_cols() != b.matrix->bit_cols()) {
     throw std::invalid_argument(
         "GpuSnpKernel::execute: operands must share the K dimension");
   }
+  if (!accumulate) {
+    for (std::size_t i = 0; i < a.rows; ++i) {
+      std::fill_n(c + i * ldc, b.rows, 0u);
+    }
+  }
+  cpu::compare_accumulate(a, b, lowered_op(), c, ldc);
+}
+
+void GpuSnpKernel::execute(const bits::BitMatrix& a, const bits::BitMatrix& b,
+                           bits::CountMatrix& c, bool accumulate) const {
   if (c.rows() != a.rows() || c.cols() != b.rows()) {
     throw std::invalid_argument(
         "GpuSnpKernel::execute: output shape mismatch");
   }
-  if (!accumulate) {
-    std::fill(c.raw().begin(), c.raw().end(), 0u);
-  }
-  cpu::compare_accumulate(a, b, lowered_op(), c);
+  execute({&a, 0, a.rows()}, {&b, 0, b.rows()}, c.raw().data(), c.cols(),
+          accumulate);
 }
 
 sim::KernelTiming GpuSnpKernel::timing(const sim::KernelShape& shape) const {

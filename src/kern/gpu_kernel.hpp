@@ -17,7 +17,8 @@
 // OpenCL source (opencl_source.hpp).
 #pragma once
 
-#include <optional>
+#include <cstddef>
+#include <cstdint>
 
 #include "bits/bitmatrix.hpp"
 #include "bits/compare.hpp"
@@ -42,10 +43,17 @@ class GpuSnpKernel {
   /// lowering (AND when the database is pre-negated).
   [[nodiscard]] bits::Comparison lowered_op() const;
 
-  /// Functional execution: accumulates gamma[i,j] += popc(op(A[i,:],
-  /// B[j,:])) into `c` under lowered_op(), computed by the host engine.
-  /// `c` must be a.rows() x b.rows(); pass `accumulate = false` to
-  /// overwrite instead (beta = 0).
+  /// Functional execution on a rectangle: accumulates gamma[i,j] +=
+  /// popc(op(A[i,:], B[j,:])) under lowered_op(), computed by the host
+  /// engine from the operands in place, for the rows of the windows `a`
+  /// and `b` into the a.rows x b.rows block of C at `c`, whose rows are
+  /// `ldc` counts apart. `accumulate = false` zeroes the block first
+  /// (beta = 0), so running it again gives the same block.
+  void execute(bits::RowWindow a, bits::RowWindow b, std::uint32_t* c,
+               std::size_t ldc, bool accumulate = false) const;
+
+  /// The rectangle form over whole operands: `c` must be
+  /// a.rows() x b.rows().
   void execute(const bits::BitMatrix& a, const bits::BitMatrix& b,
                bits::CountMatrix& c, bool accumulate = false) const;
 

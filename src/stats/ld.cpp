@@ -43,14 +43,47 @@ std::vector<double> r2_matrix(const bits::CountMatrix& gamma,
       gamma.rows() != locus_counts.size()) {
     throw std::invalid_argument("r2_matrix: shape mismatch");
   }
+  if (samples == 0) {
+    throw std::invalid_argument("r2_matrix: samples must be > 0");
+  }
   const std::size_t loci = gamma.rows();
-  std::vector<double> out(loci * loci, 0.0);
+  const auto n = static_cast<double>(samples);
+  // Per-locus p and 1 - p, each computed as ld_from_counts computes it;
+  // the pass below keeps its operation order too, so every entry is
+  // bit-identical to ld_from_counts(...).r2.
+  std::vector<double> p(loci);
+  std::vector<double> q(loci);
   for (std::size_t i = 0; i < loci; ++i) {
-    for (std::size_t j = 0; j < loci; ++j) {
-      out[i * loci + j] = ld_from_counts(gamma.at(i, j), locus_counts[i],
-                                         locus_counts[j], samples)
-                              .r2;
+    if (locus_counts[i] > samples) {
+      throw std::invalid_argument("r2_matrix: inconsistent counts");
     }
+    p[i] = locus_counts[i] / n;
+    q[i] = 1.0 - p[i];
+  }
+  std::vector<double> out(loci * loci);
+  const std::uint32_t* joint = gamma.raw().data();
+  const std::uint32_t* counts = locus_counts.data();
+  unsigned inconsistent = 0;
+  // One branch-free pass, rows split across threads: the joint <=
+  // min(count) check is an OR read after the loop, and `omp simd` lets
+  // the compiler if-convert the guarded division.
+#pragma omp parallel for reduction(| : inconsistent) schedule(static)
+  for (std::size_t i = 0; i < loci; ++i) {
+    const std::uint32_t* row = joint + i * loci;
+    double* r2 = out.data() + i * loci;
+    const std::uint32_t count_i = counts[i];
+    const double p_i = p[i];
+    const double pq_i = p_i * q[i];
+#pragma omp simd reduction(| : inconsistent)
+    for (std::size_t j = 0; j < loci; ++j) {
+      inconsistent |= row[j] > std::min(count_i, counts[j]) ? 1u : 0u;
+      const double d = row[j] / n - p_i * p[j];
+      const double denom_var = pq_i * p[j] * q[j];
+      r2[j] = denom_var > 0.0 ? d * d / denom_var : 0.0;
+    }
+  }
+  if (inconsistent != 0) {
+    throw std::invalid_argument("r2_matrix: inconsistent counts");
   }
   return out;
 }

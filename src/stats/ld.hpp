@@ -33,7 +33,9 @@ struct LdStats {
 
 /// All-pairs r^2 from a full gamma matrix (as produced by an LD kernel run
 /// of A against itself) and the per-locus counts. Returns a dense
-/// loci x loci matrix in row-major order.
+/// loci x loci matrix in row-major order, each entry bit-identical to
+/// ld_from_counts(gamma[i,j], count_i, count_j, samples).r2; throws
+/// std::invalid_argument on the counts ld_from_counts rejects.
 [[nodiscard]] std::vector<double> r2_matrix(
     const bits::CountMatrix& gamma,
     const std::vector<std::uint32_t>& locus_counts, std::size_t samples);

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "bits/compare.hpp"
 #include "io/datagen.hpp"
 
@@ -87,6 +90,58 @@ TEST(LdStats, R2MatrixValidatesShape) {
   EXPECT_THROW((void)r2_matrix(bad, {1, 2, 3}, 10), std::invalid_argument);
   const bits::CountMatrix sq(3, 3);
   EXPECT_THROW((void)r2_matrix(sq, {1, 2}, 10), std::invalid_argument);
+}
+
+TEST(LdStats, R2MatrixIsBitIdenticalToLdFromCounts) {
+  io::PopulationParams p;
+  p.seed = 304;
+  p.ld_block_len = 20;
+  // An odd locus count leaves a remainder after the vectorized pass; an
+  // odd sample count a ragged last word.
+  constexpr std::size_t kLoci = 301;
+  constexpr std::size_t kSamples = 517;
+  auto m = bits::encode(io::generate_genotypes(kLoci, kSamples, p),
+                        bits::EncodingPlane::kPresence);
+  // Monomorphic loci, where p(1 - p) and so the r^2 denominator is 0:
+  // one without the minor allele, one where every sample carries it.
+  for (std::size_t s = 0; s < kSamples; ++s) {
+    m.set(7, s, false);
+    m.set(123, s, true);
+  }
+  const auto gamma = bits::compare_reference(m, m, bits::Comparison::kAnd);
+  const auto counts = row_counts(m);
+  ASSERT_EQ(counts[7], 0u);
+  ASSERT_EQ(counts[123], kSamples);
+  const auto r2 = r2_matrix(gamma, counts, kSamples);
+  std::vector<double> expected(kLoci * kLoci);
+  for (std::size_t i = 0; i < kLoci; ++i) {
+    for (std::size_t j = 0; j < kLoci; ++j) {
+      expected[i * kLoci + j] =
+          ld_from_counts(gamma.at(i, j), counts[i], counts[j], kSamples).r2;
+    }
+  }
+  ASSERT_EQ(r2.size(), expected.size());
+  EXPECT_EQ(std::memcmp(r2.data(), expected.data(),
+                        r2.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(r2[7 * kLoci + 40], 0.0);
+  EXPECT_EQ(r2[40 * kLoci + 123], 0.0);
+}
+
+TEST(LdStats, R2MatrixRejectsInconsistentCounts) {
+  bits::CountMatrix gamma(3, 3);
+  gamma.at(0, 0) = 4;
+  gamma.at(1, 1) = 5;
+  gamma.at(2, 2) = 6;
+  gamma.at(2, 1) = 5;
+  EXPECT_NO_THROW((void)r2_matrix(gamma, {4, 5, 6}, 10));
+  // A joint count above min(count_i, count_j) = 5, deep inside the pass.
+  gamma.at(2, 1) = 6;
+  EXPECT_THROW((void)r2_matrix(gamma, {4, 5, 6}, 10), std::invalid_argument);
+  gamma.at(2, 1) = 5;
+  EXPECT_THROW((void)r2_matrix(gamma, {4, 5, 11}, 10),
+               std::invalid_argument);
+  EXPECT_THROW((void)r2_matrix(gamma, {4, 5, 6}, 0), std::invalid_argument);
 }
 
 TEST(LdStats, CorrelatedLociShowHighR2) {

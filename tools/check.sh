@@ -10,7 +10,8 @@
 #      and a reduced-seed mutation soak must be failure-free.
 #   2. ASan/UBSan build + tier-1 tests.
 #   3. TSan build + the concurrency-heavy suites (exec scheduler,
-#      async-vs-serial conformance, the obs metrics/span registry, the
+#      async-vs-serial conformance, the in-place chunk pipeline, the
+#      obs metrics/span registry, the
 #      fault-injection soak, and the multi-client service-engine
 #      soak) — OpenMP is compiled out under TSan, so
 #      every data race the thread-pool pipeline could introduce is
@@ -71,6 +72,11 @@ assert {1, 2} <= pids, f"merged trace missing host tracks: {pids}"
 # flow records ("s"/"t"/"f") chained by id (docs/observability.md).
 assert all(ev["ph"] in ("M", "X", "i", "s", "t", "f") for ev in trace)
 assert all("id" in ev for ev in trace if ev["ph"] in ("s", "t", "f"))
+# snpbench's per-layer metrics read the three chunk-stage spans; a traced
+# suite without one of them fails.
+slices = {ev["name"] for ev in trace if ev["ph"] == "X"}
+stages = {"core.chunk.pack", "core.chunk.execute", "core.chunk.drain"}
+assert stages <= slices, f"chunk stage spans missing: {stages - slices}"
 print(f"telemetry smoke ok: {len(metrics['counters'])} counters, "
       f"{len(trace)} trace events, pids {sorted(pids)}")
 EOF
@@ -319,13 +325,17 @@ cmake --build --preset asan -j "$jobs"
 ASAN_OPTIONS=detect_leaks=1 \
   ctest --test-dir build-asan -L tier1 --output-on-failure -j "$jobs"
 
-echo "== TSan build + exec/conformance/obs/fault/service tests =="
+echo "== TSan build + exec/conformance/pipeline/obs/fault/service tests =="
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$jobs" \
-  --target test_exec test_async_conformance test_obs test_fault_injection \
-           test_service test_chaos test_flight test_tracing
+  --target test_exec test_async_conformance test_chunk_pipeline test_obs \
+           test_fault_injection test_service test_chaos test_flight \
+           test_tracing
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_exec
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_async_conformance
+# Chunk stages write disjoint blocks of one result matrix from pool
+# threads while a drain copies an earlier block out for its callback.
+TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_chunk_pipeline
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_obs
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_fault_injection
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_service
