@@ -5,11 +5,13 @@
 #include <cmath>
 #include <condition_variable>
 #include <deque>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 
 #include "exec/thread_pool.hpp"
 #include "obs/obs.hpp"
@@ -112,10 +114,16 @@ struct ServiceEngine::Impl {
     std::uint64_t id = 0;
   };
 
+  /// A cached gamma row. Every gamma counts set bits of a bit_cols-wide
+  /// row, so it never exceeds bit_cols: up to 65,535 columns the row is
+  /// kept at 16 bits, half of QueryResult::row, and at 32 above that.
+  using CachedRow =
+      std::variant<std::vector<std::uint16_t>, std::vector<std::uint32_t>>;
+
   struct CacheEntry {
     std::vector<bits::Word64> words;  ///< stored for exact collision check
     std::uint64_t epoch = 1;
-    std::vector<std::uint32_t> row;
+    CachedRow row;
   };
 
   Impl(bits::BitMatrix database, ServiceConfig config)
@@ -195,6 +203,12 @@ struct ServiceEngine::Impl {
                             options.deadline_ms * 1e-3));
 
     std::unique_lock lock(mu);
+    // A submit racing the destructor after the dispatcher has drained
+    // would queue a request nobody is left to resolve.
+    if (stop) {
+      throw rt::Error(rt::ErrorCode::kCancelled,
+                      "service shut down; request not accepted");
+    }
     submitted_count++;
     SNP_OBS_COUNT("svc.requests", 1);
 
@@ -225,7 +239,9 @@ struct ServiceEngine::Impl {
         SNP_OBS_FLIGHT(obs::FlightKind::kCacheHit, trace_id, 0,
                        static_cast<std::int64_t>(epoch), 0);
         QueryResult qr;
-        qr.row = it->second.row;
+        std::visit(
+            [&qr](const auto& row) { qr.row.assign(row.begin(), row.end()); },
+            it->second.row);
         qr.cache_hit = true;
         qr.epoch = epoch;
         qr.trace_id = trace_id;
@@ -389,6 +405,8 @@ struct ServiceEngine::Impl {
     epoch++;
     cache.clear();
     cache_fifo.clear();
+    cache_bytes = 0;
+    SNP_OBS_GAUGE_SET("svc.cache.bytes", 0);
     SNP_OBS_COUNT("svc.epoch_bumps", 1);
     SNP_OBS_FLIGHT(obs::FlightKind::kEpoch, obs::current_trace().trace_id,
                    0, static_cast<std::int64_t>(epoch),
@@ -605,6 +623,18 @@ struct ServiceEngine::Impl {
         }
       }
 
+      // Cache entries are built before taking mu, which then only moves
+      // them in. The query words are no longer needed by the request.
+      std::vector<CacheEntry> fresh;
+      if (cfg.cache_capacity > 0) {
+        fresh.resize(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          fresh[i].words = std::move(batch.requests[i].words);
+          fresh[i].epoch = batch.epoch;
+          fresh[i].row = cached_row(counts.subspan(i * cols, cols));
+        }
+      }
+
       std::uint64_t trip_trace = 0;
       {
         const std::lock_guard lock(mu);
@@ -641,7 +671,7 @@ struct ServiceEngine::Impl {
             SNP_OBS_COUNT("svc.slo.breaches", 1);
           }
           if (cfg.cache_capacity > 0 && batch.epoch == epoch) {
-            cache_insert(batch.requests[i], rows[i].row);
+            cache_insert(batch.requests[i].key, std::move(fresh[i]));
           }
         }
       }
@@ -807,21 +837,45 @@ struct ServiceEngine::Impl {
     }
   }
 
+  /// Copies one gamma row at the cache's width, which bit_cols fixes for
+  /// the engine's life. Every value is <= bit_cols, so 16 bits are exact
+  /// up to 65,535 columns.
+  [[nodiscard]] CachedRow cached_row(
+      std::span<const std::uint32_t> row) const {
+    if (bit_cols <= std::numeric_limits<std::uint16_t>::max()) {
+      return std::vector<std::uint16_t>(row.begin(), row.end());
+    }
+    return std::vector<std::uint32_t>(row.begin(), row.end());
+  }
+
+  /// Bytes an entry holds in its row and query words (svc.cache.bytes).
+  [[nodiscard]] static std::size_t entry_bytes(const CacheEntry& entry) {
+    return entry.words.size() * sizeof(bits::Word64) +
+           std::visit(
+               [](const auto& row) { return row.size() * sizeof(row[0]); },
+               entry.row);
+  }
+
   /// Caller holds mu. Single-probe table: a hash collision with different
   /// key material is overwritten (verified by the stored words on lookup),
-  /// eviction is FIFO by insertion order.
-  void cache_insert(const Request& req, const std::vector<std::uint32_t>& row) {
-    if (cache.find(req.key) == cache.end()) {
+  /// eviction is FIFO by insertion order. cache_fifo holds exactly the
+  /// table's keys, oldest first.
+  void cache_insert(std::uint64_t key, CacheEntry entry) {
+    cache_bytes += entry_bytes(entry);
+    if (const auto it = cache.find(key); it != cache.end()) {
+      cache_bytes -= entry_bytes(it->second);
+      it->second = std::move(entry);
+    } else {
       while (cache.size() >= cfg.cache_capacity && !cache_fifo.empty()) {
-        cache.erase(cache_fifo.front());
+        const auto victim = cache.find(cache_fifo.front());
+        cache_bytes -= entry_bytes(victim->second);
+        cache.erase(victim);
         cache_fifo.pop_front();
       }
-      cache_fifo.push_back(req.key);
+      cache_fifo.push_back(key);
+      cache.emplace(key, std::move(entry));
     }
-    auto& entry = cache[req.key];
-    entry.words = req.words;
-    entry.epoch = epoch;
-    entry.row = row;
+    SNP_OBS_GAUGE_SET("svc.cache.bytes", cache_bytes);
   }
 
   ServiceStats stats() const {
@@ -908,6 +962,8 @@ struct ServiceEngine::Impl {
   std::deque<Request> pending;
   std::unordered_map<std::uint64_t, CacheEntry> cache;
   std::deque<std::uint64_t> cache_fifo;
+  /// Bytes held by the cache's rows and query words (entry_bytes).
+  std::size_t cache_bytes = 0;
   std::uint64_t epoch = 1;
   bool paused = false;
   bool stop = false;

@@ -97,6 +97,8 @@ struct ServiceConfig {
   AdmissionPolicy admission = AdmissionPolicy::kReject;
 
   /// Result cache keyed by (query-row hash, op, DB epoch); 0 disables.
+  /// Counted in entries: each holds its gamma row at 2 B per database
+  /// profile (4 B above 65,535 bit columns), so size it against the DB.
   std::size_t cache_capacity = 1024;
 
   /// Default per-request recovery policy (a request class may override

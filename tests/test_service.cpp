@@ -12,6 +12,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bits/compare.hpp"
@@ -329,6 +330,61 @@ TEST(ServiceCache, EvictionKeepsCapacityBounded) {
   // Oldest profile was evicted -> recomputed; newest still hits.
   EXPECT_FALSE(engine.submit(queries.row_slice(0, 1)).get().cache_hit);
   EXPECT_TRUE(engine.submit(queries.row_slice(5, 6)).get().cache_hit);
+}
+
+TEST(ServiceCache, HitsAreExactAtTheCachedRowWidthBoundary) {
+  // Cached rows are kept at 16 bits up to 65,535 bit columns and at 32
+  // above. Under XOR a profile's complement scores gamma = bit_cols, the
+  // largest value either width must hold, and the profile itself 0.
+  for (const std::size_t bit_cols : {65'535U, 65'536U}) {
+    const BitMatrix db = io::random_bitmatrix(5, bit_cols, 0.5, 671);
+    ServiceConfig cfg = base_config("cpu", Comparison::kXor, 1);
+    cfg.cache_capacity = 4;
+    cfg.start_paused = false;
+    ServiceEngine engine(db, cfg);
+    const BitMatrix profile = db.row_slice(2, 3);
+    // Each query with its gamma against database row 2.
+    const std::pair<BitMatrix, std::size_t> cases[] = {
+        {profile.negated(), bit_cols}, {profile, 0}};
+    for (const auto& [query, gamma] : cases) {
+      const auto reference =
+          bits::compare_reference(query, db, Comparison::kXor);
+      const auto want = reference.raw();
+      const QueryResult miss = engine.submit(query).get();
+      const QueryResult hit = engine.submit(query).get();
+      EXPECT_FALSE(miss.cache_hit);
+      ASSERT_TRUE(hit.cache_hit);
+      EXPECT_EQ(miss.row, std::vector<std::uint32_t>(want.begin(), want.end()))
+          << "bit_cols " << bit_cols;
+      EXPECT_EQ(hit.row, miss.row) << "bit_cols " << bit_cols;
+      EXPECT_EQ(hit.row[2], gamma) << "bit_cols " << bit_cols;
+    }
+  }
+}
+
+TEST(ServiceCache, CacheBytesGaugeFollowsInsertsEvictionsAndSwaps) {
+  if (!obs::kEnabled) {
+    GTEST_SKIP() << "svc.cache.bytes is published only with telemetry "
+                    "compiled in (SNPCMP_OBS=ON)";
+  }
+  const BitMatrix db = io::random_bitmatrix(37, 128, 0.5, 681);
+  const BitMatrix queries = io::random_bitmatrix(5, 128, 0.4, 682);
+  ServiceConfig cfg = base_config("cpu", Comparison::kXor, 1);
+  cfg.cache_capacity = 3;
+  cfg.start_paused = false;
+  ServiceEngine engine(db, cfg);
+  const obs::Gauge& gauge =
+      obs::MetricsRegistry::global().gauge("svc.cache.bytes");
+  // One entry: 37 16-bit gammas and the query's two 64-bit words.
+  constexpr std::int64_t kEntryBytes = 37 * 2 + 2 * 8;
+  for (std::size_t q = 0; q < queries.rows(); ++q) {
+    (void)engine.submit(queries.row_slice(q, q + 1)).get();
+    // Inserted before the future resolves; FIFO eviction past 3 entries.
+    const auto held = static_cast<std::int64_t>(std::min<std::size_t>(q, 2));
+    EXPECT_EQ(gauge.value(), (held + 1) * kEntryBytes) << "after miss " << q;
+  }
+  engine.update_database(db);
+  EXPECT_EQ(gauge.value(), 0);
 }
 
 // ---- admission control -------------------------------------------------
@@ -768,36 +824,39 @@ TEST(ServiceDeadline, BlockedSubmittersNeverDeadlockTheDestructor) {
   // destructor used to be able to join the dispatcher while a submitter
   // still waited on queue space, deadlocking both. Run under TSan.
   const BitMatrix db = io::random_bitmatrix(19, 128, 0.5, 761);
-  const BitMatrix queries = io::random_bitmatrix(4, 128, 0.4, 762);
+  const BitMatrix queries = io::random_bitmatrix(2, 128, 0.4, 762);
   for (int round = 0; round < 16; ++round) {
     ServiceConfig cfg = base_config("cpu", Comparison::kXor, 2);
     cfg.max_queue = 1;
     cfg.admission = svc::AdmissionPolicy::kBlock;
     cfg.cache_capacity = 0;
-    std::vector<std::future<QueryResult>> futs(queries.rows());
-    std::atomic<int> outcome{0};  // +accepted later, -1 cancelled
+    std::future<QueryResult> accepted;
+    std::atomic<int> outcome{0};  // +1 accepted, -1 cancelled
     std::thread client;
     {
       ServiceEngine engine(db, cfg);  // paused: queue capacity 1
-      futs[0] = engine.submit(queries.row_slice(0, 1));
-      std::atomic<bool> entered{false};
+      accepted = engine.submit(queries.row_slice(0, 1));
       client = std::thread([&] {
         try {
-          entered = true;
-          futs[1] = engine.submit(queries.row_slice(1, 2));
+          (void)engine.submit(queries.row_slice(1, 2));
           outcome = 1;
         } catch (const rt::Error& e) {
           EXPECT_EQ(e.code(), rt::ErrorCode::kCancelled);
           outcome = -1;
         }
       });
-      while (!entered.load()) std::this_thread::yield();
+      // The client counts itself under the engine's mutex and holds it
+      // until the admission wait releases it, so once stats() sees the
+      // second submission the client is parked in that wait. Tearing the
+      // engine down earlier would race a submit() against destruction.
+      while (engine.stats().submitted < 2) std::this_thread::yield();
       std::this_thread::sleep_for(std::chrono::microseconds(50 * round));
     }  // destructor races the blocked submit() — must never deadlock
     client.join();
-    ASSERT_NE(outcome.load(), 0);
-    (void)futs[0].get();  // accepted before teardown: always resolved
-    if (outcome.load() == 1) (void)futs[1].get();
+    // Still paused with a full queue when stop is raised: the parked
+    // client can only wake to a stopped engine.
+    EXPECT_EQ(outcome.load(), -1);
+    (void)accepted.get();  // accepted before teardown: always resolved
   }
 }
 

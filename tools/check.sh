@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification sweep:
-#   1. Release build + the whole test suite (tier1 + slow labels), plus
+#   1. Release build + the whole test suite (tier1 + slow labels), the
+#      service's engine-teardown race test repeated 500 times, plus
 #      a telemetry smoke: a real search run with --metrics-out /
 #      --trace-out whose outputs are validated as JSON, and a
 #      static-analyzer smoke: `snpcmp lint --format json` on two device
@@ -13,7 +14,7 @@
 #      async-vs-serial conformance, the in-place chunk pipeline, the
 #      obs metrics/span registry, the
 #      fault-injection soak, and the multi-client service-engine
-#      soak) — OpenMP is compiled out under TSan, so
+#      soak, its teardown race repeated 50 times) — OpenMP is compiled out under TSan, so
 #      every data race the thread-pool pipeline could introduce is
 #      visible to the tool.
 #   4. Telemetry compiled out (-DSNPCMP_OBS=OFF) build + tier-1 tests.
@@ -44,6 +45,20 @@ echo "== release build + full test suite =="
 cmake --preset default >/dev/null
 cmake --build --preset default -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
+
+echo "== engine-teardown race (repeated) =="
+# A kBlock submitter parked in admission while the engine is destroyed
+# must be cancelled, never lost or deadlocked. The race once failed about
+# one run in 250 under load, so one ctest pass cannot catch a regression;
+# 500 repeats can, and the timeout turns a hang into a failure. Only
+# failing repeats are printed.
+teardown_test=ServiceDeadline.BlockedSubmittersNeverDeadlockTheDestructor
+teardown_log=build/teardown_race.log
+timeout 300 ./build/tests/test_service --gtest_filter="$teardown_test" \
+  --gtest_repeat=500 --gtest_brief=1 > "$teardown_log" 2>&1 || {
+  grep -v -e '^\[==========\]' -e '^\[  PASSED  \]' "$teardown_log" || true
+  echo "teardown race test failed or hung (exit 124 = timed out)"; exit 1; }
+echo "teardown race ok: 500 repeats"
 
 echo "== telemetry smoke (metrics + merged trace round-trip) =="
 if [[ "$ci_mode" == yes ]]; then
@@ -339,6 +354,8 @@ TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_chunk_pipeline
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_obs
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_fault_injection
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_service
+TSAN_OPTIONS=halt_on_error=1 timeout 600 ./build-tsan/tests/test_service \
+  --gtest_filter="$teardown_test" --gtest_repeat=50 --gtest_brief=1
 # The chaos feature matrix (deadlines x breaker x retry budget under
 # injected faults) and the blocked-submitter teardown race are the
 # PR-10 concurrency surface.
