@@ -375,8 +375,7 @@ CompareResult Context::compare(const BitMatrix& a, const BitMatrix& b,
                                        : a.row_slice(delivered, total_rows);
         const BitMatrix& cpu_a = sb ? a : remainder;
         const BitMatrix& cpu_b = sb ? remainder : b;
-        const CountMatrix part =
-            cpu::compare(cpu_a, cpu_b, op, options.threads);
+        const CountMatrix part = cpu::compare_blocked(cpu_a, cpu_b, op);
         // The host rung really popcounts the remainder; the cost ledger
         // should see that work even though no device kernel ran it.
         result.timing.wordops +=
@@ -439,7 +438,7 @@ CompareResult Context::compare_cpu(const BitMatrix& a, const BitMatrix& b,
       bits::ceil_div(a.bit_cols(), bits::kBitsPerWord32);
   if (options.functional) {
     const auto t0 = std::chrono::steady_clock::now();
-    bits::CountMatrix counts = cpu::compare(a, b, op, options.threads);
+    bits::CountMatrix counts = cpu::compare_blocked(a, b, op);
     const auto t1 = std::chrono::steady_clock::now();
     result.timing.kernel_s =
         std::chrono::duration<double>(t1 - t0).count();

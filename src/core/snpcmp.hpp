@@ -74,7 +74,9 @@ struct ComputeOptions {
   /// results strictly in stream order. Results — counts, callback payloads
   /// and delivery order, and the simulated timing — are bit-identical to
   /// the serial path for every thread count; chunk_callback runs on a pool
-  /// thread instead of the calling thread.
+  /// thread instead of the calling thread. It does not size the host
+  /// engine: the CPU device, the host fallback rungs and each chunk's
+  /// functional kernel spread their tiles over exec::host_pool() always.
   std::size_t threads = 0;
   /// Async path only: bound on chunks in flight (scheduled but not yet
   /// drained); the producer blocks once the bound is reached, keeping host

@@ -1,14 +1,10 @@
 #include "cpu/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "exec/task_graph.hpp"
-#include "exec/thread_pool.hpp"
 #include "obs/obs.hpp"
 
 namespace snp::cpu {
@@ -100,8 +96,7 @@ MicroKernelFn select_kernel(Comparison op) {
 }
 
 /// Loops 2 (n_r) and 1 (m_r) around the micro-kernel for one packed
-/// m_c x n_c macro-tile. Shared verbatim by the OpenMP and task-graph
-/// paths so their accumulation into C is instruction-identical.
+/// m_c x n_c macro-tile.
 void run_macro_tile(MicroKernelFn kernel, const Word64* a_packed,
                     const Word64* b_packed, std::size_t ic, std::size_t mc,
                     std::size_t jc, std::size_t nc, std::size_t kw,
@@ -139,24 +134,25 @@ void run_macro_tile(MicroKernelFn kernel, const Word64* a_packed,
   }
 }
 
-/// Operand checks shared by every entry point; `where` names the caller.
-void check_operands(const bits::BitMatrix& a, const bits::BitMatrix& b,
-                    const CpuBlocking& blocking, const char* where) {
-  if (a.bit_cols() != b.bit_cols()) {
-    throw std::invalid_argument(std::string(where) +
-                                ": operands must share the K dimension");
-  }
-  if (!blocking.valid()) {
-    throw std::invalid_argument(std::string(where) + ": invalid blocking");
-  }
-}
+/// One participant's packed panels, kept across the macro-tiles it takes.
+struct Panels {
+  std::vector<Word64> a;
+  std::vector<Word64> b;
+  std::size_t b_jc = 0;  ///< n_c block `b` holds; n means none
+};
 
 }  // namespace
 
 void compare_accumulate(bits::RowWindow a, bits::RowWindow b, Comparison op,
                         std::uint32_t* c, std::size_t ldc,
-                        const CpuBlocking& blocking) {
-  check_operands(*a.matrix, *b.matrix, blocking, "compare_blocked");
+                        const CpuBlocking& blocking, exec::ThreadPool& pool) {
+  if (a.matrix->bit_cols() != b.matrix->bit_cols()) {
+    throw std::invalid_argument(
+        "compare_blocked: operands must share the K dimension");
+  }
+  if (!blocking.valid()) {
+    throw std::invalid_argument("compare_blocked: invalid blocking");
+  }
   if (a.row0 + a.rows > a.matrix->rows() ||
       b.row0 + b.rows > b.matrix->rows() || ldc < b.rows) {
     throw std::invalid_argument("compare_blocked: rectangle out of range");
@@ -176,45 +172,41 @@ void compare_accumulate(bits::RowWindow a, bits::RowWindow b, Comparison op,
 
   // Loop 4 (k_c) around one parallel loop over the 2-D grid of loops 5
   // (n_c) and 3 (m_c): each macro-tile owns a disjoint block of C, so no
-  // synchronization is needed, and a single tile wakes no team. Tiles are
-  // numbered column-major, so the tiles a thread takes in turn mostly
-  // share an n_c block, and it repacks its B panel only when the block
-  // changes.
+  // synchronization is needed, and a single tile posts no helper. Tiles
+  // are numbered column-major, so the tiles a participant takes in turn
+  // mostly share an n_c block, and it repacks its B panel only when the
+  // block changes.
+  std::vector<Panels> panels(pool.thread_count() + 1);
   for (std::size_t pc = 0; pc < k_words; pc += blocking.k_c) {
     const std::size_t kw = std::min(blocking.k_c, k_words - pc);
-#pragma omp parallel if (tiles > 1) default(none) \
-    shared(a, b, c, kernel) \
-    firstprivate(m, n, pc, kw, ldc, blocking, m_blocks, tiles)
-    {
-      std::vector<Word64> a_packed;
-      std::vector<Word64> b_packed;
-      std::size_t packed_jc = n;  // no B panel packed yet
-#pragma omp for schedule(dynamic) nowait
-      for (std::size_t t = 0; t < tiles; ++t) {
-        const std::size_t ic = (t % m_blocks) * blocking.m_c;
-        const std::size_t jc = (t / m_blocks) * blocking.n_c;
-        const std::size_t mc = std::min(blocking.m_c, m - ic);
-        const std::size_t nc = std::min(blocking.n_c, n - jc);
-        if (jc != packed_jc) {
-          pack_b(*b.matrix, b.row0 + jc, nc, pc, kw, b_packed);
-          packed_jc = jc;
-        }
-        pack_a(*a.matrix, a.row0 + ic, mc, pc, kw, a_packed);
-        run_macro_tile(kernel, a_packed.data(), b_packed.data(), ic, mc,
-                       jc, nc, kw, m, n, c, ldc);
-      }
+    for (Panels& p : panels) {
+      p.b_jc = n;
     }
+    pool.parallel_for(tiles, [&](std::size_t slot, std::size_t t) {
+      Panels& p = panels[slot];
+      const std::size_t ic = (t % m_blocks) * blocking.m_c;
+      const std::size_t jc = (t / m_blocks) * blocking.n_c;
+      const std::size_t mc = std::min(blocking.m_c, m - ic);
+      const std::size_t nc = std::min(blocking.n_c, n - jc);
+      if (jc != p.b_jc) {
+        pack_b(*b.matrix, b.row0 + jc, nc, pc, kw, p.b);
+        p.b_jc = jc;
+      }
+      pack_a(*a.matrix, a.row0 + ic, mc, pc, kw, p.a);
+      run_macro_tile(kernel, p.a.data(), p.b.data(), ic, mc, jc, nc, kw, m,
+                     n, c, ldc);
+    });
   }
 }
 
 void compare_accumulate(const bits::BitMatrix& a, const bits::BitMatrix& b,
                         Comparison op, bits::CountMatrix& c,
-                        const CpuBlocking& blocking) {
+                        const CpuBlocking& blocking, exec::ThreadPool& pool) {
   if (c.rows() != a.rows() || c.cols() != b.rows()) {
     throw std::invalid_argument("compare_blocked: output shape mismatch");
   }
   compare_accumulate({&a, 0, a.rows()}, {&b, 0, b.rows()}, op,
-                     c.raw().data(), c.cols(), blocking);
+                     c.raw().data(), c.cols(), blocking, pool);
 }
 
 bits::CountMatrix compare_blocked(const bits::BitMatrix& a,
@@ -223,133 +215,6 @@ bits::CountMatrix compare_blocked(const bits::BitMatrix& a,
   bits::CountMatrix c(a.rows(), b.rows());
   compare_accumulate(a, b, op, c, blocking);
   return c;
-}
-
-bits::CountMatrix compare_blocked_async(const bits::BitMatrix& a,
-                                        const bits::BitMatrix& b,
-                                        Comparison op,
-                                        exec::ThreadPool& pool,
-                                        const CpuBlocking& blocking) {
-  check_operands(a, b, blocking, "compare_blocked_async");
-  SNP_OBS_SPAN("cpu.compare_blocked_async");
-  const MicroKernelFn kernel = select_kernel(op);
-
-  const std::size_t m = a.rows();
-  const std::size_t n = b.rows();
-  const std::size_t k_words =
-      bits::ceil_div(a.bit_cols(), bits::kBitsPerWord64);
-  bits::CountMatrix c(m, n);
-  if (m == 0 || n == 0 || k_words == 0) {
-    return c;
-  }
-  const std::size_t ldc = n;
-  std::uint32_t* cdata = c.raw().data();
-
-  const std::size_t m_blocks = bits::ceil_div(m, blocking.m_c);
-  const std::size_t n_blocks = bits::ceil_div(n, blocking.n_c);
-
-  // Two panel generations (k_c strips) may be in flight at once: packing
-  // for generation g+1 overlaps the macro-tile compute of generation g,
-  // and the generation-complete marker frees its panels before releasing
-  // the slot — so peak packed memory is bounded at two generations.
-  constexpr std::size_t kPanelGenerations = 2;
-  exec::Semaphore generations(kPanelGenerations);
-  std::vector<std::vector<Word64>> a_store[kPanelGenerations];
-  std::vector<std::vector<Word64>> b_store[kPanelGenerations];
-  // Last compute task per (m, n) macro-tile: each tile's k_c accumulation
-  // chain runs in the serial panel order, so C is bit-identical to
-  // compare_blocked regardless of pool size.
-  std::vector<exec::TaskGraph::TaskId> tile_chain(m_blocks * n_blocks);
-  std::vector<bool> tile_started(m_blocks * n_blocks, false);
-
-  exec::TaskGraph graph(pool);
-  std::size_t generation = 0;
-  for (std::size_t pc = 0; pc < k_words;
-       pc += blocking.k_c, ++generation) {
-    const std::size_t kw = std::min(blocking.k_c, k_words - pc);
-    const std::size_t slot = generation % kPanelGenerations;
-    // Failure-aware acquire: if any task threw, the marker that releases
-    // this slot may be skipped — stop producing and let graph.wait()
-    // rethrow instead of deadlocking.
-    bool acquired = false;
-    while (!(acquired =
-                 generations.acquire_for(std::chrono::milliseconds(20)))) {
-      if (graph.failed()) {
-        break;
-      }
-    }
-    if (!acquired) {
-      break;
-    }
-    a_store[slot].assign(m_blocks, {});
-    b_store[slot].assign(n_blocks, {});
-
-    std::vector<exec::TaskGraph::TaskId> a_packs(m_blocks);
-    std::vector<exec::TaskGraph::TaskId> b_packs(n_blocks);
-    for (std::size_t ib = 0; ib < m_blocks; ++ib) {
-      const std::size_t ic = ib * blocking.m_c;
-      const std::size_t mc = std::min(blocking.m_c, m - ic);
-      auto* dst = &a_store[slot][ib];
-      a_packs[ib] = graph.add(
-          [&a, ic, mc, pc, kw, dst] { pack_a(a, ic, mc, pc, kw, *dst); });
-    }
-    for (std::size_t jb = 0; jb < n_blocks; ++jb) {
-      const std::size_t jc = jb * blocking.n_c;
-      const std::size_t nc = std::min(blocking.n_c, n - jc);
-      auto* dst = &b_store[slot][jb];
-      b_packs[jb] = graph.add(
-          [&b, jc, nc, pc, kw, dst] { pack_b(b, jc, nc, pc, kw, *dst); });
-    }
-
-    std::vector<exec::TaskGraph::TaskId> computes;
-    computes.reserve(m_blocks * n_blocks);
-    for (std::size_t jb = 0; jb < n_blocks; ++jb) {
-      const std::size_t jc = jb * blocking.n_c;
-      const std::size_t nc = std::min(blocking.n_c, n - jc);
-      for (std::size_t ib = 0; ib < m_blocks; ++ib) {
-        const std::size_t ic = ib * blocking.m_c;
-        const std::size_t mc = std::min(blocking.m_c, m - ic);
-        const std::size_t tile = jb * m_blocks + ib;
-        std::vector<exec::TaskGraph::TaskId> deps{a_packs[ib],
-                                                  b_packs[jb]};
-        if (tile_started[tile]) {
-          deps.push_back(tile_chain[tile]);
-        }
-        const auto* a_panel = &a_store[slot][ib];
-        const auto* b_panel = &b_store[slot][jb];
-        tile_chain[tile] = graph.add(
-            [kernel, a_panel, b_panel, ic, mc, jc, nc, kw, m, n, cdata,
-             ldc] {
-              run_macro_tile(kernel, a_panel->data(), b_panel->data(), ic,
-                             mc, jc, nc, kw, m, n, cdata, ldc);
-            },
-            deps);
-        tile_started[tile] = true;
-        computes.push_back(tile_chain[tile]);
-      }
-    }
-    // Generation marker: frees this generation's panels and opens the slot
-    // for packing two strips ahead.
-    graph.add(
-        [&a_store, &b_store, slot, &generations] {
-          a_store[slot].clear();
-          b_store[slot].clear();
-          generations.release();
-        },
-        computes);
-  }
-  graph.wait();
-  return c;
-}
-
-bits::CountMatrix compare(const bits::BitMatrix& a,
-                          const bits::BitMatrix& b, Comparison op,
-                          std::size_t threads) {
-  if (threads == 0) {
-    return compare_blocked(a, b, op);
-  }
-  exec::ThreadPool pool(threads);
-  return compare_blocked_async(a, b, op, pool);
 }
 
 bits::CountMatrix ld_counts(const bits::BitMatrix& a,

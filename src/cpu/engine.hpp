@@ -6,8 +6,8 @@
 // reach 80-90 % of the CPU's popcount-throughput peak. This module is that
 // algorithm: the classic five-loop blocking (n_c -> k_c -> m_c -> n_r ->
 // m_r) with packed A/B panels and a register-blocked micro-kernel,
-// parallelized with OpenMP. It is the paper's CPU baseline and the only
-// dense popcount-GEMM on the host: the simulated GPU kernel
+// parallelized over the exec host pool. It is the paper's CPU baseline and
+// the only dense popcount-GEMM on the host: the simulated GPU kernel
 // (kern::GpuSnpKernel::execute) computes its counts with it too.
 #pragma once
 
@@ -16,10 +16,7 @@
 
 #include "bits/bitmatrix.hpp"
 #include "bits/compare.hpp"
-
-namespace snp::exec {
-class ThreadPool;
-}
+#include "exec/thread_pool.hpp"
 
 namespace snp::cpu {
 
@@ -43,44 +40,26 @@ struct CpuBlocking {
 /// windows `a` (M rows) and `b` (N rows) into the M x N block of C at `c`,
 /// whose rows are `ldc` >= N counts apart, so the block may sit inside a
 /// larger matrix. The operands are read in place and no M x N temporary
-/// is allocated. One OpenMP loop runs over the 2-D grid of m_c x n_c
-/// macro-tiles, so a one-row query still spreads across B's n_c blocks; a
-/// problem of one macro-tile runs on the calling thread alone.
+/// is allocated. One pool.parallel_for runs over the 2-D grid of
+/// m_c x n_c macro-tiles, so a one-row query still spreads across B's n_c
+/// blocks; a problem of one macro-tile runs on the calling thread alone.
+/// The counts are the same on every pool.
 void compare_accumulate(bits::RowWindow a, bits::RowWindow b,
                         bits::Comparison op, std::uint32_t* c,
-                        std::size_t ldc, const CpuBlocking& blocking = {});
+                        std::size_t ldc, const CpuBlocking& blocking = {},
+                        exec::ThreadPool& pool = exec::host_pool());
 
 /// The rectangle form over whole operands: `c` must be
 /// a.rows() x b.rows().
 void compare_accumulate(const bits::BitMatrix& a, const bits::BitMatrix& b,
                         bits::Comparison op, bits::CountMatrix& c,
-                        const CpuBlocking& blocking = {});
+                        const CpuBlocking& blocking = {},
+                        exec::ThreadPool& pool = exec::host_pool());
 
 /// gamma = A op B into a fresh matrix: compare_accumulate from zero.
 [[nodiscard]] bits::CountMatrix compare_blocked(
     const bits::BitMatrix& a, const bits::BitMatrix& b, bits::Comparison op,
     const CpuBlocking& blocking = {});
-
-/// Asynchronous variant of compare_blocked: the same five-loop blocking
-/// expressed as a task graph on `pool` instead of OpenMP pragmas. A and B
-/// panels are packed by dedicated tasks (at most two k_c panel generations
-/// in flight — double-buffered packing, so packing for panel p+1 overlaps
-/// the micro-kernels of panel p), and each m_c x n_c macro-tile runs as
-/// one task whose k_c accumulation chain preserves the serial order.
-/// Results are bit-identical to compare_blocked for any pool size
-/// (including an inline 0-thread pool).
-[[nodiscard]] bits::CountMatrix compare_blocked_async(
-    const bits::BitMatrix& a, const bits::BitMatrix& b, bits::Comparison op,
-    exec::ThreadPool& pool, const CpuBlocking& blocking = {});
-
-/// The host engine as the framework calls it: `threads` = 0 runs
-/// compare_blocked (OpenMP, on the calling thread), `threads` > 0 runs
-/// compare_blocked_async on a pool of that many threads. The counts are
-/// the same either way.
-[[nodiscard]] bits::CountMatrix compare(const bits::BitMatrix& a,
-                                        const bits::BitMatrix& b,
-                                        bits::Comparison op,
-                                        std::size_t threads);
 
 /// Convenience single-call LD (Eq. 1): C = (A & A)^T-style self-comparison,
 /// i.e. compare_blocked(a, a, kAnd).

@@ -1,6 +1,10 @@
 #include "exec/thread_pool.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
+#include <atomic>
+#include <utility>
 
 namespace snp::exec {
 
@@ -13,6 +17,58 @@ namespace {
       .count();
 }
 
+/// One parallel_for's shared state. Posted helpers co-own it, and `body`
+/// points into the caller's frame: it is read only after claiming an
+/// index, which a helper that starts after the call returned never does.
+struct ForLoop {
+  ForLoop(std::size_t count, const ThreadPool::ForBody& fn)
+      : n(count), body(&fn) {}
+
+  /// Claims and runs indices until none remain.
+  void run(std::size_t slot) {
+    std::size_t ran = 0;
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) {
+        break;
+      }
+      try {
+        (*body)(slot, i);
+      } catch (...) {
+        const std::lock_guard lock(mu);
+        if (!error) {
+          error = std::current_exception();
+        }
+      }
+      ++ran;
+    }
+    if (ran != 0 && done.fetch_add(ran, std::memory_order_acq_rel) + ran == n) {
+      // Taking the lock orders this with finish()'s check, so the wakeup
+      // cannot fall between its check and its wait.
+      const std::lock_guard lock(mu);
+      cv.notify_one();
+    }
+  }
+
+  /// Waits for the indices other participants claimed, then rethrows the
+  /// first error, which the loop gives up so a late helper cannot hold it.
+  void finish() {
+    std::unique_lock lock(mu);
+    cv.wait(lock, [&] { return done.load(std::memory_order_acquire) == n; });
+    if (error) {
+      std::rethrow_exception(std::exchange(error, nullptr));
+    }
+  }
+
+  const std::size_t n;
+  const ThreadPool::ForBody* body;
+  std::atomic<std::size_t> next{0};  ///< next unclaimed index
+  std::atomic<std::size_t> done{0};  ///< indices run to completion
+  std::mutex mu;
+  std::condition_variable cv;
+  std::exception_ptr error;  ///< first body exception, guarded by mu
+};
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -21,7 +77,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
-  SNP_OBS_GAUGE_SET("exec.pool.workers", threads);
+  SNP_OBS_GAUGE_ADD("exec.pool.workers", threads);
 }
 
 ThreadPool::~ThreadPool() {
@@ -33,10 +89,20 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) {
     w.join();
   }
+  SNP_OBS_GAUGE_SUB("exec.pool.workers", workers_.size());
 }
 
 std::size_t ThreadPool::hardware_threads() {
+  cpu_set_t mask{};
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    return static_cast<std::size_t>(std::max(1, CPU_COUNT(&mask)));
+  }
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
+ThreadPool& host_pool() {
+  static auto& pool = *new ThreadPool(ThreadPool::hardware_threads() - 1);
+  return pool;
 }
 
 std::size_t ThreadPool::queue_depth() const {
@@ -75,6 +141,23 @@ void ThreadPool::post(std::function<void()> task) {
                       static_cast<std::int64_t>(queue_.size()));
   }
   cv_work_.notify_one();
+}
+
+void ThreadPool::parallel_for(std::size_t n, const ForBody& body) {
+  const std::size_t helpers =
+      n > 1 ? std::min(workers_.size(), n - 1) : std::size_t{0};
+  if (helpers == 0) {
+    ForLoop loop(n, body);
+    loop.run(0);
+    loop.finish();
+    return;
+  }
+  const auto loop = std::make_shared<ForLoop>(n, body);
+  for (std::size_t slot = 1; slot <= helpers; ++slot) {
+    post([loop, slot] { loop->run(slot); });
+  }
+  loop->run(0);
+  loop->finish();
 }
 
 void ThreadPool::wait_idle() {

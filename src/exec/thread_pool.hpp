@@ -4,10 +4,12 @@
 // compute (Section VI-A); Beyer & Bientinesi's HDD->GPU streaming work and
 // Samsi et al.'s GPU DNA-mixture pipeline both reach sustained throughput
 // the same way: an asynchronous host pipeline keeps every engine busy.
-// This module is the reusable scheduler behind our async paths — a plain
-// fixed-size worker pool with a FIFO work queue, futures for one-shot
-// results, and a counting semaphore for bounded in-flight backpressure.
-// TaskGraph (task_graph.hpp) layers dependency edges on top.
+// This module is the host's one thread runtime — a plain fixed-size worker
+// pool with a FIFO work queue, futures for one-shot results, a
+// parallel-for in which the caller works too, and a counting semaphore for
+// bounded in-flight backpressure. TaskGraph (task_graph.hpp) layers
+// dependency edges on top. The host kernels' parallel loops run on one
+// process-wide pool, host_pool().
 //
 // Threading contract: submission is thread-safe; tasks run exactly once;
 // a pool constructed with 0 threads degenerates to inline execution on the
@@ -102,8 +104,9 @@ class ThreadPool {
   /// Workers currently executing a task (0 on an inline pool).
   [[nodiscard]] std::size_t active_workers() const;
 
-  /// Hardware concurrency with a floor of 1 (hardware_concurrency() may
-  /// legally return 0).
+  /// CPUs in the calling thread's affinity mask, so `taskset` and cpusets
+  /// limit it; std::thread::hardware_concurrency() (floored at 1) if the
+  /// mask cannot be read.
   [[nodiscard]] static std::size_t hardware_threads();
 
   /// Fire-and-forget. A throwing posted task no longer terminates the
@@ -123,6 +126,21 @@ class ThreadPool {
     post([task]() { (*task)(); });
     return fut;
   }
+
+  /// Loop body of parallel_for: (participant slot, index).
+  using ForBody = std::function<void(std::size_t, std::size_t)>;
+
+  /// Runs body(slot, i) once for every i in [0, n) and returns when all
+  /// have run; the first exception a body threw is rethrown after the
+  /// other indices finish. The caller claims indices itself beside at
+  /// most min(thread_count(), n - 1) posted helpers, and with n <= 1 or
+  /// no workers runs them all inline without touching the queue. It never
+  /// waits on an index no thread has claimed, so calling it from a worker
+  /// (of this pool or another) cannot deadlock, and a helper that starts
+  /// after the call returned touches nothing of the caller's. `slot` is
+  /// below thread_count() + 1 and names one participant for the whole
+  /// call, so a body can keep per-participant scratch indexed by it.
+  void parallel_for(std::size_t n, const ForBody& body);
 
   /// Blocks until the queue is empty and every worker is idle, then
   /// rethrows the first exception any posted task threw since the last
@@ -168,5 +186,13 @@ class ThreadPool {
   std::uint64_t depth_time_ns_ = 0;
   std::chrono::steady_clock::time_point last_queue_change_;
 };
+
+/// The process-wide pool the host kernels' parallel loops run on, built
+/// on first use with hardware_threads() - 1 workers: the calling thread is
+/// the last participant of each parallel_for. Never destroyed: a helper
+/// may still run while the process exits, so its workers touch only
+/// objects that are never destroyed either (the pool, the metrics
+/// registry, the latency grid, thread-locals).
+[[nodiscard]] ThreadPool& host_pool();
 
 }  // namespace snp::exec

@@ -146,7 +146,7 @@ CompareResult host_compare_shard(const BitMatrix& a, const BitMatrix& b,
                                    : a.row_slice(s.begin, s.end);
     const BitMatrix& ca = shard_b ? a : part;
     const BitMatrix& cb = shard_b ? part : b;
-    r.counts = cpu::compare(ca, cb, op, opts.threads);
+    r.counts = cpu::compare_blocked(ca, cb, op);
     if (opts.chunk_callback) {
       // Same shard-relative offsets as the device pipeline's chunks.
       opts.chunk_callback(

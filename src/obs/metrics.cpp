@@ -46,13 +46,15 @@ std::vector<std::uint64_t> Histogram::bucket_counts() const {
 }
 
 const std::vector<double>& Histogram::latency_bounds() {
-  static const std::vector<double> bounds = [] {
+  // Never destroyed, like global(): exec::host_pool() workers may record
+  // while the process exits.
+  static const auto& bounds = *new const std::vector<double>([] {
     std::vector<double> b;
     for (int i = 0; b.empty() || b.back() < 10.0; ++i) {
       b.push_back(1e-7 * std::exp2(i / 8.0));
     }
     return b;
-  }();
+  }());
   return bounds;
 }
 
@@ -77,7 +79,9 @@ double percentile_le(std::span<const double> bounds,
 }
 
 MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
+  // Never destroyed: exec::host_pool() workers may record while the
+  // process exits.
+  static auto& registry = *new MetricsRegistry();
   return registry;
 }
 

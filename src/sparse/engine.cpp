@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "exec/thread_pool.hpp"
 #include "model/peak.hpp"
 #include "sim/memory.hpp"
 
@@ -42,9 +43,7 @@ bits::CountMatrix sparse_compare(const SparseBitMatrix& a,
   bits::CountMatrix c(a.rows(), b.rows());
   std::uint32_t* cdata = c.raw().data();
   const std::size_t n = b.rows();
-#pragma omp parallel for schedule(dynamic) default(none) \
-    shared(a, b, cdata) firstprivate(n, op)
-  for (std::size_t i = 0; i < a.rows(); ++i) {
+  exec::host_pool().parallel_for(a.rows(), [&](std::size_t, std::size_t i) {
     const auto row_a = a.row(i);
     const auto nnz_a = static_cast<std::uint32_t>(row_a.size());
     for (std::size_t j = 0; j < n; ++j) {
@@ -53,7 +52,7 @@ bits::CountMatrix sparse_compare(const SparseBitMatrix& a,
       cdata[i * n + j] = from_intersection(
           op, nnz_a, static_cast<std::uint32_t>(row_b.size()), inter);
     }
-  }
+  });
   return c;
 }
 
@@ -64,9 +63,7 @@ bits::CountMatrix sparse_dense_compare(const SparseBitMatrix& a,
   bits::CountMatrix c(a.rows(), b.rows());
   std::uint32_t* cdata = c.raw().data();
   const std::size_t n = b.rows();
-#pragma omp parallel for schedule(dynamic) default(none) \
-    shared(a, b, cdata) firstprivate(n, op)
-  for (std::size_t i = 0; i < a.rows(); ++i) {
+  exec::host_pool().parallel_for(a.rows(), [&](std::size_t, std::size_t i) {
     const auto row_a = a.row(i);
     const auto nnz_a = static_cast<std::uint32_t>(row_a.size());
     for (std::size_t j = 0; j < n; ++j) {
@@ -80,7 +77,7 @@ bits::CountMatrix sparse_dense_compare(const SparseBitMatrix& a,
       const auto nnz_b = static_cast<std::uint32_t>(b.row_popcount(j));
       cdata[i * n + j] = from_intersection(op, nnz_a, nnz_b, inter);
     }
-  }
+  });
   return c;
 }
 

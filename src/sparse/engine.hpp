@@ -15,7 +15,7 @@ namespace snp::sparse {
 
 /// gamma[i,j] for Eqs. 1-3 from sparse operands: one intersection per
 /// output element plus the row marginals (|a ^ b| = |a|+|b|-2|∩|, etc.).
-/// OpenMP-parallel over output rows.
+/// Parallel over output rows on exec::host_pool().
 [[nodiscard]] bits::CountMatrix sparse_compare(const SparseBitMatrix& a,
                                                const SparseBitMatrix& b,
                                                bits::Comparison op);
@@ -23,6 +23,7 @@ namespace snp::sparse {
 /// Mixed representation: sparse queries against a packed dense database —
 /// each set bit of the sparse row probes the dense row directly. This is
 /// the form a sparse FastID would use (tiny sparse queries, dense DB).
+/// Parallel over output rows on exec::host_pool().
 [[nodiscard]] bits::CountMatrix sparse_dense_compare(
     const SparseBitMatrix& a, const bits::BitMatrix& b,
     bits::Comparison op);

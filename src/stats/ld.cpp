@@ -1,7 +1,10 @@
 #include "stats/ld.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
+
+#include "exec/thread_pool.hpp"
 
 namespace snp::stats {
 
@@ -63,26 +66,35 @@ std::vector<double> r2_matrix(const bits::CountMatrix& gamma,
   std::vector<double> out(loci * loci);
   const std::uint32_t* joint = gamma.raw().data();
   const std::uint32_t* counts = locus_counts.data();
-  unsigned inconsistent = 0;
-  // One branch-free pass, rows split across threads: the joint <=
-  // min(count) check is an OR read after the loop, and `omp simd` lets
-  // the compiler if-convert the guarded division.
-#pragma omp parallel for reduction(| : inconsistent) schedule(static)
-  for (std::size_t i = 0; i < loci; ++i) {
-    const std::uint32_t* row = joint + i * loci;
-    double* r2 = out.data() + i * loci;
-    const std::uint32_t count_i = counts[i];
-    const double p_i = p[i];
-    const double pq_i = p_i * q[i];
-#pragma omp simd reduction(| : inconsistent)
-    for (std::size_t j = 0; j < loci; ++j) {
-      inconsistent |= row[j] > std::min(count_i, counts[j]) ? 1u : 0u;
-      const double d = row[j] / n - p_i * p[j];
-      const double denom_var = pq_i * p[j] * q[j];
-      r2[j] = denom_var > 0.0 ? d * d / denom_var : 0.0;
+  std::atomic<unsigned> inconsistent{0};
+  // One branch-free pass over blocks of about kBlockEntries entries,
+  // spread over the host pool: the joint <= min(count) check is an OR
+  // read after the loop, and `omp simd` (-fopenmp-simd) lets the compiler
+  // if-convert the guarded division.
+  constexpr std::size_t kBlockEntries = std::size_t{1} << 16;
+  const std::size_t block_rows =
+      1 + kBlockEntries / std::max<std::size_t>(loci, 1);
+  const std::size_t blocks = bits::ceil_div(loci, block_rows);
+  exec::host_pool().parallel_for(blocks, [&](std::size_t, std::size_t blk) {
+    unsigned bad = 0;
+    const std::size_t end = std::min(loci, (blk + 1) * block_rows);
+    for (std::size_t i = blk * block_rows; i < end; ++i) {
+      const std::uint32_t* row = joint + i * loci;
+      double* r2 = out.data() + i * loci;
+      const std::uint32_t count_i = counts[i];
+      const double p_i = p[i];
+      const double pq_i = p_i * q[i];
+#pragma omp simd reduction(| : bad)
+      for (std::size_t j = 0; j < loci; ++j) {
+        bad |= row[j] > std::min(count_i, counts[j]) ? 1u : 0u;
+        const double d = row[j] / n - p_i * p[j];
+        const double denom_var = pq_i * p[j] * q[j];
+        r2[j] = denom_var > 0.0 ? d * d / denom_var : 0.0;
+      }
     }
-  }
-  if (inconsistent != 0) {
+    inconsistent.fetch_or(bad, std::memory_order_relaxed);
+  });
+  if (inconsistent.load(std::memory_order_relaxed) != 0) {
     throw std::invalid_argument("r2_matrix: inconsistent counts");
   }
   return out;

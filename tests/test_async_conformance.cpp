@@ -181,18 +181,28 @@ TEST(AsyncDeterminism, RepeatedRunsAreByteAndOrderIdentical) {
   }
 }
 
-TEST(AsyncDeterminism, CpuBlockedAsyncMatchesBlockedForAnyPoolSize) {
+TEST(AsyncDeterminism, CpuEngineMatchesReferenceForAnyPoolSize) {
   const auto a = io::random_bitmatrix(70, 1537, 0.5, 7);
   const auto b = io::random_bitmatrix(133, 1537, 0.3, 8);
+  // The default blocking makes two macro-tiles here; the small one makes
+  // 81 tiles over 7 k_c panels, so every worker of a pool takes tiles and
+  // reuses its B panel across them.
+  cpu::CpuBlocking small;
+  small.m_c = 8;
+  small.k_c = 4;
+  small.n_c = 16;
   for (const auto op :
        {Comparison::kAnd, Comparison::kXor, Comparison::kAndNot}) {
-    const auto expected = cpu::compare_blocked(a, b, op);
+    const auto expected = bits::compare_reference(a, b, op);
     for (const std::size_t threads :
          {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
       exec::ThreadPool pool(threads);
-      const auto got = cpu::compare_blocked_async(a, b, op, pool);
-      EXPECT_TRUE(got == expected)
-          << to_string(op) << " with " << threads << " threads";
+      for (const cpu::CpuBlocking& blocking : {cpu::CpuBlocking{}, small}) {
+        bits::CountMatrix got(a.rows(), b.rows());
+        cpu::compare_accumulate(a, b, op, got, blocking, pool);
+        EXPECT_TRUE(got == expected) << to_string(op) << " with " << threads
+                                     << " threads, m_c " << blocking.m_c;
+      }
     }
   }
 }

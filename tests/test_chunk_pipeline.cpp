@@ -1,8 +1,8 @@
 // Differential suite for the in-place chunk pipeline and the engine's
 // rectangle form: both must be bit-identical to the naive reference
 // (bits::compare_reference) on random ragged shapes, for every operation,
-// chunk size, thread count and delivery mode, including when the pool
-// stages are retried.
+// chunk size, thread count, engine pool size and delivery mode, including
+// when the pool stages are retried.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +13,7 @@
 #include "bits/compare.hpp"
 #include "core/snpcmp.hpp"
 #include "cpu/engine.hpp"
+#include "exec/thread_pool.hpp"
 #include "io/datagen.hpp"
 #include "kern/gpu_kernel.hpp"
 #include "model/config.hpp"
@@ -53,6 +54,8 @@ void expect_block(const std::vector<std::uint32_t>& c, std::size_t ldc,
 
 TEST(EngineRectangle, MatchesReferenceOnRandomWindows) {
   std::mt19937_64 rng(20261017);
+  exec::ThreadPool inline_pool(0);
+  exec::ThreadPool three_workers(3);
   // Tiny blocking crosses every m_c / n_c / k_c edge at these sizes; the
   // default one crosses the 4 x 4 micro-tile edges.
   cpu::CpuBlocking tiny;
@@ -80,13 +83,16 @@ TEST(EngineRectangle, MatchesReferenceOnRandomWindows) {
       const CountMatrix expected =
           bits::compare_reference(a_part, b_part, op);
       for (const cpu::CpuBlocking& blocking : {cpu::CpuBlocking{}, tiny}) {
-        SCOPED_TRACE("trial " + std::to_string(trial) + " op " +
-                     std::to_string(static_cast<int>(op)) + " m_c " +
-                     std::to_string(blocking.m_c));
-        auto c = sentinel_buffer(r0 + aw.rows + 2, ldc);
-        cpu::compare_accumulate(aw, bw, op, c.data() + r0 * ldc + c0, ldc,
-                                blocking);
-        expect_block(c, ldc, r0, c0, expected, kSentinel);  // C += AB
+        for (exec::ThreadPool* pool : {&inline_pool, &three_workers}) {
+          SCOPED_TRACE("trial " + std::to_string(trial) + " op " +
+                       std::to_string(static_cast<int>(op)) + " m_c " +
+                       std::to_string(blocking.m_c) + " workers " +
+                       std::to_string(pool->thread_count()));
+          auto c = sentinel_buffer(r0 + aw.rows + 2, ldc);
+          cpu::compare_accumulate(aw, bw, op, c.data() + r0 * ldc + c0, ldc,
+                                  blocking, *pool);
+          expect_block(c, ldc, r0, c0, expected, kSentinel);  // C += AB
+        }
       }
     }
   }

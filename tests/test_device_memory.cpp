@@ -5,10 +5,7 @@
 // this binary (live_heap.hpp), which is why the test has an executable of
 // its own.
 #include <gtest/gtest.h>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
+#include <sched.h>
 
 #include <cstddef>
 #include <cstdint>
@@ -16,11 +13,34 @@
 #include "bits/genotype.hpp"
 #include "cl/clmini.hpp"
 #include "core/snpcmp.hpp"
+#include "exec/thread_pool.hpp"
 #include "io/datagen.hpp"
 #include "live_heap.hpp"
 
 namespace snp {
 namespace {
+
+/// Pins the process to one CPU before any test, so the host pool is built
+/// with no workers: the CPU engine packs one B panel per participant
+/// (512 KiB at the LD shape below), and one participant keeps that term
+/// independent of the host's cores.
+class OneCpu : public ::testing::Environment {
+ public:
+  void SetUp() override {
+    cpu_set_t mask{};
+    ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+    std::size_t cpu = 0;
+    while (!CPU_ISSET(cpu, &mask)) {
+      ++cpu;
+    }
+    CPU_ZERO(&mask);
+    CPU_SET(cpu, &mask);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(mask), &mask), 0);
+  }
+};
+
+[[maybe_unused]] const auto* const one_cpu =
+    ::testing::AddGlobalTestEnvironment(new OneCpu);
 
 TEST(DeviceMemory, BufferAllocatesNoHostBackingStore) {
   cl::Context ctx(cl::Platform::device("titanv"));
@@ -34,12 +54,9 @@ TEST(DeviceMemory, BufferAllocatesNoHostBackingStore) {
 }
 
 TEST(DeviceMemory, GpuLdPeaksAtItsCountMatrix) {
-#ifdef _OPENMP
-  // The CPU engine packs one B panel per OpenMP thread (512 KiB at this
-  // shape); one thread keeps that term independent of the host's cores,
-  // so the bound measures the pipeline's own buffers.
-  omp_set_num_threads(1);
-#endif
+  // One participant's panels (OneCpu), so the bound measures the
+  // pipeline's own buffers.
+  ASSERT_EQ(exec::host_pool().thread_count(), 0u);
   io::PopulationParams pp;
   pp.seed = 14;
   pp.ld_block_len = 20;

@@ -1,10 +1,13 @@
 // Unit tests for snp::exec — the host-side thread pool, semaphore, and
 // dependency-ordered task graph behind the asynchronous chunk pipeline.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
@@ -13,6 +16,7 @@
 
 #include "exec/task_graph.hpp"
 #include "exec/thread_pool.hpp"
+#include "obs/metrics.hpp"
 
 namespace snp::exec {
 namespace {
@@ -126,6 +130,121 @@ TEST(ThreadPool, DestructorDrainsCleanlyPastFailingTasks) {
       });
     }
   }
+  EXPECT_EQ(ran.load(), 16);
+}
+
+TEST(ThreadPool, HardwareThreadsCountsTheAffinityMask) {
+  // Under `taskset -c 0` hardware_concurrency() still counts every CPU of
+  // the host; the pool must size itself from the CPUs it may run on.
+  cpu_set_t saved{};
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  std::size_t cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) {
+    ++cpu;
+  }
+  cpu_set_t one{};
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::size_t pinned = ThreadPool::hardware_threads();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1u);
+  EXPECT_EQ(ThreadPool::hardware_threads(),
+            static_cast<std::size_t>(CPU_COUNT(&saved)));
+}
+
+TEST(ThreadPool, WorkersGaugeCountsLiveWorkersOverAllPools) {
+  if (!obs::kEnabled) {
+    GTEST_SKIP() << "telemetry compiled out (SNPCMP_OBS=OFF)";
+  }
+  const obs::Gauge& workers =
+      obs::MetricsRegistry::global().gauge("exec.pool.workers");
+  const std::int64_t before = workers.value();
+  {
+    const ThreadPool two(2);
+    const ThreadPool three(3);
+    EXPECT_EQ(workers.value(), before + 5);
+  }
+  EXPECT_EQ(workers.value(), before);
+}
+
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{3}, std::size_t{8}}) {
+    ThreadPool pool(threads);
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                                std::size_t{2}, std::size_t{17},
+                                std::size_t{1000}}) {
+      std::vector<std::atomic<int>> runs(n);
+      std::atomic<bool> slot_in_range{true};
+      pool.parallel_for(n, [&](std::size_t slot, std::size_t i) {
+        if (slot > threads) {
+          slot_in_range = false;
+        }
+        runs[i].fetch_add(1);
+      });
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(runs[i].load(), 1)
+            << "index " << i << " of " << n << " on " << threads
+            << " workers";
+      }
+      EXPECT_TRUE(slot_in_range) << n << " on " << threads << " workers";
+    }
+  }
+}
+
+TEST(ParallelFor, NestedLoopOnAOneWorkerPoolCompletes) {
+  // The inner loop's helper queues behind the outer one on the only
+  // worker; the inner caller must finish its indices itself.
+  ThreadPool pool(1);
+  std::atomic<int> ran{0};
+  pool.parallel_for(4, [&](std::size_t, std::size_t) {
+    pool.parallel_for(8, [&](std::size_t, std::size_t) { ran.fetch_add(1); });
+  });
+  EXPECT_EQ(ran.load(), 32);
+}
+
+TEST(ParallelFor, RethrowsTheFirstExceptionAfterEveryIndexRan) {
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{3}}) {
+    ThreadPool pool(threads);
+    std::atomic<int> ran{0};
+    const auto throwing = [&](std::size_t, std::size_t i) {
+      ran.fetch_add(1);
+      if (i % 10 == 3) {
+        throw std::runtime_error("body boom");
+      }
+    };
+    EXPECT_THROW(pool.parallel_for(64, throwing), std::runtime_error);
+    EXPECT_EQ(ran.load(), 64) << threads << " workers";
+    // The pool serves the next call normally.
+    std::atomic<int> again{0};
+    pool.parallel_for(64,
+                      [&](std::size_t, std::size_t) { again.fetch_add(1); });
+    EXPECT_EQ(again.load(), 64) << threads << " workers";
+  }
+}
+
+TEST(ParallelFor, HelperStartingAfterTheCallReadsNoFreedMemory) {
+  // The only worker is held, so the caller runs every index and returns
+  // while its helper is still queued; the body is freed before the helper
+  // runs, so a helper that touched it fails under ASan.
+  ThreadPool pool(1);
+  std::promise<void> started;
+  std::promise<void> release;
+  auto worker_busy = started.get_future();
+  pool.post([&started, held = release.get_future().share()] {
+    started.set_value();
+    held.wait();
+  });
+  worker_busy.wait();
+  std::atomic<int> ran{0};
+  auto body = std::make_unique<ThreadPool::ForBody>(
+      [&ran](std::size_t, std::size_t) { ran.fetch_add(1); });
+  pool.parallel_for(16, *body);
+  EXPECT_EQ(ran.load(), 16);
+  EXPECT_EQ(pool.queue_depth(), 1u) << "the helper should still be queued";
+  body.reset();
+  release.set_value();
+  pool.wait_idle();
   EXPECT_EQ(ran.load(), 16);
 }
 

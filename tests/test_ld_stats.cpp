@@ -90,6 +90,7 @@ TEST(LdStats, R2MatrixValidatesShape) {
   EXPECT_THROW((void)r2_matrix(bad, {1, 2, 3}, 10), std::invalid_argument);
   const bits::CountMatrix sq(3, 3);
   EXPECT_THROW((void)r2_matrix(sq, {1, 2}, 10), std::invalid_argument);
+  EXPECT_TRUE(r2_matrix(bits::CountMatrix(0, 0), {}, 10).empty());
 }
 
 TEST(LdStats, R2MatrixIsBitIdenticalToLdFromCounts) {

@@ -130,8 +130,9 @@ TEST_P(SeededProperties, NegationDuality) {
 
 TEST(Determinism, ParallelEnginesAreRunToRunIdentical)
 {
-  // The OpenMP engines write disjoint outputs with integer arithmetic, so
-  // repeated runs must agree bit-for-bit (no scheduling sensitivity).
+  // The engines spread disjoint outputs over the host pool's participants
+  // with integer arithmetic, so repeated runs must agree bit-for-bit
+  // whichever participant takes which tile or row.
   const auto a = io::random_bitmatrix(64, 2048, 0.4, 424242);
   const auto b = io::random_bitmatrix(96, 2048, 0.6, 424243);
   const auto first = cpu::compare_blocked(a, b, Comparison::kAnd);

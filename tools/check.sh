@@ -11,12 +11,12 @@
 #      and a reduced-seed mutation soak must be failure-free.
 #   2. ASan/UBSan build + tier-1 tests.
 #   3. TSan build + the concurrency-heavy suites (exec scheduler,
-#      async-vs-serial conformance, the in-place chunk pipeline, the
-#      obs metrics/span registry, the
-#      fault-injection soak, and the multi-client service-engine
-#      soak, its teardown race repeated 50 times) — OpenMP is compiled out under TSan, so
-#      every data race the thread-pool pipeline could introduce is
-#      visible to the tool.
+#      async-vs-serial conformance, the in-place chunk pipeline, the host
+#      engines whose loops run on the exec pool — CPU engine, LD stats,
+#      sparse — the obs metrics/span registry, the fault-injection soak,
+#      and the multi-client service-engine soak, its teardown race
+#      repeated 50 times). Every host thread is an exec pool thread, so
+#      TSan sees the parallel code production runs.
 #   4. Telemetry compiled out (-DSNPCMP_OBS=OFF) build + tier-1 tests.
 #
 # The release stage also runs a fault-injection smoke: an injected
@@ -45,6 +45,15 @@ echo "== release build + full test suite =="
 cmake --preset default >/dev/null
 cmake --build --preset default -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
+
+echo "== one thread runtime (no binary links libgomp) =="
+for bin in build/tools/snpcmp build/tests/test_*; do
+  [[ -f "$bin" && -x "$bin" ]] || continue
+  if ldd "$bin" | grep -q libgomp; then
+    echo "$bin links libgomp: host loops must run on the exec pool"; exit 1
+  fi
+done
+echo "no OpenMP runtime linked"
 
 echo "== engine-teardown race (repeated) =="
 # A kBlock submitter parked in admission while the engine is destroyed
@@ -340,17 +349,24 @@ cmake --build --preset asan -j "$jobs"
 ASAN_OPTIONS=detect_leaks=1 \
   ctest --test-dir build-asan -L tier1 --output-on-failure -j "$jobs"
 
-echo "== TSan build + exec/conformance/pipeline/obs/fault/service tests =="
+echo "== TSan build + exec/conformance/pipeline/engine/obs/fault/service tests =="
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$jobs" \
-  --target test_exec test_async_conformance test_chunk_pipeline test_obs \
+  --target test_exec test_async_conformance test_chunk_pipeline \
+           test_cpu_engine test_ld_stats test_sparse test_obs \
            test_fault_injection test_service test_chaos test_flight \
            test_tracing
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_exec
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_async_conformance
 # Chunk stages write disjoint blocks of one result matrix from pool
-# threads while a drain copies an earlier block out for its callback.
+# threads while a drain copies an earlier block out for its callback; the
+# engine's tile loop also runs here on a 3-worker pool.
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_chunk_pipeline
+# The engine's tiles, r2_matrix's row blocks and the sparse engines' rows
+# run on the host pool (hardware_threads() - 1 workers).
+TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_cpu_engine
+TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_ld_stats
+TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_sparse
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_obs
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_fault_injection
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_service
