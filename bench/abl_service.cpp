@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   json.header("width", bench::stats_cols("p99_s"), "wall_s", "qps",
               "speedup", "batches");
 
-  // Real end-to-end drains; keep the repetition floor low like abl_async.
+  // Real end-to-end drains; keep the repetition floor low.
   auto policy = bench::bench_policy();
   policy.min_reps = std::min<std::size_t>(policy.min_reps, 3);
 

@@ -10,8 +10,6 @@
 
 #include "analyze/analyzer.hpp"
 #include "cpu/engine.hpp"
-#include "exec/task_graph.hpp"
-#include "exec/thread_pool.hpp"
 #include "kern/gpu_kernel.hpp"
 #include "model/peak.hpp"
 #include "obs/obs.hpp"
@@ -357,8 +355,8 @@ CompareResult Context::compare(const BitMatrix& a, const BitMatrix& b,
       ev.trace_id = obs::current_trace().trace_id;
       fault_log.record(std::move(ev));
     }
-    // GPU->CPU graceful degradation: the in-order drain chain guarantees
-    // the delivered rows form an exact prefix of the streamed operand, so
+    // GPU->CPU graceful degradation: chunks drain in stream order, so
+    // the delivered rows form an exact prefix of the streamed operand, and
     // the host engine recomputes only the remainder — streaming consumers
     // see each chunk exactly once, and the merged counts are bit-identical
     // to a clean run (the device's functional kernel is the same host
@@ -467,6 +465,14 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
                           CompareResult& result) {
   SNP_OBS_SPAN("core.compare_gpu");
   SNP_OBS_COUNT("core.compare.calls", 1);
+  // The chunks' host stage stamps count from here, where the trace
+  // anchor below is sampled.
+  const auto wall0 = std::chrono::steady_clock::now();
+  const auto host_now = [wall0] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         wall0)
+        .count();
+  };
   if constexpr (obs::kEnabled) {
     // Session-clock anchor for the merged trace: pid-0/pid-2 events are
     // relative to this compare, pid-1 spans to the collector session.
@@ -593,63 +599,19 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
       bits::ceil_div(streamed.rows(), chunk_rows);
   result.timing.chunk_events.resize(n_chunks);
 
-  // Asynchronous host pipeline (options.threads > 0, functional runs
-  // only): per chunk, a pack task binds the chunk's row window of the
-  // streamed operand, an execute task (depending on the pack) runs the
-  // functional kernel on it in place, and a drain task (depending on the
-  // execute AND the previous drain) delivers the chunk callback. With
-  // keep_counts the kernel writes its block of the gamma matrix directly;
-  // a chunk-shaped block exists only for a callback. The drain chain
-  // makes delivery order deterministic and identical to the serial path
-  // for every thread count; the semaphore bounds chunks in flight so host
-  // memory stays bounded at paper scale. The virtual-clock command
-  // enqueues below stay on the calling thread in both modes — simulated
-  // timing is independent of host threading.
-  const bool async = options.threads > 0 && options.functional;
-  std::unique_ptr<exec::ThreadPool> pool;
-  std::unique_ptr<exec::TaskGraph> graph;
-  std::unique_ptr<exec::Semaphore> slots;
-  exec::TaskGraph::TaskId prev_drain = 0;
-  const auto wall0 = std::chrono::steady_clock::now();
-  const auto host_now = [wall0] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         wall0)
-        .count();
-  };
-  if (async) {
-    pool = std::make_unique<exec::ThreadPool>(options.threads);
-    graph = std::make_unique<exec::TaskGraph>(*pool);
-    slots = std::make_unique<exec::Semaphore>(
-        options.max_inflight_chunks > 0 ? options.max_inflight_chunks
-                                        : 2 * options.threads);
-  }
-  // If an enqueue fault exhausts its retries mid-loop, the unwind must
-  // not destroy chunk-task captures while pool workers still run them:
-  // this guard quiesces the graph first (swallowing its own error — the
-  // original exception is the one that propagates). Declared after the
-  // graph so it is destroyed before it.
-  struct GraphQuiesce {
-    exec::TaskGraph* graph = nullptr;
-    ~GraphQuiesce() {
-      if (graph != nullptr) {
-        try {
-          graph->wait();
-        } catch (...) {  // NOLINT(bugprone-empty-catch)
-        }
-      }
-    }
-  } quiesce{graph.get()};
-
-  struct ChunkState {
-    bits::RowWindow window;  ///< this chunk's rows of the streamed operand
-    CountMatrix part;        ///< its block, when a chunk callback needs one
-  };
+  // Functional runs compute each chunk inside its kernel enqueue, on the
+  // calling thread and in stream order: a pack stage binds the chunk's
+  // row window of the streamed operand, an execute stage runs the
+  // functional kernel on it in place (the kernel spreads its tiles over
+  // exec::host_pool()), and a drain stage delivers the chunk callback.
+  // With keep_counts the kernel writes its block of the gamma matrix
+  // directly; a chunk-shaped block exists only for a callback.
+  const bits::RowWindow resident_rows{&resident, 0, resident.rows()};
 
   for (std::size_t ci = 0; ci < n_chunks; ++ci) {
     // Cooperative cancellation boundary: a fired token (explicit cancel
     // or expired request deadline) stops the pipeline here, before this
     // chunk's upload/launch, instead of running the stream to the end.
-    // GraphQuiesce below settles any in-flight async chunks on unwind.
     if (options.cancel != nullptr) {
       options.cancel->checkpoint(static_cast<std::int64_t>(ci));
     }
@@ -703,138 +665,88 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
         static_cast<std::uint64_t>(shape.m) * shape.n * shape.k_words;
     cl::Buffer* reads[] = {resident_buf.get(), stream_bufs[slot].get()};
     cl::Buffer* writes[] = {c_bufs[slot].get()};
+    bits::RowWindow window;  // this chunk's rows of the streamed operand
+    CountMatrix part;        // its block, when a chunk callback needs one
+    // Each stage samples the `pool` injection site inside its own retry
+    // scope: a transient stage fault re-runs that body alone, and the
+    // virtual clock moves only in the enqueue calls, so recovery cannot
+    // perturb simulated timing. The injection check precedes any work,
+    // so a retried body is idempotent by construction. Each stage
+    // checkpoints the cancel token first, so a batch whose deadline fired
+    // mid-chunk stops at the next stage.
+    const auto ci_ix = static_cast<std::int64_t>(ci);
+    const auto checkpoint = [&] {
+      if (options.cancel != nullptr) options.cancel->checkpoint(ci_ix);
+    };
+    const auto pack = [&] {
+      checkpoint();
+      rt::with_retry(rec, "pool.pack", ci_ix, fault_log, [&] {
+        rt::maybe_inject(rt::FaultSite::kPool, ci_ix);
+        SNP_OBS_SPAN("core.chunk.pack");
+        window = bits::RowWindow{&streamed, row0, rows};
+      });
+      SNP_OBS_FLIGHT(obs::FlightKind::kChunkPack,
+                     obs::current_trace().trace_id, 0, ci_ix, rows);
+    };
+    const auto execute = [&] {
+      checkpoint();
+      rt::with_retry(rec, "pool.execute", ci_ix, fault_log, [&] {
+        rt::maybe_inject(rt::FaultSite::kPool, ci_ix);
+        SNP_OBS_SPAN("core.chunk.execute");
+        const bits::RowWindow& ap = stream_b ? resident_rows : window;
+        const bits::RowWindow& bp = stream_b ? window : resident_rows;
+        // Straight into this chunk's block of the gamma matrix, or into
+        // a block of its own when only a callback takes the results.
+        std::uint32_t* block = nullptr;
+        std::size_t ldc = bp.rows;
+        if (options.keep_counts) {
+          ldc = result.counts.cols();
+          block = result.counts.raw().data() +
+                  (stream_b ? row0 : row0 * ldc);
+        } else {
+          part = CountMatrix(ap.rows, bp.rows);
+          block = part.raw().data();
+        }
+        // The kernel zeroes the block before accumulating into it, so a
+        // retried body does not count twice.
+        kernel.execute(ap, bp, block, ldc);
+      });
+      // The block's rows: every row of A when B streams, else the chunk's.
+      SNP_OBS_FLIGHT(obs::FlightKind::kChunkExec,
+                     obs::current_trace().trace_id, 0, ci_ix,
+                     stream_b ? a.rows() : rows);
+    };
+    const auto drain = [&] {
+      checkpoint();
+      rt::with_retry(rec, "pool.drain", ci_ix, fault_log, [&] {
+        rt::maybe_inject(rt::FaultSite::kPool, ci_ix);
+        SNP_OBS_SPAN("core.chunk.drain");
+        if (options.chunk_callback) {
+          if (options.keep_counts) {
+            part = chunk_block(result.counts, row0, rows, stream_b);
+          }
+          options.chunk_callback(
+              ComputeOptions::ChunkView{row0, stream_b, part});
+        }
+      });
+      SNP_OBS_FLIGHT(obs::FlightKind::kChunkDrain,
+                     obs::current_trace().trace_id, 0, ci_ix, rows);
+      // Only after a fully delivered chunk (block computed, callback
+      // ran) does the delivered prefix grow — the degradation rung
+      // trusts this to never redeliver or skip rows.
+      progress->delivered_rows.store(row0 + rows);
+    };
     std::function<void()> functional;
     if (options.functional) {
-      CountMatrix* counts =
-          options.keep_counts ? &result.counts : nullptr;
-      const BitMatrix* streamed_ptr = &streamed;
-      const bits::RowWindow resident_rows{&resident, 0, resident.rows()};
-      const std::size_t off = row0;
-      const bool sb = stream_b;
-      const kern::GpuSnpKernel* kptr = &kernel;
-      const auto* callback =
-          options.chunk_callback ? &options.chunk_callback : nullptr;
-      auto state = std::make_shared<ChunkState>();
-      // The pipeline bodies sample the `pool` injection site inside their
-      // own retry scope: a transient task fault re-runs the body alone —
-      // the virtual clock only moves in the enqueue calls on the calling
-      // thread, so recovery cannot perturb simulated timing. The
-      // injection check precedes any work, so a retried body is
-      // idempotent by construction.
-      const auto ci_ix = static_cast<std::int64_t>(ci);
-      // Pool tasks honor the cancel token too: each stage checkpoints
-      // before doing work, so a batch whose deadline fired mid-pipeline
-      // stops at the next task boundary even when the stages run on
-      // exec::ThreadPool workers rather than the calling thread.
-      const std::shared_ptr<rt::CancelToken> cancel = options.cancel;
-      auto pack = [state, streamed_ptr, off, rows, rec, fault_log, cancel,
-                   ci_ix]() {
-        if (cancel != nullptr) cancel->checkpoint(ci_ix);
-        rt::with_retry(rec, "pool.pack", ci_ix, fault_log, [&] {
-          rt::maybe_inject(rt::FaultSite::kPool, ci_ix);
-          SNP_OBS_SPAN("core.chunk.pack");
-          state->window = bits::RowWindow{streamed_ptr, off, rows};
-        });
-        SNP_OBS_FLIGHT(obs::FlightKind::kChunkPack,
-                       obs::current_trace().trace_id, 0, ci_ix, rows);
+      functional = [&] {
+        cev.host_pack_start = host_now();
+        pack();
+        cev.host_pack_end = cev.host_exec_start = host_now();
+        execute();
+        cev.host_exec_end = cev.host_drain_start = host_now();
+        drain();
+        cev.host_drain_end = host_now();
       };
-      // The block's rows: every row of A when B streams, else the chunk's.
-      const std::size_t block_rows = sb ? a.rows() : rows;
-      auto execute = [state, resident_rows, counts, off, sb, block_rows,
-                      kptr, rec, fault_log, cancel, ci_ix]() {
-        if (cancel != nullptr) cancel->checkpoint(ci_ix);
-        rt::with_retry(rec, "pool.execute", ci_ix, fault_log, [&] {
-          rt::maybe_inject(rt::FaultSite::kPool, ci_ix);
-          SNP_OBS_SPAN("core.chunk.execute");
-          const bits::RowWindow& ap = sb ? resident_rows : state->window;
-          const bits::RowWindow& bp = sb ? state->window : resident_rows;
-          // Straight into this chunk's block of the gamma matrix, or into
-          // a block of its own when only a callback takes the results.
-          std::uint32_t* block = nullptr;
-          std::size_t ldc = bp.rows;
-          if (counts != nullptr) {
-            ldc = counts->cols();
-            block = counts->raw().data() + (sb ? off : off * ldc);
-          } else {
-            state->part = CountMatrix(ap.rows, bp.rows);
-            block = state->part.raw().data();
-          }
-          // The kernel zeroes the block before accumulating into it, so a
-          // retried body does not count twice.
-          kptr->execute(ap, bp, block, ldc);
-        });
-        SNP_OBS_FLIGHT(obs::FlightKind::kChunkExec,
-                       obs::current_trace().trace_id, 0, ci_ix, block_rows);
-      };
-      auto drain = [state, counts, off, sb, callback, rec, fault_log,
-                    cancel, ci_ix, rows, progress]() {
-        if (cancel != nullptr) cancel->checkpoint(ci_ix);
-        rt::with_retry(rec, "pool.drain", ci_ix, fault_log, [&] {
-          rt::maybe_inject(rt::FaultSite::kPool, ci_ix);
-          SNP_OBS_SPAN("core.chunk.drain");
-          if (callback != nullptr) {
-            if (counts != nullptr) {
-              state->part = chunk_block(*counts, off, rows, sb);
-            }
-            (*callback)(ComputeOptions::ChunkView{off, sb, state->part});
-          }
-        });
-        SNP_OBS_FLIGHT(obs::FlightKind::kChunkDrain,
-                       obs::current_trace().trace_id, 0, ci_ix, rows);
-        // Only after a fully delivered chunk (block computed, callback
-        // ran) does the delivered prefix grow — the degradation rung
-        // trusts this to never redeliver or skip rows.
-        progress->delivered_rows.store(off + rows);
-      };
-      if (async) {
-        // Bounded in-flight backpressure, failure-aware: a failed chunk
-        // task skips every later drain, so the slot releases pending on
-        // them never come — poll instead of deadlocking, and let
-        // graph->wait() below rethrow the task's exception.
-        bool got_slot = false;
-        while (!(got_slot =
-                     slots->acquire_for(std::chrono::milliseconds(20)))) {
-          if (graph->failed()) {
-            break;
-          }
-        }
-        if (!got_slot) {
-          break;
-        }
-        sim::HostChunkEvent* evp = &cev;
-        evp->host_queued = host_now();
-        const auto pack_id = graph->add([pack, evp, host_now]() {
-          evp->host_pack_start = host_now();
-          pack();
-          evp->host_pack_end = host_now();
-        });
-        const auto exec_id = graph->add(
-            [execute, evp, host_now]() {
-              evp->host_exec_start = host_now();
-              execute();
-              evp->host_exec_end = host_now();
-            },
-            {pack_id});
-        std::vector<exec::TaskGraph::TaskId> drain_deps{exec_id};
-        if (ci > 0) {
-          drain_deps.push_back(prev_drain);
-        }
-        exec::Semaphore* slots_ptr = slots.get();
-        prev_drain = graph->add(
-            [drain, evp, host_now, slots_ptr]() {
-              evp->host_drain_start = host_now();
-              drain();
-              evp->host_drain_end = host_now();
-              slots_ptr->release();
-            },
-            drain_deps);
-      } else {
-        functional = [pack, execute, drain]() {
-          pack();
-          execute();
-          drain();
-        };
-      }
     }
     const cl::Event evk = rt::with_retry(
         rec, "launch", static_cast<std::int64_t>(ci), fault_log, [&] {
@@ -861,9 +773,6 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
     SNP_OBS_COUNT("core.d2h.bytes", c_bytes);
     cev.d2h_start = evr.start;
     cev.d2h_end = evr.end;
-  }
-  if (async) {
-    graph->wait();  // rethrows the first chunk-task exception, if any
   }
 
   const double end = q.finish();
@@ -943,9 +852,9 @@ Context::StreamingSearchResult Context::identity_search_streaming(
       best.resize(top_k);
     }
   };
-  // Async compare() delivers chunks from a serialized in-order drain
-  // chain, so callbacks never overlap — the mutex makes the fold's
-  // thread-safety independent of that scheduling detail.
+  // compare() delivers chunks one at a time, in stream order, so
+  // callbacks never overlap — the mutex makes the fold's thread-safety
+  // independent of that scheduling detail.
   std::mutex fold_mu;
   opts.chunk_callback = [&](const ComputeOptions::ChunkView& view) {
     const std::lock_guard<std::mutex> lock(fold_mu);
@@ -1067,7 +976,7 @@ Context::StreamingMixtureResult Context::mixture_analysis_streaming(
   opts.functional = true;
   opts.keep_counts = false;
   // See identity_search_streaming: deliveries are already serialized
-  // in order by the drain chain; the lock keeps the fold self-contained.
+  // in stream order; the lock keeps the fold self-contained.
   std::mutex fold_mu;
   opts.chunk_callback = [&](const ComputeOptions::ChunkView& view) {
     const std::lock_guard<std::mutex> lock(fold_mu);

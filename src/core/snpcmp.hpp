@@ -67,22 +67,6 @@ struct ComputeOptions {
   /// allocation before anything launches.
   int lds_words = 0;
 
-  /// Host worker threads for the asynchronous chunk pipeline. 0 (default)
-  /// keeps the fully serial legacy path. With threads >= 1, compare()
-  /// schedules pack -> kernel -> reduce per chunk on a thread pool
-  /// (double-buffered packing), and a dedicated drain task delivers chunk
-  /// results strictly in stream order. Results — counts, callback payloads
-  /// and delivery order, and the simulated timing — are bit-identical to
-  /// the serial path for every thread count; chunk_callback runs on a pool
-  /// thread instead of the calling thread. It does not size the host
-  /// engine: the CPU device, the host fallback rungs and each chunk's
-  /// functional kernel spread their tiles over exec::host_pool() always.
-  std::size_t threads = 0;
-  /// Async path only: bound on chunks in flight (scheduled but not yet
-  /// drained); the producer blocks once the bound is reached, keeping host
-  /// memory proportional to the bound at paper scale. 0 = 2 x threads.
-  std::size_t max_inflight_chunks = 0;
-
   /// One finished chunk of the gamma matrix, delivered in stream order.
   /// `part` is the block of rows [row0, row0+part.rows()) when the A
   /// operand streams, or columns [row0, row0+part.cols()) when B streams.
@@ -92,8 +76,9 @@ struct ComputeOptions {
     const bits::CountMatrix& part;
   };
   /// When set, compare() delivers each chunk's results here as soon as
-  /// its (simulated) readback completes. Combine with keep_counts = false
-  /// to process paper-scale outputs in bounded memory.
+  /// its (simulated) readback completes, on the calling thread. Combine
+  /// with keep_counts = false to process paper-scale outputs in bounded
+  /// memory.
   std::function<void(const ChunkView&)> chunk_callback;
   /// Assemble the full gamma matrix in CompareResult::counts (disable for
   /// streaming consumers; requires a chunk_callback or functional=false).
@@ -116,7 +101,7 @@ struct ComputeOptions {
 
   /// Cooperative cancellation (docs/robustness.md "Request lifecycle").
   /// When set, the pipeline checkpoints the token between chunks and at
-  /// the top of every pool task: a fired token (explicit cancel or an
+  /// the top of every chunk stage: a fired token (explicit cancel or an
   /// attached expired deadline) aborts the run at the next boundary with
   /// the token's structured status. A kDeadline cancellation is final —
   /// compare() rethrows it without entering the degrade/failover rung,
@@ -167,11 +152,11 @@ struct TimingReport {
   int active_cores = 0;
   std::string device;
   std::string config;
-  /// Per-chunk simulated queue/start/end intervals plus, on the async
-  /// path, the real host wall-clock of each pack/execute/drain task —
-  /// feed to sim::write_host_chrome_trace to visualize the measured host
-  /// pipeline (functional compare() only; estimate() fills a
-  /// sim::Timeline via ComputeOptions::timeline_out instead).
+  /// Per-chunk simulated queue/start/end intervals plus the real host
+  /// wall-clock of each chunk's pack/execute/drain stages — feed to
+  /// sim::write_host_chrome_trace to visualize the measured host pipeline
+  /// (functional compare() only; estimate() fills a sim::Timeline via
+  /// ComputeOptions::timeline_out instead).
   std::vector<sim::HostChunkEvent> chunk_events;
   /// Pre-launch static-analysis findings, one "severity  ID  message"
   /// line each (ComputeOptions::lint, GPU contexts only). Error severity
@@ -326,9 +311,9 @@ class Context {
                                           bits::Comparison op,
                                           const ComputeOptions& options);
 
-  /// How far the device pipeline got before failing: the in-order drain
-  /// chain makes `delivered_rows` an exact prefix of the streamed
-  /// operand, so the degradation rung recomputes only the remainder and
+  /// How far the device pipeline got before failing: chunks drain in
+  /// stream order, so `delivered_rows` is an exact prefix of the streamed
+  /// operand, and the degradation rung recomputes only the remainder and
   /// never redelivers a chunk to streaming consumers.
   struct GpuProgress {
     bool stream_b = true;

@@ -1,20 +1,14 @@
-// snp::exec — host-side asynchronous execution engine.
+// snp::exec — the host's one thread runtime.
 //
-// The paper's end-to-end numbers depend on overlapping chunk transfer with
-// compute (Section VI-A); Beyer & Bientinesi's HDD->GPU streaming work and
-// Samsi et al.'s GPU DNA-mixture pipeline both reach sustained throughput
-// the same way: an asynchronous host pipeline keeps every engine busy.
-// This module is the host's one thread runtime — a plain fixed-size worker
-// pool with a FIFO work queue, futures for one-shot results, a
-// parallel-for in which the caller works too, and a counting semaphore for
-// bounded in-flight backpressure. TaskGraph (task_graph.hpp) layers
-// dependency edges on top. The host kernels' parallel loops run on one
-// process-wide pool, host_pool().
+// A plain fixed-size worker pool over a FIFO work queue, with a
+// parallel-for in which the caller works too. The host kernels' parallel
+// loops (the engine's macro-tile grid, the sparse engines' rows, r^2's
+// row blocks) run on one process-wide pool, host_pool(); the only other
+// pool is the service's one-worker batch executor.
 //
 // Threading contract: submission is thread-safe; tasks run exactly once;
 // a pool constructed with 0 threads degenerates to inline execution on the
-// submitting thread (the serial path — used to make "async with 1-thread
-// semantics" trivially deterministic and debuggable).
+// submitting thread.
 #pragma once
 
 #include <chrono>
@@ -22,70 +16,19 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "obs/obs.hpp"
 
 namespace snp::exec {
 
-/// Counting semaphore used for bounded in-flight chunk scheduling (the
-/// producer blocks in acquire() once `count` chunks are queued but not yet
-/// drained). std::counting_semaphore exists, but this one is introspectable
-/// (available()) and keeps the module self-contained.
-class Semaphore {
- public:
-  explicit Semaphore(std::size_t count) : count_(count) {}
-
-  void acquire() {
-    std::unique_lock lock(mu_);
-    cv_.wait(lock, [&] { return count_ > 0; });
-    --count_;
-  }
-
-  /// acquire() that gives up after `timeout`. Producers gating on tasks
-  /// that release slots must use this and poll an abort condition (e.g.
-  /// TaskGraph::failed()): a failed pipeline skips its remaining tasks,
-  /// so the releases pending on them never happen and a plain acquire()
-  /// would deadlock.
-  [[nodiscard]] bool acquire_for(std::chrono::milliseconds timeout) {
-    std::unique_lock lock(mu_);
-    if (!cv_.wait_for(lock, timeout, [&] { return count_ > 0; })) {
-      return false;
-    }
-    --count_;
-    return true;
-  }
-
-  void release() {
-    {
-      const std::lock_guard lock(mu_);
-      ++count_;
-    }
-    cv_.notify_one();
-  }
-
-  [[nodiscard]] std::size_t available() const {
-    const std::lock_guard lock(mu_);
-    return count_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::size_t count_;
-};
-
 /// Fixed-size worker pool over a FIFO queue. Destruction drains: every task
 /// posted before the destructor runs is executed before the workers join
-/// (shutdown never drops queued work — an async compare() that goes out of
-/// scope mid-stream still delivers every chunk).
+/// (shutdown never drops queued work).
 class ThreadPool {
  public:
   /// `threads == 0` runs every task inline on the posting thread.
@@ -113,19 +56,8 @@ class ThreadPool {
   /// process: the first exception is captured and rethrown from the next
   /// wait_idle() (sticky until cleared), later ones are counted in
   /// failed_count(). On an inline (0-thread) pool the exception
-  /// propagates directly to the poster. Use submit() or TaskGraph when a
-  /// per-task result/exception channel is needed.
+  /// propagates directly to the poster.
   void post(std::function<void()> task);
-
-  /// Schedules `fn` and returns a future carrying its result or exception.
-  template <typename F>
-  [[nodiscard]] auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> fut = task->get_future();
-    post([task]() { (*task)(); });
-    return fut;
-  }
 
   /// Loop body of parallel_for: (participant slot, index).
   using ForBody = std::function<void(std::size_t, std::size_t)>;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
-#include <future>
+#include <exception>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "cpu/engine.hpp"
-#include "exec/thread_pool.hpp"
 #include "model/peak.hpp"
 #include "obs/obs.hpp"
 #include "rt/fault.hpp"
@@ -114,20 +113,23 @@ std::vector<Shard> make_shards(std::size_t rows,
   return shards;
 }
 
-/// Runs `task(d)` for every shard index through the exec thread pool —
-/// shards land on distinct devices, so they are independent — and
-/// propagates the first failure. With threads == 0 the pool runs each
-/// task inline at submit time, i.e. the exact serial loop.
+/// Runs `task(d)` for every shard index in order on the calling thread,
+/// then rethrows the first failure: every shard runs even when an earlier
+/// one threw.
 template <typename Fn>
-void for_each_shard(std::size_t count, std::size_t threads, Fn&& task) {
-  exec::ThreadPool pool(std::min(threads, count));
-  std::vector<std::future<void>> done;
-  done.reserve(count);
+void for_each_shard(std::size_t count, Fn&& task) {
+  std::exception_ptr first_error;
   for (std::size_t d = 0; d < count; ++d) {
-    done.push_back(pool.submit([&task, d] { task(d); }));
+    try {
+      task(d);
+    } catch (...) {
+      if (!first_error) {
+        first_error = std::current_exception();
+      }
+    }
   }
-  for (auto& f : done) {
-    f.get();
+  if (first_error) {
+    std::rethrow_exception(first_error);
   }
 }
 
@@ -193,10 +195,8 @@ MultiCompareResult MultiGpuContext::compare(const BitMatrix& a,
     shard_opts.recovery.policy = rt::FailPolicy::kRetry;
   }
 
-  // Run each shard's single-GPU pipeline as an executor task (each shard
-  // owns a distinct device/context), then merge on the calling thread in
-  // row order — the merge order, counts, and timing are therefore
-  // identical for every host_threads value.
+  // Run each shard's single-GPU pipeline (each shard owns a distinct
+  // device/context), then merge in row order.
   SNP_OBS_SPAN("multi.compare");
   SNP_OBS_COUNT("multi.shards", shards.size());
 
@@ -219,7 +219,7 @@ MultiCompareResult MultiGpuContext::compare(const BitMatrix& a,
     work.clear();
     std::vector<CompareResult> res(batch.size());
     std::vector<std::optional<rt::Status>> errs(batch.size());
-    for_each_shard(batch.size(), options.host_threads, [&](std::size_t d) {
+    for_each_shard(batch.size(), [&](std::size_t d) {
       SNP_OBS_SPAN("multi.shard");
       const Shard s = batch[d];
       try {
@@ -235,7 +235,7 @@ MultiCompareResult MultiGpuContext::compare(const BitMatrix& a,
       } catch (const rt::Error& e) {
         if (policy == rt::FailPolicy::kFailover ||
             policy == rt::FailPolicy::kDegrade) {
-          errs[d] = e.status();  // handled below, on the calling thread
+          errs[d] = e.status();  // handled below, after every shard ran
           return;
         }
         throw;  // abort/retry: propagate the structured code intact
@@ -376,15 +376,13 @@ MultiGpuReport MultiGpuContext::estimate(std::size_t m, std::size_t n,
   MultiGpuReport rep;
   rep.devices = static_cast<int>(shards.size());
   std::vector<TimingReport> shard_reports(shards.size());
-  for_each_shard(
-      shards.size(), options.host_threads, [&](std::size_t d) {
-        const std::size_t len = shards[d].end - shards[d].begin;
-        const Context& ctx = contexts_[shards[d].device];
-        shard_reports[d] =
-            shard_b
-                ? ctx.estimate(m, len, k_bits, op, options.per_device)
+  for_each_shard(shards.size(), [&](std::size_t d) {
+    const std::size_t len = shards[d].end - shards[d].begin;
+    const Context& ctx = contexts_[shards[d].device];
+    shard_reports[d] =
+        shard_b ? ctx.estimate(m, len, k_bits, op, options.per_device)
                 : ctx.estimate(len, n, k_bits, op, options.per_device);
-      });
+  });
   double worst = 0.0;
   for (std::size_t d = 0; d < shards.size(); ++d) {
     const TimingReport& t = shard_reports[d];

@@ -30,20 +30,15 @@ struct InterconnectSpec {
 };
 
 struct MultiGpuOptions {
+  /// Options of every shard's single-GPU pipeline. The shards run one
+  /// after another on the calling thread, so a chunk_callback sees one
+  /// shard's chunks at a time, with row0 relative to that shard.
   ComputeOptions per_device;
   /// Model an all-gather of the gamma matrix onto device 0 after the
   /// compute (for on-device downstream processing); off by default, in
   /// which case results are simply host-merged (free: each shard already
   /// read back its slice).
   bool gather_on_device = false;
-  /// Host threads driving the per-shard pipelines through the exec
-  /// thread pool — one task per shard, so more than device_count()
-  /// threads is never useful. 0 runs the tasks inline (serial). Results
-  /// are merged in shard order after all shards complete, so counts and
-  /// timing are identical for every value. A per_device.chunk_callback
-  /// fires concurrently from different shards when host_threads > 1 and
-  /// must be thread-safe.
-  std::size_t host_threads = 0;
 };
 
 struct MultiGpuReport {

@@ -2,7 +2,7 @@
 //
 // The paper's Section VI argument is an accounting identity: achieved
 // GOPS is explained by which pipe (PCIe H2D, kernel, D2H) saturates and
-// how much of the transfer time the async pipeline hides behind compute.
+// how much of the transfer time double buffering hides behind compute.
 // This module closes the loop on our own telemetry the same way: it
 // ingests the artifacts a run already writes — the merged Perfetto trace
 // (--trace-out), the metrics snapshot (--metrics-out JSON), and

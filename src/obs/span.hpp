@@ -8,7 +8,7 @@
 //
 // The TraceCollector is the single funnel every trace source in the
 // framework feeds: host spans (this module), the simulated device
-// timeline, and the async chunk pipeline's per-stage events (both adapted
+// timeline, and the chunk pipeline's per-stage host events (both adapted
 // in sim/trace.hpp) all become TraceEvents and share one JSON emitter —
 // one merged, Perfetto-loadable file per run instead of the historical
 // two disjoint writers.

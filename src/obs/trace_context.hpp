@@ -15,8 +15,8 @@
 //     posting batch execution to the pool;
 //   - exec::ThreadPool::post() captures the poster's context into the
 //     queued task and the worker re-installs it around the task body,
-//     which transitively covers exec::TaskGraph (successors are posted
-//     from inside a worker's task scope);
+//     which covers the service's batch executor and the helpers of every
+//     parallel_for;
 //   - rt::with_retry stamps the ambient id into every FaultEvent and
 //     flight-recorder fault/retry record;
 //   - obs::Span snapshots the ambient id so every slice (svc.batch,

@@ -50,7 +50,7 @@ enum class FaultSite : std::uint8_t {
   kH2d,        ///< cl::CommandQueue::enqueue_write
   kLaunch,     ///< cl::CommandQueue::enqueue_kernel
   kReadback,   ///< cl::CommandQueue::enqueue_read
-  kPool,       ///< core pipeline pack/execute/drain task bodies
+  kPool,       ///< core chunk loop pack/execute/drain stage bodies
   kIo,         ///< io readers (formats / packed / plink / vcf)
   kShard,      ///< multi-GPU per-shard pipeline
   kTimeout,    ///< retry watchdog sampling point

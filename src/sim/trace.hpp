@@ -38,9 +38,8 @@ void write_chrome_trace(const Timeline& tl, std::ostream& os,
 /// One chunk of a host-driven compare() pipeline, as recorded in
 /// TimingReport::chunk_events: the simulated device intervals of the
 /// chunk's h2d / kernel / d2h commands (virtual clock), plus the real
-/// host wall-clock intervals of the asynchronous pack -> execute -> drain
-/// stages (seconds since the call started; all zero on the serial path,
-/// which has no host pipeline).
+/// host wall-clock intervals of its pack -> execute -> drain stages
+/// (seconds since the call started).
 struct HostChunkEvent {
   std::size_t index = 0;
   std::size_t row0 = 0;  ///< first streamed row of the chunk
@@ -49,18 +48,16 @@ struct HostChunkEvent {
   double h2d_start = 0.0, h2d_end = 0.0;
   double kernel_start = 0.0, kernel_end = 0.0;
   double d2h_start = 0.0, d2h_end = 0.0;
-  // Real host wall-clock of the thread-pool pipeline.
-  double host_queued = 0.0;  ///< when the chunk entered the task graph
+  // Real host wall-clock of the chunk's stages.
   double host_pack_start = 0.0, host_pack_end = 0.0;
   double host_exec_start = 0.0, host_exec_end = 0.0;
   double host_drain_start = 0.0, host_drain_end = 0.0;
 };
 
-/// Emits the *host* pipeline of an async compare() as Trace Event Format
-/// JSON: tracks pack(0), execute(1), drain(2), wall-clock microseconds.
-/// This is the measured counterpart of write_chrome_trace's simulated
-/// timeline — pack bars sliding under execute bars show the thread pool
-/// overlapping I/O-side packing with compute.
+/// Emits the *host* pipeline of a functional compare() as Trace Event
+/// Format JSON: tracks pack(0), execute(1), drain(2), wall-clock
+/// microseconds. This is the measured counterpart of write_chrome_trace's
+/// simulated timeline: where each chunk's host wall time went.
 void write_host_chrome_trace(std::span<const HostChunkEvent> chunks,
                              std::ostream& os,
                              const std::string& label = "host pipeline");
@@ -74,7 +71,7 @@ void write_host_chrome_trace(std::span<const HostChunkEvent> chunks,
 ///           had none, e.g. CPU contexts), virtual-clock microseconds;
 ///   pid 1 — host spans collected in `spans` (one track per real thread),
 ///           wall-clock microseconds since the collector session began;
-///   pid 2 — the async pipeline's pack/execute/drain stage view from
+///   pid 2 — the chunk pipeline's pack/execute/drain stage view from
 ///           `chunks`, wall-clock microseconds since compare() started.
 /// `host_anchor_us` is the session-clock time at which the compare
 /// started (TimingReport::trace_anchor_us): pid-0 and pid-2 timestamps

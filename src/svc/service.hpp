@@ -105,11 +105,6 @@ struct ServiceConfig {
   /// at submit()).
   rt::RecoveryOptions recovery;
 
-  /// Host worker threads for each batch's chunk pipeline
-  /// (ComputeOptions::threads); batches themselves execute one at a
-  /// time, in submission order, for deterministic replay.
-  std::size_t compute_threads = 0;
-
   /// Construct paused: the dispatcher holds off until resume() — used by
   /// the scripted CLI driver and the admission-control tests to make
   /// batch formation deterministic.

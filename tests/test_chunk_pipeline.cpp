@@ -1,13 +1,24 @@
-// Differential suite for the in-place chunk pipeline and the engine's
-// rectangle form: both must be bit-identical to the naive reference
-// (bits::compare_reference) on random ragged shapes, for every operation,
-// chunk size, thread count, engine pool size and delivery mode, including
-// when the pool stages are retried.
+// Differential suite for the in-place chunk pipeline and the engine:
+// both must be bit-identical to the naive reference
+// (bits::compare_reference) on random ragged shapes (ragged K tails,
+// degenerate M/N, ragged tail chunks), for every operation, chunk size,
+// engine pool size and delivery mode, including when the chunk stages
+// are retried. Also pins the pipeline's determinism and telemetry
+// contracts: repeated runs deliver identical bytes in identical order,
+// and every chunk records its simulated and host stage intervals in
+// stream order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <random>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bits/compare.hpp"
@@ -19,6 +30,7 @@
 #include "model/config.hpp"
 #include "model/device.hpp"
 #include "rt/fault.hpp"
+#include "rt/recovery.hpp"
 
 namespace snp {
 namespace {
@@ -136,6 +148,31 @@ TEST(EngineRectangle, KernelOverwriteZeroesItsBlockFirst) {
   expect_block(c, ldc, 1, 2, doubled, 0);
 }
 
+TEST(EngineFullMatrix, CpuEngineMatchesReferenceForAnyPoolSize) {
+  const auto a = io::random_bitmatrix(70, 1537, 0.5, 7);
+  const auto b = io::random_bitmatrix(133, 1537, 0.3, 8);
+  // The default blocking makes two macro-tiles here; the small one makes
+  // 81 tiles over 7 k_c panels, so every worker of a pool takes tiles and
+  // reuses its B panel across them.
+  cpu::CpuBlocking small;
+  small.m_c = 8;
+  small.k_c = 4;
+  small.n_c = 16;
+  for (const Comparison op : kOps) {
+    const CountMatrix expected = bits::compare_reference(a, b, op);
+    for (const std::size_t threads :
+         {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      exec::ThreadPool pool(threads);
+      for (const cpu::CpuBlocking& blocking : {cpu::CpuBlocking{}, small}) {
+        CountMatrix got(a.rows(), b.rows());
+        cpu::compare_accumulate(a, b, op, got, blocking, pool);
+        EXPECT_TRUE(got == expected) << to_string(op) << " with " << threads
+                                     << " threads, m_c " << blocking.m_c;
+      }
+    }
+  }
+}
+
 struct Delivered {
   std::size_t row0 = 0;
   bool streamed_b = true;
@@ -227,22 +264,18 @@ TEST(ChunkPipeline, InPlaceStagesMatchReference) {
           static_cast<std::size_t>(stream_b ? cfg.n_r : cfg.m_c);
       for (const std::size_t chunk_rows :
            {tile, std::size_t{7}, streamed}) {
-        for (const std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
-          for (const Mode mode : {Mode::kCounts, Mode::kCallback,
-                                  Mode::kBoth}) {
-            SCOPED_TRACE("shape " + std::to_string(s.m) + "x" +
-                         std::to_string(s.n) + "x" +
-                         std::to_string(s.bit_cols) + " op " +
-                         std::to_string(static_cast<int>(op)) + " chunk " +
-                         std::to_string(chunk_rows) + " threads " +
-                         std::to_string(threads) + " mode " +
-                         std::to_string(static_cast<int>(mode)));
-            ComputeOptions opts = base;
-            opts.chunk_rows = chunk_rows;
-            opts.threads = threads;
-            const PipelineRun run = run_pipeline(ctx, a, b, op, opts, mode);
-            expect_run(run, expected, stream_b, mode);
-          }
+        for (const Mode mode : {Mode::kCounts, Mode::kCallback,
+                                Mode::kBoth}) {
+          SCOPED_TRACE("shape " + std::to_string(s.m) + "x" +
+                       std::to_string(s.n) + "x" +
+                       std::to_string(s.bit_cols) + " op " +
+                       std::to_string(static_cast<int>(op)) + " chunk " +
+                       std::to_string(chunk_rows) + " mode " +
+                       std::to_string(static_cast<int>(mode)));
+          ComputeOptions opts = base;
+          opts.chunk_rows = chunk_rows;
+          const PipelineRun run = run_pipeline(ctx, a, b, op, opts, mode);
+          expect_run(run, expected, stream_b, mode);
         }
       }
     }
@@ -259,31 +292,335 @@ TEST(ChunkPipeline, RetriedStagesStayBitIdentical) {
   const CountMatrix expected =
       bits::compare_reference(a, b, Comparison::kXor);
   Context ctx = Context::gpu("gtx980");
-  for (const std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
-    for (const Mode mode : {Mode::kCounts, Mode::kBoth}) {
-      SCOPED_TRACE("threads " + std::to_string(threads) + " mode " +
-                   std::to_string(static_cast<int>(mode)));
-      ComputeOptions opts;
-      opts.chunk_rows = 16;
-      opts.threads = threads;
-      opts.recovery.max_attempts = 32;
-      opts.recovery.backoff_base_s = 0.0;
-      opts.recovery.backoff_max_s = 0.0;
-      const rt::ScopedFaultPlan plan("pool:p=0.4:seed=17");
-      const PipelineRun run =
-          run_pipeline(ctx, a, b, Comparison::kXor, opts, mode);
-      expect_run(run, expected, /*stream_b=*/true, mode);
-      std::size_t execute_retries = 0;
-      for (const auto& ev : run.result.timing.fault_events) {
-        if (ev.site == "pool.execute" && ev.action == "retry") {
-          ++execute_retries;
-        }
+  for (const Mode mode : {Mode::kCounts, Mode::kBoth}) {
+    SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)));
+    ComputeOptions opts;
+    opts.chunk_rows = 16;
+    opts.recovery.max_attempts = 32;
+    opts.recovery.backoff_base_s = 0.0;
+    opts.recovery.backoff_max_s = 0.0;
+    const rt::ScopedFaultPlan plan("pool:p=0.4:seed=17");
+    const PipelineRun run =
+        run_pipeline(ctx, a, b, Comparison::kXor, opts, mode);
+    expect_run(run, expected, /*stream_b=*/true, mode);
+    std::size_t execute_retries = 0;
+    for (const auto& ev : run.result.timing.fault_events) {
+      if (ev.site == "pool.execute" && ev.action == "retry") {
+        ++execute_retries;
       }
-      EXPECT_GT(execute_retries, 0u) << "the plan never retried an execute";
-      EXPECT_FALSE(run.result.timing.degraded);
+    }
+    EXPECT_GT(execute_retries, 0u) << "the plan never retried an execute";
+    EXPECT_FALSE(run.result.timing.degraded);
+  }
+}
+
+TEST(ChunkPipeline, RepeatedRunsAreByteAndOrderIdentical) {
+  const auto a = io::random_bitmatrix(6, 384, 0.5, 42);
+  const auto b = io::random_bitmatrix(330, 384, 0.5, 43);
+  const CountMatrix expected =
+      bits::compare_reference(a, b, Comparison::kXor);
+  Context ctx = Context::gpu("vega64");
+  CountMatrix first;
+  std::vector<std::size_t> first_order;
+  for (int rep = 0; rep < 5; ++rep) {
+    ComputeOptions opts;
+    opts.chunk_rows = 32;
+    std::vector<std::size_t> order;
+    opts.chunk_callback = [&order](const ComputeOptions::ChunkView& v) {
+      order.push_back(v.row0);
+    };
+    const auto r = ctx.compare(a, b, Comparison::kXor, opts);
+    ASSERT_TRUE(r.counts == expected) << "rep " << rep;
+    if (rep == 0) {
+      ASSERT_GT(order.size(), 1u) << "want a multi-chunk workload";
+      first = r.counts;
+      first_order = order;
+      continue;
+    }
+    EXPECT_EQ(0, std::memcmp(r.counts.raw().data(), first.raw().data(),
+                             first.raw().size() * sizeof(std::uint32_t)))
+        << "rep " << rep;
+    EXPECT_EQ(order, first_order) << "delivery order drifted at rep " << rep;
+  }
+}
+
+TEST(ChunkPipeline, StreamingMixtureMatchesFullAndReference) {
+  const auto profiles = io::random_bitmatrix(260, 320, 0.4, 77);
+  const auto mixtures = io::random_bitmatrix(4, 320, 0.8, 78);
+  constexpr std::uint32_t kTolerance = 40;
+  const CountMatrix gamma =
+      bits::compare_reference(profiles, mixtures, Comparison::kAndNot);
+  std::vector<std::vector<std::size_t>> expected(mixtures.rows());
+  for (std::size_t p = 0; p < profiles.rows(); ++p) {
+    for (std::size_t m = 0; m < mixtures.rows(); ++m) {
+      if (gamma.at(p, m) <= kTolerance) {
+        expected[m].push_back(p);
+      }
+    }
+  }
+  Context ctx = Context::gpu("gtx980");
+  ComputeOptions opts;
+  opts.chunk_rows = 48;
+  EXPECT_EQ(ctx.mixture_analysis(profiles, mixtures, kTolerance, opts)
+                .included,
+            expected);
+  EXPECT_EQ(
+      ctx.mixture_analysis_streaming(profiles, mixtures, kTolerance, opts)
+          .included,
+      expected);
+}
+
+TEST(ChunkPipeline, ExceptionInChunkCallbackPropagates) {
+  const auto a = io::random_bitmatrix(4, 256, 0.5, 9);
+  const auto b = io::random_bitmatrix(200, 256, 0.5, 10);
+  Context ctx = Context::gpu("gtx980");
+  ComputeOptions opts;
+  opts.chunk_rows = 32;
+  int fired = 0;
+  opts.chunk_callback = [&fired](const ComputeOptions::ChunkView&) {
+    if (++fired == 2) {
+      throw std::runtime_error("downstream consumer failed");
+    }
+  };
+  EXPECT_THROW(ctx.compare(a, b, bits::Comparison::kXor, opts),
+               std::runtime_error);
+  EXPECT_EQ(fired, 2) << "the stream must stop at the failed chunk";
+}
+
+// Telemetry contract for the chunk pipeline: chunk_events arrive in
+// stream order (index i at slot i, row ranges tiling the streamed
+// operand) and their simulated timestamps are monotone — each engine
+// (h2d, kernel, d2h) is an in-order FIFO and every chunk's stages are
+// causally ordered. Every chunk also carries its host stage stamps:
+// pack -> execute -> drain, with drains in stream order.
+TEST(ChunkPipeline, ChunkEventsStreamOrderedWithMonotonicTimestamps) {
+  const auto a = io::random_bitmatrix(5, 384, 0.5, 13);
+  const auto b = io::random_bitmatrix(310, 384, 0.5, 14);
+  Context ctx = Context::gpu("gtx980");
+  ComputeOptions opts;
+  opts.chunk_rows = 32;
+  const auto r = ctx.compare(a, b, Comparison::kXor, opts);
+  const auto& evs = r.timing.chunk_events;
+  ASSERT_GT(evs.size(), 1u) << "want a multi-chunk workload";
+  std::size_t next_row = 0;
+  for (std::size_t i = 0; i < evs.size(); ++i) {
+    const auto& e = evs[i];
+    EXPECT_EQ(e.index, i) << "chunk out of stream order";
+    EXPECT_EQ(e.row0, next_row) << "row ranges must tile the operand";
+    ASSERT_GT(e.rows, 0u);
+    next_row += e.rows;
+
+    // Within a chunk the simulated stages are causally ordered.
+    EXPECT_LE(e.h2d_start, e.h2d_end);
+    EXPECT_LE(e.h2d_end, e.kernel_start) << "kernel before its upload";
+    EXPECT_LE(e.kernel_start, e.kernel_end);
+    EXPECT_LE(e.kernel_end, e.d2h_start) << "readback before kernel";
+    EXPECT_LE(e.d2h_start, e.d2h_end);
+
+    // Host wall-clock stamps follow the stage order.
+    EXPECT_LT(e.host_pack_start, e.host_drain_end) << "host stages unstamped";
+    EXPECT_LE(e.host_pack_start, e.host_pack_end);
+    EXPECT_LE(e.host_pack_end, e.host_exec_start);
+    EXPECT_LE(e.host_exec_start, e.host_exec_end);
+    EXPECT_LE(e.host_exec_end, e.host_drain_start);
+    EXPECT_LE(e.host_drain_start, e.host_drain_end);
+    if (i > 0) {
+      // Each simulated engine is an in-order FIFO.
+      const auto& p = evs[i - 1];
+      EXPECT_GE(e.h2d_start, p.h2d_end) << "h2d engine overlap";
+      EXPECT_GE(e.kernel_start, p.kernel_end) << "kernel engine overlap";
+      EXPECT_GE(e.d2h_start, p.d2h_end) << "d2h engine overlap";
+      EXPECT_GE(e.host_drain_start, p.host_drain_end)
+          << "drains must run in stream order";
+    }
+  }
+  EXPECT_EQ(next_row, b.rows()) << "chunks must cover every row once";
+}
+
+TEST(ChunkPipeline, StagesRunOnTheCallingThread) {
+  // Each chunk's drain, and so its callback, runs inside the chunk's
+  // enqueue on the thread that called compare(), in stream order.
+  const auto a = io::random_bitmatrix(4, 256, 0.5, 15);
+  const auto b = io::random_bitmatrix(150, 256, 0.5, 16);
+  Context ctx = Context::gpu("titanv");
+  ComputeOptions opts;
+  opts.chunk_rows = 16;
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  std::size_t foreign = 0;
+  opts.chunk_callback = [&](const ComputeOptions::ChunkView& v) {
+    if (std::this_thread::get_id() != caller) {
+      ++foreign;
+    }
+    order.push_back(v.row0);
+  };
+  const auto r = ctx.compare(a, b, Comparison::kXor, opts);
+  EXPECT_TRUE(r.counts == bits::compare_reference(a, b, Comparison::kXor));
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(r.timing.chunks));
+  EXPECT_EQ(foreign, 0u) << "a chunk drained off the calling thread";
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], i * opts.chunk_rows) << "chunk " << i;
+  }
+}
+
+TEST(ChunkPipeline, CancelFromTheConsumerStopsAtTheNextChunkBoundary) {
+  // The consumer fires the token while chunk 2 drains; the checkpoint at
+  // chunk 3's boundary stops the stream with the token's status, so no
+  // later chunk is computed or delivered.
+  const auto a = io::random_bitmatrix(4, 256, 0.5, 19);
+  const auto b = io::random_bitmatrix(150, 256, 0.5, 20);
+  Context ctx = Context::gpu("gtx980");
+  ComputeOptions opts;
+  opts.chunk_rows = 16;
+  opts.cancel = std::make_shared<rt::CancelToken>();
+  std::size_t fired = 0;
+  opts.chunk_callback = [&](const ComputeOptions::ChunkView&) {
+    if (++fired == 3) {
+      opts.cancel->cancel(
+          rt::Status::failure(rt::ErrorCode::kCancelled, "consumer done"));
+    }
+  };
+  try {
+    (void)ctx.compare(a, b, Comparison::kXor, opts);
+    FAIL() << "expected rt::Error";
+  } catch (const rt::Error& e) {
+    EXPECT_EQ(e.code(), rt::ErrorCode::kCancelled);
+  }
+  EXPECT_EQ(fired, 3u) << "a chunk past the cancel was delivered";
+}
+
+TEST(ChunkPipeline, EveryDeviceStampsHostStagesOnEitherStreamedOperand) {
+  // The host stage stamps are filled on every functional run: on each
+  // simulated device, whether B (more database rows) or A (more queries)
+  // streams, one event per chunk with pack -> execute -> drain ordered.
+  const auto few = io::random_bitmatrix(3, 320, 0.5, 17);
+  const auto many = io::random_bitmatrix(120, 320, 0.5, 18);
+  for (const char* device : {"gtx980", "titanv", "vega64"}) {
+    for (const bool stream_b : {true, false}) {
+      SCOPED_TRACE(std::string(device) + (stream_b ? " B" : " A") +
+                   " streams");
+      const bits::BitMatrix& a = stream_b ? few : many;
+      const bits::BitMatrix& b = stream_b ? many : few;
+      Context ctx = Context::gpu(device);
+      ComputeOptions opts;
+      opts.chunk_rows = 25;
+      const auto r = ctx.compare(a, b, Comparison::kAnd, opts);
+      EXPECT_TRUE(r.counts ==
+                  bits::compare_reference(a, b, Comparison::kAnd));
+      const auto& evs = r.timing.chunk_events;
+      ASSERT_EQ(evs.size(), static_cast<std::size_t>(r.timing.chunks));
+      ASSERT_EQ(evs.size(), 5u) << "120 streamed rows in chunks of 25";
+      for (const auto& e : evs) {
+        EXPECT_LT(e.host_pack_start, e.host_drain_end)
+            << "chunk " << e.index << " unstamped";
+        EXPECT_LE(e.host_pack_end, e.host_exec_start);
+        EXPECT_LE(e.host_exec_end, e.host_drain_start);
+      }
     }
   }
 }
+
+struct ShapeCase {
+  std::size_t m, n, bits;
+  std::size_t chunk_rows;  ///< 0 = planner default
+  double density;
+  std::uint64_t seed;
+};
+
+class ChunkShapes
+    : public ::testing::TestWithParam<std::tuple<ShapeCase, Comparison>> {};
+
+TEST_P(ChunkShapes, CompareOnGpuContext) {
+  const auto& [c, op] = GetParam();
+  const auto a = io::random_bitmatrix(c.m, c.bits, c.density, c.seed);
+  const auto b =
+      io::random_bitmatrix(c.n, c.bits, 1.0 - c.density, c.seed + 1);
+  Context ctx = Context::gpu("gtx980");
+  ComputeOptions opts;
+  opts.chunk_rows = c.chunk_rows;
+  EXPECT_TRUE(ctx.compare(a, b, op, opts).counts ==
+              bits::compare_reference(a, b, op));
+}
+
+TEST_P(ChunkShapes, CompareOnCpuContext) {
+  const auto& [c, op] = GetParam();
+  const auto a = io::random_bitmatrix(c.m, c.bits, c.density, c.seed + 2);
+  const auto b =
+      io::random_bitmatrix(c.n, c.bits, 1.0 - c.density, c.seed + 3);
+  Context ctx = Context::cpu();
+  EXPECT_TRUE(ctx.compare(a, b, op).counts ==
+              bits::compare_reference(a, b, op));
+}
+
+TEST_P(ChunkShapes, IdentitySearchFullAndStreamingMatchReference) {
+  const auto& [c, op] = GetParam();
+  (void)op;  // identity search is always XOR
+  const auto queries =
+      io::random_bitmatrix(c.m, c.bits, c.density, c.seed + 4);
+  const auto db =
+      io::random_bitmatrix(c.n, c.bits, 1.0 - c.density, c.seed + 5);
+  const CountMatrix expected =
+      bits::compare_reference(queries, db, Comparison::kXor);
+
+  Context ctx = Context::gpu("titanv");
+  ComputeOptions opts;
+  opts.chunk_rows = c.chunk_rows;
+  const auto full = ctx.identity_search(queries, db, opts);
+  EXPECT_TRUE(full.comparison.counts == expected);
+  constexpr std::size_t kTop = 3;
+  const auto streamed =
+      ctx.identity_search_streaming(queries, db, kTop, opts);
+  ASSERT_EQ(streamed.top.size(), queries.rows());
+  for (std::size_t q = 0; q < queries.rows(); ++q) {
+    // The reference ranking: ascending mismatches, ties by index.
+    std::vector<std::pair<std::uint32_t, std::size_t>> ranked;
+    for (std::size_t j = 0; j < db.rows(); ++j) {
+      ranked.emplace_back(expected.at(q, j), j);
+    }
+    std::sort(ranked.begin(), ranked.end());
+    EXPECT_EQ(full.best_match[q], ranked.front().second);
+    EXPECT_EQ(full.best_mismatches[q], ranked.front().first);
+    const auto& top = streamed.top[q];
+    ASSERT_EQ(top.size(), std::min(kTop, db.rows()));
+    for (std::size_t k = 0; k < top.size(); ++k) {
+      EXPECT_EQ(top[k].reference_index, ranked[k].second);
+      EXPECT_EQ(top[k].mismatches, ranked[k].first);
+    }
+  }
+}
+
+// Every op x a spread of shapes: ragged K not a multiple of 64, M/N below
+// the micro-tile, chunk sizes forcing ragged tail chunks.
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, ChunkShapes,
+    ::testing::Combine(
+        ::testing::Values(
+            // Multi-chunk with ragged tail chunk (n % chunk_rows != 0).
+            ShapeCase{5, 300, 512, 64, 0.4, 100},
+            ShapeCase{7, 129, 96, 10, 0.5, 200},
+            // Ragged K (not a multiple of 64) and tiny M below m_r.
+            ShapeCase{3, 250, 130, 32, 0.3, 300},
+            ShapeCase{1, 100, 65, 16, 0.5, 400},
+            ShapeCase{2, 77, 33, 9, 0.7, 500},
+            // Streamed A (queries outnumber the database).
+            ShapeCase{200, 6, 512, 31, 0.5, 600},
+            ShapeCase{150, 3, 257, 20, 0.2, 700},
+            // Single chunk (chunk_rows > n) and planner-default chunks.
+            ShapeCase{4, 40, 512, 0, 0.5, 800},
+            ShapeCase{8, 64, 1024, 128, 0.6, 900},
+            // Square-ish, multiple chunks, K with tail words.
+            ShapeCase{33, 190, 1537, 48, 0.35, 1000},
+            ShapeCase{16, 512, 320, 100, 0.45, 1100},
+            // Many tiny chunks, down to one row per chunk.
+            ShapeCase{6, 400, 192, 8, 0.5, 1200},
+            ShapeCase{12, 96, 64, 5, 0.9, 1300},
+            ShapeCase{9, 257, 449, 19, 0.15, 1400},
+            ShapeCase{64, 64, 640, 16, 0.5, 1500},
+            ShapeCase{5, 70, 200, 1, 0.5, 1600},
+            // Chunks that tile the operand exactly (no ragged tail).
+            ShapeCase{4, 256, 128, 64, 0.5, 1700}),
+        ::testing::Values(Comparison::kAnd, Comparison::kXor,
+                          Comparison::kAndNot)));
 
 }  // namespace
 }  // namespace snp

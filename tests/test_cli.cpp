@@ -65,6 +65,12 @@ TEST(Cli, UnknownCommandAndOptions) {
   EXPECT_NE(missing.err.find("--out"), std::string::npos);
   const auto dangling = run_cli({"gen", "--out"});
   EXPECT_EQ(dangling.code, 1);
+  // A leftover --threads fails loudly, like any unknown option.
+  const auto threads = run_cli({"search", "--queries", tmp("q.sbm"), "--db",
+                                tmp("db.sbm"), "--threads", "2"});
+  EXPECT_EQ(threads.code, 1);
+  EXPECT_NE(threads.err.find("unknown option --threads"), std::string::npos)
+      << threads.err;
 }
 
 TEST(Cli, Devices) {
@@ -109,6 +115,126 @@ TEST(Cli, SearchPipeline) {
   EXPECT_NE(r.out.find("query 0:  #3 (0 mismatches)"), std::string::npos)
       << r.out;
   EXPECT_NE(r.out.find("query 1:  #4 (0 mismatches)"), std::string::npos);
+}
+
+TEST(Cli, SearchHostTraceHasStageSlicesByDefault) {
+  const std::string db = tmp("db.sbm");
+  const std::string queries = tmp("q.sbm");
+  const std::string trace = tmp("host.json");
+  ASSERT_EQ(run_cli({"gendb", "--profiles", "2000", "--snps", "256",
+                     "--seed", "21", "--out", db})
+                .code,
+            0);
+  ASSERT_EQ(run_cli({"gendb", "--profiles", "4", "--snps", "256", "--seed",
+                     "22", "--out", queries})
+                .code,
+            0);
+  const auto r = run_cli({"search", "--queries", queries, "--db", db,
+                          "--host-trace", trace});
+  ASSERT_EQ(r.code, 0) << r.err;
+  const std::string marker = "wrote host-pipeline timeline (";
+  const auto at = r.out.find(marker);
+  ASSERT_NE(at, std::string::npos) << r.out;
+  const std::size_t chunks = std::stoul(r.out.substr(at + marker.size()));
+  ASSERT_GT(chunks, 0u);
+  std::ifstream is(trace);
+  std::stringstream content;
+  content << is.rdbuf();
+  const std::string json = content.str();
+  const auto count = [&json](const std::string& needle) {
+    std::size_t n = 0;
+    for (auto pos = json.find(needle); pos != std::string::npos;
+         pos = json.find(needle, pos + needle.size())) {
+      ++n;
+    }
+    return n;
+  };
+  // One slice per stage per chunk, and no other slices.
+  EXPECT_EQ(count(R"("ph": "X")"), 3 * chunks) << json;
+  for (const std::string stage : {"pack", "exec", "drain"}) {
+    for (std::size_t c = 0; c < chunks; ++c) {
+      EXPECT_EQ(count(R"({"name": ")" + stage + " chunk " +
+                      std::to_string(c) + R"(", "ph": "X")"),
+                1u)
+          << stage << " chunk " << c << " in " << json;
+    }
+  }
+}
+
+TEST(Cli, SearchTraceOutHasHostStageSlicesByDefault) {
+  // The merged trace's pipeline process (pid 2) carries one pack, exec
+  // and drain slice for every chunk the device timeline (pid 0) shows.
+  const std::string db = tmp("db.sbm");
+  const std::string queries = tmp("q.sbm");
+  const std::string trace = tmp("merged.json");
+  ASSERT_EQ(run_cli({"gendb", "--profiles", "2000", "--snps", "256",
+                     "--seed", "23", "--out", db})
+                .code,
+            0);
+  ASSERT_EQ(run_cli({"gendb", "--profiles", "4", "--snps", "256", "--seed",
+                     "24", "--out", queries})
+                .code,
+            0);
+  const auto r = run_cli({"search", "--queries", queries, "--db", db,
+                          "--trace-out", trace});
+  ASSERT_EQ(r.code, 0) << r.err;
+  std::ifstream is(trace);
+  std::stringstream content;
+  content << is.rdbuf();
+  const std::string json = content.str();
+  const auto count = [&json](const std::string& needle) {
+    std::size_t n = 0;
+    for (auto pos = json.find(needle); pos != std::string::npos;
+         pos = json.find(needle, pos + needle.size())) {
+      ++n;
+    }
+    return n;
+  };
+  std::size_t chunks = 0;
+  while (count(R"({"name": "kernel chunk )" + std::to_string(chunks) +
+               R"(", "ph": "X", "pid": 0,)") == 1) {
+    ++chunks;
+  }
+  ASSERT_GT(chunks, 0u) << json;
+  for (const std::string stage : {"pack", "exec", "drain"}) {
+    EXPECT_EQ(count(R"({"name": ")" + stage + " chunk "), chunks)
+        << stage << " in " << json;
+    for (std::size_t c = 0; c < chunks; ++c) {
+      EXPECT_EQ(count(R"({"name": ")" + stage + " chunk " +
+                      std::to_string(c) + R"(", "ph": "X", "pid": 2,)"),
+                1u)
+          << stage << " chunk " << c << " in " << json;
+    }
+  }
+}
+
+TEST(Cli, LdMixtureAndSubmitRejectThreads) {
+  // The other verbs that once took --threads (search and serve are
+  // checked with the usage errors): each runs without the flag and exits
+  // 1 with it, so a script that still passes it fails loudly.
+  const std::string db = tmp("db.sbm");
+  const std::string queries = tmp("q.sbm");
+  ASSERT_EQ(run_cli({"gendb", "--profiles", "50", "--snps", "128",
+                     "--seed", "25", "--out", db})
+                .code,
+            0);
+  ASSERT_EQ(run_cli({"gendb", "--profiles", "2", "--snps", "128", "--seed",
+                     "26", "--out", queries})
+                .code,
+            0);
+  const std::vector<std::vector<std::string>> calls = {
+      {"ld", "--in", db},
+      {"mixture", "--profiles", db, "--mixtures", queries},
+      {"submit", "--db", db, "--queries", queries}};
+  for (std::vector<std::string> args : calls) {
+    const std::string verb = args.front();
+    ASSERT_EQ(run_cli(args).code, 0) << verb << " without --threads";
+    args.insert(args.end(), {"--threads", "2"});
+    const auto r = run_cli(args);
+    EXPECT_EQ(r.code, 1) << verb;
+    EXPECT_NE(r.err.find("unknown option --threads"), std::string::npos)
+        << verb << ": " << r.err;
+  }
 }
 
 TEST(Cli, MixturePipeline) {

@@ -1,5 +1,5 @@
-// Unit tests for snp::exec — the host-side thread pool, semaphore, and
-// dependency-ordered task graph behind the asynchronous chunk pipeline.
+// Unit tests for snp::exec — the host-side thread pool and its
+// parallel-for.
 #include <gtest/gtest.h>
 #include <sched.h>
 
@@ -9,12 +9,10 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "exec/task_graph.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/metrics.hpp"
 
@@ -36,17 +34,6 @@ TEST(ThreadPool, ZeroThreadsRunsInlineOnThePostingThread) {
   // Inline mode: the task has already run by the time post() returns.
   EXPECT_TRUE(ran);
   EXPECT_EQ(ran_on, caller);
-}
-
-TEST(ThreadPool, SubmitCarriesResultsAndExceptions) {
-  for (const std::size_t threads : {std::size_t{0}, std::size_t{3}}) {
-    ThreadPool pool(threads);
-    auto ok = pool.submit([] { return 6 * 7; });
-    auto bad = pool.submit(
-        []() -> int { throw std::runtime_error("task boom"); });
-    EXPECT_EQ(ok.get(), 42);
-    EXPECT_THROW(bad.get(), std::runtime_error);
-  }
 }
 
 TEST(ThreadPool, DestructionDrainsEveryQueuedTask) {
@@ -167,6 +154,114 @@ TEST(ThreadPool, WorkersGaugeCountsLiveWorkersOverAllPools) {
   EXPECT_EQ(workers.value(), before);
 }
 
+TEST(ThreadPool, QueueDepthAndActiveWorkersTrackHeldWork) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.queue_depth(), 0u);
+  EXPECT_EQ(pool.active_workers(), 0u);
+  std::promise<void> started;
+  std::promise<void> release;
+  auto worker_busy = started.get_future();
+  pool.post([&started, held = release.get_future().share()] {
+    started.set_value();
+    held.wait();
+  });
+  worker_busy.wait();
+  std::atomic<int> ran{0};
+  pool.post([&ran] { ran.fetch_add(1); });
+  pool.post([&ran] { ran.fetch_add(1); });
+  // The only worker holds the first task; the other two wait in line.
+  EXPECT_EQ(pool.active_workers(), 1u);
+  EXPECT_EQ(pool.queue_depth(), 2u);
+  release.set_value();
+  pool.wait_idle();
+  EXPECT_EQ(ran.load(), 2);
+  EXPECT_EQ(pool.queue_depth(), 0u);
+  EXPECT_EQ(pool.active_workers(), 0u);
+}
+
+TEST(HostPool, OneProcessWidePoolLeavesTheCallerASlot) {
+  // Every caller gets the same pool, from any thread, with one worker
+  // fewer than the CPUs it may run on: the caller is the last
+  // participant of each parallel_for.
+  ThreadPool& pool = host_pool();
+  ThreadPool* from_other_thread = nullptr;
+  std::thread([&from_other_thread] { from_other_thread = &host_pool(); })
+      .join();
+  EXPECT_EQ(from_other_thread, &pool);
+  EXPECT_EQ(&host_pool(), &pool);
+  const std::size_t cpus = ThreadPool::hardware_threads();
+  EXPECT_EQ(pool.thread_count(), cpus - 1);
+  std::vector<std::atomic<int>> runs(100);
+  pool.parallel_for(runs.size(), [&](std::size_t slot, std::size_t i) {
+    EXPECT_LT(slot, cpus);
+    runs[i].fetch_add(1);
+  });
+  for (const auto& r : runs) {
+    EXPECT_EQ(r.load(), 1);
+  }
+}
+
+TEST(ParallelFor, RunsInlineWithoutWorkersOrForOneIndex) {
+  const auto caller = std::this_thread::get_id();
+  // No workers: every index runs on the calling thread, in order.
+  ThreadPool none(0);
+  std::vector<std::size_t> order;
+  bool off_caller = false;
+  none.parallel_for(5, [&](std::size_t slot, std::size_t i) {
+    off_caller |= std::this_thread::get_id() != caller;
+    EXPECT_EQ(slot, 0u);
+    order.push_back(i);
+  });
+  EXPECT_FALSE(off_caller);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+
+  // One index on a pool whose workers are all held: it runs on the
+  // caller and posts no helper, so the queue stays empty.
+  ThreadPool busy(2);
+  std::promise<void> release;
+  const auto held = release.get_future().share();
+  std::atomic<int> started{0};
+  for (int w = 0; w < 2; ++w) {
+    busy.post([&started, held] {
+      started.fetch_add(1);
+      held.wait();
+    });
+  }
+  while (started.load() < 2) {
+    std::this_thread::sleep_for(100us);
+  }
+  std::thread::id ran_on;
+  busy.parallel_for(1, [&ran_on](std::size_t, std::size_t) {
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran_on, caller);
+  EXPECT_EQ(busy.queue_depth(), 0u) << "a helper was posted for one index";
+  release.set_value();
+  busy.wait_idle();
+}
+
+TEST(ParallelFor, EachSlotBelongsToOneThreadForTheWholeCall) {
+  // A body may keep per-participant scratch indexed by slot, so no two
+  // threads may ever share a slot within one call.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    ThreadPool pool(threads);
+    std::mutex mu;
+    std::vector<std::thread::id> owner(threads + 1);  // id{} = unclaimed
+    int shared_slots = 0;
+    pool.parallel_for(2000, [&](std::size_t slot, std::size_t) {
+      ASSERT_LE(slot, threads);
+      const std::lock_guard<std::mutex> lock(mu);
+      const auto me = std::this_thread::get_id();
+      if (owner[slot] == std::thread::id{}) {
+        owner[slot] = me;
+      } else if (owner[slot] != me) {
+        ++shared_slots;
+      }
+    });
+    EXPECT_EQ(shared_slots, 0) << threads << " workers";
+  }
+}
+
 TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
   for (const std::size_t threads : {std::size_t{0}, std::size_t{1},
                                     std::size_t{3}, std::size_t{8}}) {
@@ -246,194 +341,6 @@ TEST(ParallelFor, HelperStartingAfterTheCallReadsNoFreedMemory) {
   release.set_value();
   pool.wait_idle();
   EXPECT_EQ(ran.load(), 16);
-}
-
-TEST(Semaphore, BlocksAtZeroUntilReleased) {
-  Semaphore sem(2);
-  sem.acquire();
-  sem.acquire();
-  EXPECT_EQ(sem.available(), 0u);
-
-  std::atomic<bool> acquired{false};
-  std::thread blocked([&] {
-    sem.acquire();  // must block until the release below
-    acquired.store(true);
-  });
-  std::this_thread::sleep_for(2ms);
-  EXPECT_FALSE(acquired.load());
-  sem.release();
-  blocked.join();
-  EXPECT_TRUE(acquired.load());
-}
-
-TEST(TaskGraph, RespectsDependencyOrder) {
-  ThreadPool pool(4);
-  TaskGraph graph(pool);
-  std::mutex mu;
-  std::vector<int> order;
-  const auto record = [&](int tag) {
-    return [&order, &mu, tag] {
-      const std::lock_guard<std::mutex> lock(mu);
-      order.push_back(tag);
-    };
-  };
-  // Diamond: 0 -> {1, 2} -> 3.
-  const auto t0 = graph.add(record(0));
-  const auto t1 = graph.add(record(1), {t0});
-  const auto t2 = graph.add(record(2), {t0});
-  graph.add(record(3), {t1, t2});
-  graph.wait();
-
-  ASSERT_EQ(order.size(), 4u);
-  EXPECT_EQ(order.front(), 0);
-  EXPECT_EQ(order.back(), 3);
-  EXPECT_EQ(graph.completed(), 4u);
-}
-
-TEST(TaskGraph, DrainChainDeliversInOrderUnderParallelism) {
-  // The async compare() idiom: exec tasks run in any order, but drain i
-  // depends on {exec i, drain i-1} and so fires strictly in stream order.
-  ThreadPool pool(4);
-  TaskGraph graph(pool);
-  constexpr std::size_t kChunks = 48;
-  std::vector<std::size_t> delivered;
-  std::mutex mu;
-  TaskGraph::TaskId prev_drain = 0;
-  for (std::size_t i = 0; i < kChunks; ++i) {
-    const auto exec_id = graph.add([i] {
-      if (i % 3 == 0) {
-        std::this_thread::sleep_for(200us);  // jitter the exec order
-      }
-    });
-    std::vector<TaskGraph::TaskId> deps{exec_id};
-    if (i > 0) {
-      deps.push_back(prev_drain);
-    }
-    prev_drain = graph.add(
-        [&delivered, &mu, i] {
-          const std::lock_guard<std::mutex> lock(mu);
-          delivered.push_back(i);
-        },
-        deps);
-  }
-  graph.wait();
-
-  std::vector<std::size_t> expected(kChunks);
-  std::iota(expected.begin(), expected.end(), 0u);
-  EXPECT_EQ(delivered, expected);
-}
-
-TEST(TaskGraph, FirstExceptionPropagatesAndDependentsAreSkipped) {
-  ThreadPool pool(2);
-  TaskGraph graph(pool);
-  std::atomic<int> ran{0};
-  const auto boom = graph.add([] {
-    throw std::runtime_error("chunk 2 failed");
-  });
-  const auto child = graph.add([&ran] { ran.fetch_add(1); }, {boom});
-  graph.add([&ran] { ran.fetch_add(1); }, {child});  // transitive skip
-  graph.add([&ran] { ran.fetch_add(1); });           // independent: runs
-  EXPECT_THROW(graph.wait(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 1);
-  EXPECT_EQ(graph.completed(), 1u);
-  EXPECT_EQ(graph.skipped(), 2u);
-  // wait() after failure stays terminal and keeps rethrowing.
-  EXPECT_THROW(graph.wait(), std::runtime_error);
-}
-
-TEST(TaskGraph, AddingToAFailedDependencySkipsImmediately) {
-  ThreadPool pool(1);
-  TaskGraph graph(pool);
-  const auto boom = graph.add([] { throw std::logic_error("early"); });
-  EXPECT_THROW(graph.wait(), std::logic_error);
-  bool ran = false;
-  graph.add([&ran] { ran = true; }, {boom});  // dep already failed
-  EXPECT_THROW(graph.wait(), std::logic_error);
-  EXPECT_FALSE(ran);
-  EXPECT_EQ(graph.skipped(), 1u);
-}
-
-TEST(TaskGraph, SemaphoreBoundsTasksInFlight) {
-  // The producer-side backpressure pattern from compare(): acquire a slot
-  // before adding a chunk, release it from the chunk's final task. At most
-  // `kSlots` chunks may ever be between acquire and release.
-  constexpr std::size_t kSlots = 3;
-  constexpr std::size_t kChunks = 40;
-  ThreadPool pool(4);
-  TaskGraph graph(pool);
-  Semaphore slots(kSlots);
-  std::atomic<std::size_t> in_flight{0};
-  std::atomic<std::size_t> peak{0};
-  for (std::size_t i = 0; i < kChunks; ++i) {
-    slots.acquire();
-    const std::size_t now = in_flight.fetch_add(1) + 1;
-    std::size_t seen = peak.load();
-    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
-    }
-    graph.add([&] {
-      std::this_thread::sleep_for(100us);
-      in_flight.fetch_sub(1);
-      slots.release();
-    });
-  }
-  graph.wait();
-  EXPECT_EQ(in_flight.load(), 0u);
-  EXPECT_LE(peak.load(), kSlots);
-  EXPECT_GE(peak.load(), 1u);
-}
-
-TEST(TaskGraph, DestructorQuiescesWithQueuedWork) {
-  std::atomic<int> ran{0};
-  ThreadPool pool(2);
-  {
-    TaskGraph graph(pool);
-    TaskGraph::TaskId prev = 0;
-    for (int i = 0; i < 32; ++i) {
-      std::vector<TaskGraph::TaskId> deps;
-      if (i > 0) {
-        deps.push_back(prev);
-      }
-      prev = graph.add(
-          [&ran] {
-            std::this_thread::sleep_for(100us);
-            ran.fetch_add(1);
-          },
-          deps);
-    }
-    // No wait(): the destructor must block until the chain finishes.
-  }
-  EXPECT_EQ(ran.load(), 32);
-}
-
-TEST(TaskGraph, StressHundredsOfTinyTasksWithRandomDeps) {
-  for (const std::size_t threads :
-       {std::size_t{0}, std::size_t{1}, std::size_t{8}}) {
-    ThreadPool pool(threads);
-    TaskGraph graph(pool);
-    constexpr std::size_t kTasks = 600;
-    std::atomic<std::size_t> ran{0};
-    std::vector<TaskGraph::TaskId> ids;
-    ids.reserve(kTasks);
-    std::uint64_t rng = 12345;
-    for (std::size_t i = 0; i < kTasks; ++i) {
-      std::vector<TaskGraph::TaskId> deps;
-      if (!ids.empty()) {
-        // Up to two pseudo-random earlier tasks as dependencies.
-        for (int d = 0; d < 2; ++d) {
-          rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
-          if (rng % 3 != 0) {
-            deps.push_back(ids[(rng >> 33) % ids.size()]);
-          }
-        }
-      }
-      ids.push_back(graph.add([&ran] { ran.fetch_add(1); }, deps));
-    }
-    graph.wait();
-    EXPECT_EQ(ran.load(), kTasks) << threads << " threads";
-    EXPECT_EQ(graph.added(), kTasks);
-    EXPECT_EQ(graph.completed(), kTasks);
-    EXPECT_EQ(graph.skipped(), 0u);
-  }
 }
 
 }  // namespace

@@ -94,23 +94,6 @@ TEST(FaultSoak, EverySiteEveryPolicyRecovers) {
   }
 }
 
-TEST(FaultSoak, AsyncPipelineRecoversToo) {
-  const Workload w;
-  const CountMatrix expected = clean_baseline(w);
-  for (const std::string site : {"launch", "pool", "h2d"}) {
-    for (int seed = 0; seed < 10; ++seed) {
-      rt::ScopedFaultPlan plan(rt::FaultPlan::parse(
-          site + ":p=0.1:seed=" + std::to_string(seed)));
-      ComputeOptions opts = soak_options(rt::FailPolicy::kDegrade);
-      opts.threads = 3;
-      Context ctx = Context::gpu("titanv");
-      const auto r = ctx.compare(w.a, w.b, Comparison::kXor, opts);
-      ASSERT_TRUE(r.counts == expected)
-          << "site=" << site << " seed=" << seed;
-    }
-  }
-}
-
 TEST(FaultSoak, SameSeedReplaysTheSameRecoverySequence) {
   const Workload w;
   auto run = [&] {

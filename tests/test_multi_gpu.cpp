@@ -2,6 +2,10 @@
 // composition, gather model, estimate/compare agreement.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <thread>
+#include <vector>
+
 #include "io/datagen.hpp"
 #include "multi/multi_gpu.hpp"
 #include "rt/fault.hpp"
@@ -242,21 +246,79 @@ TEST(MultiGpuFailover, AbortPolicyPropagatesShardLoss) {
   }
 }
 
-TEST(MultiGpuFailover, HostThreadsDoNotChangeFailoverResults) {
+TEST(MultiGpuFailover, FourDeviceFailoverMatchesSingleDevice) {
   const auto a = io::random_bitmatrix(5, 160, 0.4, 978);
   const auto b = io::random_bitmatrix(400, 160, 0.5, 979);
   Context single = Context::gpu("titanv");
   const auto expected = single.compare(a, b, Comparison::kXor).counts;
-  for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
-    rt::ScopedFaultPlan plan(
-        rt::FaultPlan::parse("shard:at=2:after=1"));
-    MultiGpuContext box("titanv", 4);
-    MultiGpuOptions opts = failover_opts(rt::FailPolicy::kFailover);
-    opts.host_threads = threads;
-    const auto r = box.compare(a, b, Comparison::kXor, opts);
-    EXPECT_TRUE(r.counts == expected) << threads << " host threads";
-    EXPECT_EQ(r.timing.lost_devices.size(), 1u);
+  rt::ScopedFaultPlan plan(rt::FaultPlan::parse("shard:at=2:after=1"));
+  MultiGpuContext box("titanv", 4);
+  const auto r = box.compare(a, b, Comparison::kXor,
+                             failover_opts(rt::FailPolicy::kFailover));
+  EXPECT_TRUE(r.counts == expected);
+  EXPECT_EQ(r.timing.lost_devices.size(), 1u);
+}
+
+TEST(MultiGpuFailover, AbortRunsEveryShardThenRethrowsTheFirstError) {
+  // Shard 1's device dies, and the consumer throws on shard 3's first
+  // chunk. Shards 2 and 3 still run after shard 1 failed, and the error
+  // rethrown is shard 1's, the first in shard order.
+  const auto a = io::random_bitmatrix(4, 128, 0.4, 980);
+  const auto b = io::random_bitmatrix(400, 128, 0.5, 981);
+  rt::ScopedFaultPlan plan(rt::FaultPlan::parse("shard:at=1:after=1"));
+  MultiGpuContext box("titanv", 4);
+  MultiGpuOptions opts = failover_opts(rt::FailPolicy::kAbort);
+  std::size_t shard_starts = 0;
+  opts.per_device.chunk_callback = [&](const ComputeOptions::ChunkView& v) {
+    if (v.row0 == 0 && ++shard_starts == 3) {
+      throw std::logic_error("consumer rejected shard 3");
+    }
+  };
+  try {
+    (void)box.compare(a, b, Comparison::kXor, opts);
+    FAIL() << "expected rt::Error";
+  } catch (const rt::Error& e) {
+    EXPECT_EQ(e.code(), rt::ErrorCode::kShardLost);
   }
+  EXPECT_EQ(shard_starts, 3u) << "shards 0, 2 and 3 must all have run";
+}
+
+TEST(MultiGpu, ShardsRunInTurnOnTheCallingThread) {
+  // A per-device chunk_callback sees one shard's chunks at a time, with
+  // row0 relative to its shard, all on the calling thread.
+  const auto a = io::random_bitmatrix(3, 192, 0.4, 982);
+  const auto b = io::random_bitmatrix(300, 192, 0.5, 983);
+  MultiGpuContext box("gtx980", 3);
+  MultiGpuOptions opts;
+  opts.per_device.chunk_rows = 32;
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::size_t> row0s;
+  std::size_t delivered = 0;
+  std::size_t foreign = 0;
+  opts.per_device.chunk_callback = [&](const ComputeOptions::ChunkView& v) {
+    if (std::this_thread::get_id() != caller) {
+      ++foreign;
+    }
+    row0s.push_back(v.row0);
+    delivered += v.part.cols();
+  };
+  const auto r = box.compare(a, b, Comparison::kXor, opts);
+  Context single = Context::gpu("gtx980");
+  EXPECT_TRUE(r.counts == single.compare(a, b, Comparison::kXor).counts);
+  EXPECT_EQ(foreign, 0u);
+  EXPECT_EQ(delivered, b.rows()) << "every row delivered exactly once";
+  // Shard-relative offsets: each shard restarts at 0 and then climbs by
+  // one chunk at a time, so the shards never interleave.
+  std::size_t shards = 0;
+  for (std::size_t i = 0; i < row0s.size(); ++i) {
+    if (row0s[i] == 0) {
+      ++shards;
+    } else {
+      ASSERT_GT(i, 0u);
+      EXPECT_EQ(row0s[i], row0s[i - 1] + 32) << "at delivery " << i;
+    }
+  }
+  EXPECT_EQ(shards, 3u);
 }
 
 }  // namespace

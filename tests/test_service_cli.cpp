@@ -375,6 +375,13 @@ TEST(ServeCli, UsageErrors) {
                      "--script", script, "--op", "nand"})
                 .code,
             1);
+  // A leftover --threads fails loudly, like any unknown option.
+  const auto threads = run_cli({"serve", "--db", f.db, "--queries",
+                                f.queries, "--script", script, "--threads",
+                                "2"});
+  EXPECT_EQ(threads.code, 1);
+  EXPECT_NE(threads.err.find("unknown option --threads"), std::string::npos)
+      << threads.err;
   // Missing script file.
   EXPECT_EQ(run_cli({"serve", "--db", f.db, "--queries", f.queries,
                      "--script", tmp("nope.jsonl")})

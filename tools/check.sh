@@ -10,13 +10,13 @@
 #      must be blocked with exit 3 + their SNP-BOUND-*/SNP-OVF-* IDs,
 #      and a reduced-seed mutation soak must be failure-free.
 #   2. ASan/UBSan build + tier-1 tests.
-#   3. TSan build + the concurrency-heavy suites (exec scheduler,
-#      async-vs-serial conformance, the in-place chunk pipeline, the host
-#      engines whose loops run on the exec pool — CPU engine, LD stats,
-#      sparse — the obs metrics/span registry, the fault-injection soak,
-#      and the multi-client service-engine soak, its teardown race
-#      repeated 50 times). Every host thread is an exec pool thread, so
-#      TSan sees the parallel code production runs.
+#   3. TSan build + the concurrency-heavy suites (the exec pool, the
+#      in-place chunk pipeline, the host engines whose loops run on the
+#      exec pool — CPU engine, LD stats, sparse — the obs metrics/span
+#      registry, the fault-injection soak, and the multi-client
+#      service-engine soak, its teardown race repeated 50 times). Every
+#      host thread is an exec pool thread, so TSan sees the parallel code
+#      production runs.
 #   4. Telemetry compiled out (-DSNPCMP_OBS=OFF) build + tier-1 tests.
 #
 # The release stage also runs a fault-injection smoke: an injected
@@ -83,15 +83,21 @@ fi
 ./build/tools/snpcmp gendb --out "$smoke/db.sbm" --profiles 200 --snps 256 >/dev/null
 ./build/tools/snpcmp gendb --out "$smoke/q.sbm" --profiles 4 --snps 256 >/dev/null
 ./build/tools/snpcmp search --queries "$smoke/q.sbm" --db "$smoke/db.sbm" \
-  --threads 4 --metrics-out "$smoke/m.json" --trace-out "$smoke/t.json" >/dev/null
+  --metrics-out "$smoke/m.json" --trace-out "$smoke/t.json" >/dev/null
 python3 - "$smoke/m.json" "$smoke/t.json" <<'EOF'
 import json, sys
 metrics = json.load(open(sys.argv[1]))
-assert metrics["counters"]["core.compare.chunks"] > 0, "no chunk counters"
-assert "exec.pool.queue_depth" in metrics["gauge_peaks"], "no pool gauges"
+chunks = metrics["counters"]["core.compare.chunks"]
+assert chunks > 0, "no chunk counters"
+assert "exec.pool.workers" in metrics["gauge_peaks"], "no pool gauges"
 trace = json.load(open(sys.argv[2]))
 pids = {ev["pid"] for ev in trace}
 assert {1, 2} <= pids, f"merged trace missing host tracks: {pids}"
+# Every chunk of the default run carries its host stage slices on pid 2.
+pipeline = [ev["name"] for ev in trace if ev["pid"] == 2 and ev["ph"] == "X"]
+for stage in ("pack", "exec", "drain"):
+    got = sum(name.startswith(stage + " chunk ") for name in pipeline)
+    assert got == chunks, f"{got} '{stage} chunk' slices for {chunks} chunks"
 # Slices + metadata plus the request-flow dialect: instants ("i") and
 # flow records ("s"/"t"/"f") chained by id (docs/observability.md).
 assert all(ev["ph"] in ("M", "X", "i", "s", "t", "f") for ev in trace)
@@ -306,7 +312,7 @@ tools/bench_compare --self-test
 echo "== benchmark regression smoke (mini aggregate vs itself) =="
 # Fast subset with tiny workloads; a self-comparison must be clean, and
 # the aggregate must carry the env header and per-row CI columns.
-SNP_BENCH_MAX_REPS=8 SNP_BENCH_BUDGET_S=0.2 SNP_ABL_ASYNC_PROFILES=20000 \
+SNP_BENCH_MAX_REPS=8 SNP_BENCH_BUDGET_S=0.2 \
   SNP_ABL_SERVICE_PROFILES=512 SNP_ABL_SERVICE_QUERIES=64 \
   tools/run_bench.sh "$smoke/bench.json" build >/dev/null
 python3 - "$smoke/bench.json" <<'EOF'
@@ -349,18 +355,17 @@ cmake --build --preset asan -j "$jobs"
 ASAN_OPTIONS=detect_leaks=1 \
   ctest --test-dir build-asan -L tier1 --output-on-failure -j "$jobs"
 
-echo "== TSan build + exec/conformance/pipeline/engine/obs/fault/service tests =="
+echo "== TSan build + exec/pipeline/engine/obs/fault/service tests =="
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$jobs" \
-  --target test_exec test_async_conformance test_chunk_pipeline \
+  --target test_exec test_chunk_pipeline \
            test_cpu_engine test_ld_stats test_sparse test_obs \
            test_fault_injection test_service test_chaos test_flight \
            test_tracing
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_exec
-TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_async_conformance
-# Chunk stages write disjoint blocks of one result matrix from pool
-# threads while a drain copies an earlier block out for its callback; the
-# engine's tile loop also runs here on a 3-worker pool.
+# Each chunk's execute stage spreads its tiles over the host pool, whose
+# threads write disjoint parts of one result matrix; the engine's tile
+# loop also runs here on a 3-worker pool.
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_chunk_pipeline
 # The engine's tiles, r2_matrix's row blocks and the sparse engines' rows
 # run on the host pool (hardware_threads() - 1 workers).

@@ -21,7 +21,6 @@ benches=(
   fig8_fastid
   fig9_andnot
   table1_hwparams
-  abl_async
   abl_autotune
   abl_bank_conflicts
   abl_chunk_size
