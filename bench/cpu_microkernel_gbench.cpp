@@ -13,6 +13,17 @@ namespace {
 
 using snp::bits::Comparison;
 
+/// m x m products of `k_bits` columns per second, in 32-bit word-ops.
+void count_wordops(benchmark::State& state, std::size_t m,
+                   std::size_t k_bits) {
+  const double wordops =
+      static_cast<double>(m) * static_cast<double>(m) *
+      static_cast<double>(snp::bits::ceil_div(k_bits, 32));
+  state.counters["Gwordops/s"] = benchmark::Counter(
+      wordops * static_cast<double>(state.iterations()) / 1e9,
+      benchmark::Counter::kIsRate);
+}
+
 void bench_compare(benchmark::State& state, Comparison op) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const auto k_bits = static_cast<std::size_t>(state.range(1));
@@ -22,12 +33,7 @@ void bench_compare(benchmark::State& state, Comparison op) {
     auto c = snp::cpu::compare_blocked(a, b, op);
     benchmark::DoNotOptimize(c.raw().data());
   }
-  const double wordops =
-      static_cast<double>(m) * static_cast<double>(m) *
-      static_cast<double>(snp::bits::ceil_div(k_bits, 32));
-  state.counters["Gwordops/s"] = benchmark::Counter(
-      wordops * static_cast<double>(state.iterations()) / 1e9,
-      benchmark::Counter::kIsRate);
+  count_wordops(state, m, k_bits);
 }
 
 void BM_CpuAnd(benchmark::State& state) {
@@ -40,9 +46,28 @@ void BM_CpuAndNot(benchmark::State& state) {
   bench_compare(state, Comparison::kAndNot);
 }
 
-BENCHMARK(BM_CpuAnd)->Args({256, 4096})->Args({512, 8192});
+BENCHMARK(BM_CpuAnd)
+    ->Args({256, 4096})
+    ->Args({512, 8192})
+    ->Args({2048, 4096});
 BENCHMARK(BM_CpuXor)->Args({256, 4096});
 BENCHMARK(BM_CpuAndNot)->Args({256, 4096});
+
+void BM_CpuLdSelf(benchmark::State& state) {
+  // LD (Eq. 1): one matrix on both sides, which the engine computes on the
+  // tiles on or above the diagonal only. The rate counts the full n^2
+  // product, as BM_CpuAnd does, so the two compare directly.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto k_bits = static_cast<std::size_t>(state.range(1));
+  const auto a = snp::io::random_bitmatrix(n, k_bits, 0.5, 1);
+  for (auto _ : state) {
+    auto c = snp::cpu::compare_blocked(a, a, Comparison::kAnd);
+    benchmark::DoNotOptimize(c.raw().data());
+    benchmark::ClobberMemory();
+  }
+  count_wordops(state, n, k_bits);
+}
+BENCHMARK(BM_CpuLdSelf)->Args({2048, 4096});
 
 void BM_ReferenceAnd(benchmark::State& state) {
   // The unblocked reference, to show what the BLIS-like blocking buys.

@@ -79,6 +79,7 @@ int main(int argc, char** argv) {
 
   // Coarse heatmap: mean r^2 over 8x8-locus cells; LD blocks appear as
   // bright squares on the diagonal.
+  const auto r2 = stats::r2_matrix(res.counts, counts, n_samples);
   std::printf("\nmean-r^2 heatmap (8-locus cells; '.':<0.05  '+':<0.2  "
               "'#':>=0.2):\n");
   const std::size_t cell = 8;
@@ -88,9 +89,7 @@ int main(int argc, char** argv) {
       double sum = 0.0;
       for (std::size_t i = bi * cell; i < (bi + 1) * cell; ++i) {
         for (std::size_t j = bj * cell; j < (bj + 1) * cell; ++j) {
-          sum += stats::ld_from_counts(res.counts.at(i, j), counts[i],
-                                       counts[j], n_samples)
-                     .r2;
+          sum += r2.at(i, j);
         }
       }
       const double mean = sum / (cell * cell);

@@ -11,6 +11,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 #include "analyze/analyzer.hpp"
 #include "analyze/mutate.hpp"
@@ -508,27 +509,36 @@ int cmd_ld(Options& opt, std::ostream& out) {
   print_timing(out, res.timing);
   tele.finish(out, nullptr, res.timing.chunk_events, res.timing.device,
               res.timing.trace_anchor_us);
-  const auto counts = stats::row_counts(m);
+  const auto r2 =
+      stats::r2_matrix(res.counts, stats::row_counts(m), m.bit_cols());
+  // The `top` strongest pairs, r^2 descending and then (i, j) ascending,
+  // by a bounded selection: a heap whose front is the weakest pair kept.
   struct Hit {
     std::size_t i, j;
     double r2;
   };
-  std::vector<Hit> hits;
+  const auto stronger = [](const Hit& a, const Hit& b) {
+    return a.r2 != b.r2 ? a.r2 > b.r2
+                        : std::tie(a.i, a.j) < std::tie(b.i, b.j);
+  };
+  std::vector<Hit> best;
   for (std::size_t i = 0; i < m.rows(); ++i) {
     for (std::size_t j = i + 1; j < m.rows(); ++j) {
-      const double r2 =
-          stats::ld_from_counts(res.counts.at(i, j), counts[i], counts[j],
-                                m.bit_cols())
-              .r2;
-      hits.push_back({i, j, r2});
+      const Hit hit{i, j, r2.at(i, j)};
+      if (best.size() < top) {
+        best.push_back(hit);
+        std::push_heap(best.begin(), best.end(), stronger);
+      } else if (top > 0 && stronger(hit, best.front())) {
+        std::pop_heap(best.begin(), best.end(), stronger);
+        best.back() = hit;
+        std::push_heap(best.begin(), best.end(), stronger);
+      }
     }
   }
-  std::sort(hits.begin(), hits.end(),
-            [](const Hit& a, const Hit& b) { return a.r2 > b.r2; });
+  std::sort_heap(best.begin(), best.end(), stronger);
   out << "top locus pairs by r^2:\n";
-  for (std::size_t k = 0; k < std::min(top, hits.size()); ++k) {
-    out << "  " << hits[k].i << " x " << hits[k].j << "  r2=" << hits[k].r2
-        << "\n";
+  for (const Hit& hit : best) {
+    out << "  " << hit.i << " x " << hit.j << "  r2=" << hit.r2 << "\n";
   }
   return 0;
 }

@@ -96,42 +96,54 @@ MicroKernelFn select_kernel(Comparison op) {
 }
 
 /// Loops 2 (n_r) and 1 (m_r) around the micro-kernel for one packed
-/// m_c x n_c macro-tile.
+/// m_c x n_c macro-tile. A `self` tile (one window against itself under a
+/// symmetric op) computes only its micro-tiles on or above the diagonal
+/// and adds each strictly-upper register block at (i, j) and at (j, i).
 void run_macro_tile(MicroKernelFn kernel, const Word64* a_packed,
                     const Word64* b_packed, std::size_t ic, std::size_t mc,
                     std::size_t jc, std::size_t nc, std::size_t kw,
                     std::size_t m, std::size_t n, std::uint32_t* cdata,
-                    std::size_t ldc) {
+                    std::size_t ldc, bool self) {
   constexpr std::size_t m_r = CpuBlocking::m_r;
   constexpr std::size_t n_r = CpuBlocking::n_r;
   const std::size_t col_strips = bits::ceil_div(nc, n_r);
   const std::size_t row_strips = bits::ceil_div(mc, m_r);
-  SNP_OBS_COUNT("cpu.macro_tiles", 1);
-  // Padded micro-tile work, in 64-bit word-ops (edge strips included —
-  // the micro-kernel always runs full m_r x n_r registers).
-  SNP_OBS_COUNT("cpu.wordops",
-                row_strips * m_r * col_strips * n_r * kw);
+  std::size_t micro_tiles = 0;
   std::uint32_t edge[m_r * n_r];
   for (std::size_t js = 0; js < col_strips; ++js) {
     const Word64* b_strip = b_packed + js * kw * n_r;
-    for (std::size_t is = 0; is < row_strips; ++is) {
+    const std::size_t cj = jc + js * n_r;
+    // A self tile stops at the diagonal: its row strips with ci <= cj.
+    const std::size_t strips =
+        !self ? row_strips
+              : (cj < ic ? 0 : std::min(row_strips, (cj - ic) / m_r + 1));
+    micro_tiles += strips;
+    for (std::size_t is = 0; is < strips; ++is) {
       const Word64* a_strip = a_packed + is * kw * m_r;
       const std::size_t ci = ic + is * m_r;
-      const std::size_t cj = jc + js * n_r;
-      const bool interior = ci + m_r <= m && cj + n_r <= n;
-      if (interior) {
+      // A strictly-upper self block is also added at (j, i), which lies in
+      // a skipped lower micro-tile and so has this one writer.
+      const bool mirror = self && ci < cj;
+      if (!mirror && ci + m_r <= m && cj + n_r <= n) {
         kernel(a_strip, b_strip, kw, cdata + ci * ldc + cj, ldc);
-      } else {
-        std::fill(edge, edge + m_r * n_r, 0u);
-        kernel(a_strip, b_strip, kw, edge, n_r);
-        for (std::size_t i = 0; i < m_r && ci + i < m; ++i) {
-          for (std::size_t j = 0; j < n_r && cj + j < n; ++j) {
-            cdata[(ci + i) * ldc + cj + j] += edge[i * n_r + j];
+        continue;
+      }
+      std::fill(edge, edge + m_r * n_r, 0u);
+      kernel(a_strip, b_strip, kw, edge, n_r);
+      for (std::size_t i = 0; i < m_r && ci + i < m; ++i) {
+        for (std::size_t j = 0; j < n_r && cj + j < n; ++j) {
+          cdata[(ci + i) * ldc + cj + j] += edge[i * n_r + j];
+          if (mirror) {
+            cdata[(cj + j) * ldc + ci + i] += edge[i * n_r + j];
           }
         }
       }
     }
   }
+  SNP_OBS_COUNT("cpu.macro_tiles", 1);
+  // Micro-tile work computed, in 64-bit word-ops (edge strips included —
+  // the micro-kernel always runs full m_r x n_r registers).
+  SNP_OBS_COUNT("cpu.wordops", micro_tiles * m_r * n_r * kw);
 }
 
 /// One participant's packed panels, kept across the macro-tiles it takes.
@@ -169,13 +181,21 @@ void compare_accumulate(bits::RowWindow a, bits::RowWindow b, Comparison op,
   }
   const std::size_t m_blocks = bits::ceil_div(m, blocking.m_c);
   const std::size_t tiles = m_blocks * bits::ceil_div(n, blocking.n_c);
+  // One window against itself under a symmetric op is SYRK's C += A A^T:
+  // gamma is symmetric, so only the tiles on or above the diagonal are
+  // computed. With m_r == n_r and m_c, n_c multiples of it, every
+  // micro-tile lies wholly above, on or below the diagonal.
+  static_assert(CpuBlocking::m_r == CpuBlocking::n_r);
+  const bool self = a.matrix == b.matrix && a.row0 == b.row0 &&
+                    a.rows == b.rows && op != Comparison::kAndNot;
 
   // Loop 4 (k_c) around one parallel loop over the 2-D grid of loops 5
-  // (n_c) and 3 (m_c): each macro-tile owns a disjoint block of C, so no
-  // synchronization is needed, and a single tile posts no helper. Tiles
-  // are numbered column-major, so the tiles a participant takes in turn
-  // mostly share an n_c block, and it repacks its B panel only when the
-  // block changes.
+  // (n_c) and 3 (m_c): each macro-tile owns a disjoint block of C, and a
+  // self tile's mirrored adds land only in skipped lower micro-tiles, so
+  // every entry has one writer per k_c panel and no synchronization is
+  // needed; a single tile posts no helper. Tiles are numbered
+  // column-major, so the tiles a participant takes in turn mostly share
+  // an n_c block, and it repacks its B panel only when the block changes.
   std::vector<Panels> panels(pool.thread_count() + 1);
   for (std::size_t pc = 0; pc < k_words; pc += blocking.k_c) {
     const std::size_t kw = std::min(blocking.k_c, k_words - pc);
@@ -188,13 +208,16 @@ void compare_accumulate(bits::RowWindow a, bits::RowWindow b, Comparison op,
       const std::size_t jc = (t / m_blocks) * blocking.n_c;
       const std::size_t mc = std::min(blocking.m_c, m - ic);
       const std::size_t nc = std::min(blocking.n_c, n - jc);
+      if (self && ic >= jc + nc) {
+        return;  // wholly below the diagonal: its mirror tile adds it
+      }
       if (jc != p.b_jc) {
         pack_b(*b.matrix, b.row0 + jc, nc, pc, kw, p.b);
         p.b_jc = jc;
       }
       pack_a(*a.matrix, a.row0 + ic, mc, pc, kw, p.a);
       run_macro_tile(kernel, p.a.data(), p.b.data(), ic, mc, jc, nc, kw, m,
-                     n, c, ldc);
+                     n, c, ldc, self);
     });
   }
 }

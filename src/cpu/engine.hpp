@@ -43,7 +43,11 @@ struct CpuBlocking {
 /// is allocated. One pool.parallel_for runs over the 2-D grid of
 /// m_c x n_c macro-tiles, so a one-row query still spreads across B's n_c
 /// blocks; a problem of one macro-tile runs on the calling thread alone.
-/// The counts are the same on every pool.
+/// When `a` and `b` are the same rows of one matrix and `op` is symmetric
+/// (AND, XOR), it computes only the tiles on or above the diagonal, as
+/// SYRK does, and adds each strictly-upper block at (i, j) and (j, i): half
+/// the popcounts, and C += A op A^T stays exact. The counts are the same on
+/// every pool.
 void compare_accumulate(bits::RowWindow a, bits::RowWindow b,
                         bits::Comparison op, std::uint32_t* c,
                         std::size_t ldc, const CpuBlocking& blocking = {},
@@ -61,8 +65,8 @@ void compare_accumulate(const bits::BitMatrix& a, const bits::BitMatrix& b,
     const bits::BitMatrix& a, const bits::BitMatrix& b, bits::Comparison op,
     const CpuBlocking& blocking = {});
 
-/// Convenience single-call LD (Eq. 1): C = (A & A)^T-style self-comparison,
-/// i.e. compare_blocked(a, a, kAnd).
+/// Convenience single-call LD (Eq. 1): the self-comparison
+/// compare_blocked(a, a, kAnd), which takes the triangle-only path.
 [[nodiscard]] bits::CountMatrix ld_counts(const bits::BitMatrix& a,
                                           const CpuBlocking& blocking = {});
 

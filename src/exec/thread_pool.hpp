@@ -3,7 +3,7 @@
 // A plain fixed-size worker pool over a FIFO work queue, with a
 // parallel-for in which the caller works too. The host kernels' parallel
 // loops (the engine's macro-tile grid, the sparse engines' rows, r^2's
-// row blocks) run on one process-wide pool, host_pool(); the only other
+// tile rows) run on one process-wide pool, host_pool(); the only other
 // pool is the service's one-worker batch executor.
 //
 // Threading contract: submission is thread-safe; tasks run exactly once;

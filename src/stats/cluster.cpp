@@ -135,6 +135,7 @@ Dendrogram upgma(const bits::CountMatrix& d) {
 }
 
 bits::CountMatrix hamming_distances(const bits::BitMatrix& profiles) {
+  // A self-comparison: the engine computes each pair once and mirrors it.
   return cpu::compare_blocked(profiles, profiles,
                               bits::Comparison::kXor);
 }

@@ -87,8 +87,9 @@ std::vector<KinshipResult> kinship_matrix(const bits::GenotypeMatrix& g) {
       encode_individual_major(g, bits::EncodingPlane::kHomozygous);
   const auto het = het_plane(pres, hom);
 
-  // Two comparison kernels cover every pair: Het x Het, and H x P (whose
-  // transpose provides the symmetric term).
+  // Two comparison kernels cover every pair: Het x Het, a self-comparison
+  // the engine computes once per pair, and H x P (whose transpose
+  // provides the symmetric term).
   const auto het_het =
       cpu::compare_blocked(het, het, bits::Comparison::kAnd);
   const auto hom_pres =

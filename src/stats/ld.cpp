@@ -26,7 +26,8 @@ LdStats ld_from_counts(std::uint32_t joint, std::uint32_t count_a,
 
   const double qa = 1.0 - s.p_a;
   const double qb = 1.0 - s.p_b;
-  const double denom_var = s.p_a * qa * s.p_b * qb;
+  // (p_a q_a)(p_b q_b): the same bits with the loci swapped.
+  const double denom_var = (s.p_a * qa) * (s.p_b * qb);
   s.r2 = denom_var > 0.0 ? s.d * s.d / denom_var : 0.0;
 
   double d_max;
@@ -39,9 +40,9 @@ LdStats ld_from_counts(std::uint32_t joint, std::uint32_t count_a,
   return s;
 }
 
-std::vector<double> r2_matrix(const bits::CountMatrix& gamma,
-                              const std::vector<std::uint32_t>& locus_counts,
-                              std::size_t samples) {
+R2Matrix r2_matrix(const bits::CountMatrix& gamma,
+                   const std::vector<std::uint32_t>& locus_counts,
+                   std::size_t samples) {
   if (gamma.rows() != gamma.cols() ||
       gamma.rows() != locus_counts.size()) {
     throw std::invalid_argument("r2_matrix: shape mismatch");
@@ -51,49 +52,70 @@ std::vector<double> r2_matrix(const bits::CountMatrix& gamma,
   }
   const std::size_t loci = gamma.rows();
   const auto n = static_cast<double>(samples);
-  // Per-locus p and 1 - p, each computed as ld_from_counts computes it;
+  // Per-locus p and p(1 - p), each computed as ld_from_counts computes it;
   // the pass below keeps its operation order too, so every entry is
   // bit-identical to ld_from_counts(...).r2.
   std::vector<double> p(loci);
-  std::vector<double> q(loci);
+  std::vector<double> pq(loci);
   for (std::size_t i = 0; i < loci; ++i) {
     if (locus_counts[i] > samples) {
       throw std::invalid_argument("r2_matrix: inconsistent counts");
     }
     p[i] = locus_counts[i] / n;
-    q[i] = 1.0 - p[i];
+    pq[i] = p[i] * (1.0 - p[i]);
   }
-  std::vector<double> out(loci * loci);
+  R2Matrix out(loci);
   const std::uint32_t* joint = gamma.raw().data();
   const std::uint32_t* counts = locus_counts.data();
   std::atomic<unsigned> inconsistent{0};
-  // One branch-free pass over blocks of about kBlockEntries entries,
-  // spread over the host pool: the joint <= min(count) check is an OR
-  // read after the loop, and `omp simd` (-fopenmp-simd) lets the compiler
-  // if-convert the guarded division.
-  constexpr std::size_t kBlockEntries = std::size_t{1} << 16;
-  const std::size_t block_rows =
-      1 + kBlockEntries / std::max<std::size_t>(loci, 1);
-  const std::size_t blocks = bits::ceil_div(loci, block_rows);
-  exec::host_pool().parallel_for(blocks, [&](std::size_t, std::size_t blk) {
+  std::atomic<unsigned> asymmetric{0};
+  // The upper triangle in 64 x 64 tiles, one row of tiles per task, spread
+  // over the host pool: each tile's r^2 comes from its upper entries,
+  // checked against min(count_i, count_j), and the tile mirrored below the
+  // diagonal must equal it transposed, so every input entry is checked.
+  // Both checks are ORs read after the loop, so the loops stay
+  // branch-free, and `omp simd` (-fopenmp-simd) lets the compiler
+  // if-convert the guarded division. Walking the mirror tile by tile keeps
+  // its strided column reads in cache.
+  constexpr std::size_t kTile = 64;
+  const std::size_t tile_rows = bits::ceil_div(loci, kTile);
+  exec::host_pool().parallel_for(tile_rows, [&](std::size_t,
+                                                std::size_t ti) {
     unsigned bad = 0;
-    const std::size_t end = std::min(loci, (blk + 1) * block_rows);
-    for (std::size_t i = blk * block_rows; i < end; ++i) {
-      const std::uint32_t* row = joint + i * loci;
-      double* r2 = out.data() + i * loci;
-      const std::uint32_t count_i = counts[i];
-      const double p_i = p[i];
-      const double pq_i = p_i * q[i];
+    unsigned asym = 0;
+    const std::size_t i0 = ti * kTile;
+    const std::size_t i1 = std::min(loci, i0 + kTile);
+    for (std::size_t j0 = i0; j0 < loci; j0 += kTile) {
+      const std::size_t j1 = std::min(loci, j0 + kTile);
+      for (std::size_t i = i0; i < i1; ++i) {
+        const std::uint32_t* row = joint + i * loci;
+        double* r2 = out.packed_.data() + out.offset(i);
+        const std::uint32_t count_i = counts[i];
+        const double p_i = p[i];
+        const double pq_i = pq[i];
 #pragma omp simd reduction(| : bad)
-      for (std::size_t j = 0; j < loci; ++j) {
-        bad |= row[j] > std::min(count_i, counts[j]) ? 1u : 0u;
-        const double d = row[j] / n - p_i * p[j];
-        const double denom_var = pq_i * p[j] * q[j];
-        r2[j] = denom_var > 0.0 ? d * d / denom_var : 0.0;
+        for (std::size_t j = std::max(i, j0); j < j1; ++j) {
+          bad |= row[j] > std::min(count_i, counts[j]) ? 1u : 0u;
+          const double d = row[j] / n - p_i * p[j];
+          const double denom_var = pq_i * pq[j];
+          r2[j] = denom_var > 0.0 ? d * d / denom_var : 0.0;
+        }
+      }
+      for (std::size_t j = j0; j < j1; ++j) {
+        const std::uint32_t* mirror = joint + j * loci;
+        const std::size_t i_end = std::min(i1, j);
+#pragma omp simd reduction(| : asym)
+        for (std::size_t i = i0; i < i_end; ++i) {
+          asym |= mirror[i] != joint[i * loci + j] ? 1u : 0u;
+        }
       }
     }
     inconsistent.fetch_or(bad, std::memory_order_relaxed);
+    asymmetric.fetch_or(asym, std::memory_order_relaxed);
   });
+  if (asymmetric.load(std::memory_order_relaxed) != 0) {
+    throw std::invalid_argument("r2_matrix: gamma is not symmetric");
+  }
   if (inconsistent.load(std::memory_order_relaxed) != 0) {
     throw std::invalid_argument("r2_matrix: inconsistent counts");
   }

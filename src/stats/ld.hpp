@@ -7,7 +7,9 @@
 // statistics LD scans actually report.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bits/bitmatrix.hpp"
@@ -25,18 +27,53 @@ struct LdStats {
 
 /// Computes LD statistics for one locus pair from the comparison output:
 /// `joint` = gamma[i,j], `count_a` / `count_b` = per-locus set-bit counts,
-/// `samples` = number of sample columns (the denominator).
+/// `samples` = number of sample columns (the denominator). Symmetric in
+/// its loci: swapping (count_a, count_b) gives bit-identical r^2 and D.
 [[nodiscard]] LdStats ld_from_counts(std::uint32_t joint,
                                      std::uint32_t count_a,
                                      std::uint32_t count_b,
                                      std::size_t samples);
 
+/// All-pairs r^2 of a loci x loci LD output, each unordered pair kept
+/// once: the upper triangle, diagonal included, packed row by row (row i
+/// holds columns i..loci-1), n(n+1)/2 doubles instead of n^2.
+class R2Matrix {
+ public:
+  R2Matrix() = default;
+  explicit R2Matrix(std::size_t loci)
+      : loci_(loci), packed_(loci * (loci + 1) / 2) {}
+
+  [[nodiscard]] std::size_t loci() const { return loci_; }
+  [[nodiscard]] bool empty() const { return loci_ == 0; }
+  /// r^2 of loci i and j, in either order.
+  [[nodiscard]] double at(std::size_t i, std::size_t j) const {
+    return i <= j ? packed_[offset(i) + j] : packed_[offset(j) + i];
+  }
+  [[nodiscard]] std::span<const double> packed() const { return packed_; }
+  [[nodiscard]] std::size_t size_bytes() const {
+    return packed_.size() * sizeof(double);
+  }
+
+ private:
+  friend R2Matrix r2_matrix(const bits::CountMatrix&,
+                            const std::vector<std::uint32_t>&, std::size_t);
+
+  /// packed_[offset(i) + j] is (i, j) for j >= i: the rows above row i
+  /// hold loci, loci - 1, ..., loci - i + 1 entries.
+  [[nodiscard]] std::size_t offset(std::size_t i) const {
+    return i * (2 * loci_ - i + 1) / 2 - i;
+  }
+
+  std::size_t loci_ = 0;
+  std::vector<double> packed_;
+};
+
 /// All-pairs r^2 from a full gamma matrix (as produced by an LD kernel run
-/// of A against itself) and the per-locus counts. Returns a dense
-/// loci x loci matrix in row-major order, each entry bit-identical to
-/// ld_from_counts(gamma[i,j], count_i, count_j, samples).r2; throws
-/// std::invalid_argument on the counts ld_from_counts rejects.
-[[nodiscard]] std::vector<double> r2_matrix(
+/// of A against itself) and the per-locus counts; at(i, j) is
+/// bit-identical to ld_from_counts(gamma[i,j], count_i, count_j,
+/// samples).r2 in either order. Throws std::invalid_argument if gamma is
+/// not symmetric or holds counts ld_from_counts rejects.
+[[nodiscard]] R2Matrix r2_matrix(
     const bits::CountMatrix& gamma,
     const std::vector<std::uint32_t>& locus_counts, std::size_t samples);
 

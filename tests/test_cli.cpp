@@ -98,6 +98,38 @@ TEST(Cli, FullLdPipeline) {
   EXPECT_TRUE(fs::exists(gamma));
 }
 
+TEST(Cli, LdTopPairsBreakTiesByIndex) {
+  // Five copies of locus 3 make ten pairs tie at r^2 = 1, far above every
+  // pair of independent random loci; they print in (i, j) order.
+  auto loci = io::random_bitmatrix(40, 256, 0.4, 31);
+  constexpr std::size_t kCopies[] = {11, 20, 27, 36};
+  for (const std::size_t copy : kCopies) {
+    for (std::size_t s = 0; s < loci.bit_cols(); ++s) {
+      loci.set(copy, s, loci.get(3, s));
+    }
+  }
+  const std::string packed = tmp("dup.sbm");
+  io::save_bitmatrix(loci, fs::path(packed));
+  const std::vector<std::string> tied = {
+      "3 x 11",  "3 x 20",  "3 x 27",  "3 x 36",  "11 x 20",
+      "11 x 27", "11 x 36", "20 x 27", "20 x 36", "27 x 36"};
+  for (const int top : {10, 4}) {
+    const auto r = run_cli({"ld", "--in", packed, "--device", "cpu", "--top",
+                            std::to_string(top)});
+    ASSERT_EQ(r.code, 0) << r.err;
+    std::istringstream lines(r.out.substr(r.out.find("top locus pairs")));
+    std::string line;
+    std::getline(lines, line);
+    std::vector<std::string> printed;
+    while (std::getline(lines, line)) {
+      EXPECT_NE(line.find("r2=1"), std::string::npos) << line;
+      printed.push_back(line.substr(2, line.find("  r2=") - 2));
+    }
+    EXPECT_EQ(printed, std::vector<std::string>(tied.begin(),
+                                                tied.begin() + top));
+  }
+}
+
 TEST(Cli, SearchPipeline) {
   const std::string db = tmp("db.sbm");
   auto r = run_cli({"gendb", "--profiles", "500", "--snps", "256",

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "bits/compare.hpp"
 #include "io/datagen.hpp"
+#include "obs/obs.hpp"
 
 namespace snp::cpu {
 namespace {
@@ -98,6 +102,106 @@ TEST(CpuEngine, LdCountsIsSelfAnd) {
       EXPECT_EQ(ld.at(i, j), ld.at(j, i));
     }
   }
+}
+
+constexpr CpuBlocking kDefault{};
+
+struct SelfCase {
+  std::size_t n, bits;
+};
+
+class SelfComparison
+    : public ::testing::TestWithParam<std::tuple<SelfCase, Comparison>> {};
+
+std::string self_case_name(
+    const ::testing::TestParamInfo<SelfComparison::ParamType>& param) {
+  const auto& [c, op] = param.param;
+  return "n" + std::to_string(c.n) + "_k" + std::to_string(c.bits) +
+         (op == Comparison::kAnd ? "_and" : "_xor");
+}
+
+// One matrix on both sides under a symmetric op takes the triangle-only
+// path: ragged n around m_r, m_c and n_c, and k across k_c.
+TEST_P(SelfComparison, MatchesReference) {
+  const auto& [c, op] = GetParam();
+  const auto a = io::random_bitmatrix(c.n, c.bits, 0.45, 109);
+  const auto expected = bits::compare_reference(a, a, op);
+  CpuBlocking tiny;
+  tiny.m_c = 4;
+  tiny.n_c = 8;
+  tiny.k_c = 1;
+  EXPECT_TRUE(compare_blocked(a, a, op) == expected) << "default blocking";
+  // Tiny blocking runs every case but n_c + 5 loci with k past k_c: 4 x 8
+  // macro-tiles over 257 one-word panels make that 17 M tile visits (11 s
+  // in a release build), and the 100-bit case already crosses tiny panels
+  // at that n.
+  if (c.n < kDefault.n_c || c.bits < kDefault.k_c * 64) {
+    EXPECT_TRUE(compare_blocked(a, a, op, tiny) == expected)
+        << "tiny blocking";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CpuEngine, SelfComparison,
+    ::testing::Combine(
+        ::testing::ValuesIn([] {
+          std::vector<SelfCase> cases;
+          for (const std::size_t n :
+               {std::size_t{1}, std::size_t{3}, std::size_t{4},
+                std::size_t{5}, std::size_t{63}, std::size_t{64},
+                std::size_t{65}, 2 * kDefault.m_c + 3, kDefault.n_c + 5}) {
+            for (const std::size_t bits :
+                 {std::size_t{1}, std::size_t{100},
+                  kDefault.k_c * 64 + 3}) {
+              cases.push_back({n, bits});
+            }
+          }
+          return cases;
+        }()),
+        ::testing::Values(Comparison::kAnd, Comparison::kXor)),
+    self_case_name);
+
+TEST(CpuEngine, OtherSelfShapesTakeTheGeneralPath) {
+  // AND-NOT is not symmetric, and windows of one matrix at different
+  // offsets, overlapping or not, are not one operand: each must give the
+  // full rectangle.
+  const auto a = io::random_bitmatrix(150, 700, 0.5, 110);
+  EXPECT_TRUE(compare_blocked(a, a, Comparison::kAndNot) ==
+              bits::compare_reference(a, a, Comparison::kAndNot));
+  struct Windows {
+    std::size_t a0, a_rows, b0, b_rows;
+  };
+  for (const Windows w : {Windows{0, 70, 70, 70}, Windows{0, 90, 20, 90},
+                          Windows{5, 70, 5, 90}, Windows{13, 137, 0, 137}}) {
+    for (const auto op : {Comparison::kAnd, Comparison::kXor}) {
+      bits::CountMatrix c(w.a_rows, w.b_rows);
+      compare_accumulate({&a, w.a0, w.a_rows}, {&a, w.b0, w.b_rows}, op,
+                         c.raw().data(), w.b_rows);
+      EXPECT_TRUE(c == bits::compare_reference(
+                           a.row_slice(w.a0, w.a0 + w.a_rows),
+                           a.row_slice(w.b0, w.b0 + w.b_rows), op))
+          << w.a0 << "+" << w.a_rows << " vs " << w.b0 << "+" << w.b_rows;
+    }
+  }
+}
+
+TEST(CpuEngine, SelfComparisonSkipsTheLowerTriangle) {
+  if (!obs::kEnabled) {
+    GTEST_SKIP() << "telemetry compiled out (SNPCMP_OBS=OFF)";
+  }
+  const obs::Counter& wordops =
+      obs::MetricsRegistry::global().counter("cpu.wordops");
+  const auto a = io::random_bitmatrix(512, 1024, 0.5, 111);
+  const auto b = io::random_bitmatrix(512, 1024, 0.5, 112);
+  const std::uint64_t w0 = wordops.value();
+  (void)compare_blocked(a, a, Comparison::kAnd);
+  const std::uint64_t self = wordops.value() - w0;
+  (void)compare_blocked(a, b, Comparison::kAnd);
+  const std::uint64_t full = wordops.value() - w0 - self;
+  ASSERT_GT(full, 0u);
+  // 128 x 128 micro-tiles: 128 * 129 / 2 of them on or above the diagonal.
+  EXPECT_LE(static_cast<double>(self), 0.55 * static_cast<double>(full))
+      << self << " of " << full << " word-ops";
 }
 
 TEST(CpuEngine, DensityExtremes) {

@@ -79,17 +79,24 @@ TEST(CrossEngine, PublicApiAgreesAcrossBackends) {
 }
 
 TEST(CrossEngine, LdPipelineEndToEnd) {
-  // Genotypes -> encoding -> LD counts, CPU vs GPU, same statistics.
-  io::PopulationParams p;
-  p.seed = 6100;
-  p.ld_block_len = 8;
-  const auto g = io::generate_genotypes(60, 300, p);
-  const auto loci = bits::encode(g, bits::EncodingPlane::kPresence);
-  Context cpu_ctx = Context::cpu();
-  Context gpu_ctx = Context::gpu("vega64");
-  const auto c1 = cpu_ctx.ld(loci).counts;
-  const auto c2 = gpu_ctx.ld(loci).counts;
-  EXPECT_TRUE(c1 == c2);
+  // Genotypes -> encoding -> LD counts, CPU vs GPU, same statistics. Both
+  // contexts compute one-chunk LD on the engine's triangle-only path; the
+  // ragged cohort, 2 m_c + 3 loci, ends in a partial macro-tile and a
+  // partial micro-tile.
+  for (const std::size_t n_loci :
+       {std::size_t{60}, 2 * cpu::CpuBlocking{}.m_c + 3}) {
+    io::PopulationParams p;
+    p.seed = 6100;
+    p.ld_block_len = 8;
+    const auto g = io::generate_genotypes(n_loci, 300, p);
+    const auto loci = bits::encode(g, bits::EncodingPlane::kPresence);
+    const auto expected =
+        bits::compare_reference(loci, loci, Comparison::kAnd);
+    Context cpu_ctx = Context::cpu();
+    Context gpu_ctx = Context::gpu("vega64");
+    EXPECT_TRUE(cpu_ctx.ld(loci).counts == expected) << n_loci << " loci";
+    EXPECT_TRUE(gpu_ctx.ld(loci).counts == expected) << n_loci << " loci";
+  }
 }
 
 TEST(CrossEngine, DeepKAccumulationAgrees) {

@@ -1,5 +1,6 @@
 // Host-memory pins for the simulated GPU path: device buffers hold no
-// bytes, and a GPU-context compare allocates its result once.
+// bytes, a GPU-context compare allocates its result once, and r^2 keeps
+// each locus pair once.
 //
 // Live bytes are counted by replacing the global operator new/delete for
 // this binary (live_heap.hpp), which is why the test has an executable of
@@ -13,9 +14,11 @@
 #include "bits/genotype.hpp"
 #include "cl/clmini.hpp"
 #include "core/snpcmp.hpp"
+#include "cpu/engine.hpp"
 #include "exec/thread_pool.hpp"
 #include "io/datagen.hpp"
 #include "live_heap.hpp"
+#include "stats/ld.hpp"
 
 namespace snp {
 namespace {
@@ -74,6 +77,28 @@ TEST(DeviceMemory, GpuLdPeaksAtItsCountMatrix) {
   EXPECT_LE(peak, count_bytes + (1 << 20))
       << "ld() peaked " << peak << " B above its start, count matrix "
       << count_bytes << " B";
+}
+
+TEST(DeviceMemory, R2MatrixPeaksAtItsPackedTriangle) {
+  io::PopulationParams pp;
+  pp.seed = 18;
+  pp.ld_block_len = 20;
+  const bits::BitMatrix loci = bits::encode(
+      io::generate_genotypes(1024, 4096, pp), bits::EncodingPlane::kPresence);
+  const bits::CountMatrix gamma = cpu::ld_counts(loci);
+  const auto counts = stats::row_counts(loci);
+  const std::int64_t before = live_heap::live();
+  live_heap::reset_peak();
+  const stats::R2Matrix r2 = stats::r2_matrix(gamma, counts, 4096);
+  const std::int64_t peak = live_heap::peak() - before;
+  const std::int64_t packed = 1024 * 1025 / 2 * 8;
+  const std::int64_t dense = 1024 * 1024 * 8;
+  ASSERT_EQ(static_cast<std::int64_t>(r2.size_bytes()), packed);
+  // The triangle plus the per-locus p and p(1 - p): one double per pair.
+  EXPECT_LE(peak, packed + (64 << 10))
+      << "r2_matrix peaked " << peak << " B, packed triangle " << packed
+      << " B";
+  EXPECT_LT(peak, dense);
 }
 
 }  // namespace

@@ -123,6 +123,26 @@ TEST(GpuKernel, AccumulateMode) {
     kernel.execute(a, b, out);  // overwrite resets
     EXPECT_TRUE(out == once);
   }
+  // One matrix on both sides (the triangle-only self path) accumulating
+  // into a C that is not symmetric: every entry gains exactly gamma.
+  for (const std::size_t n : {std::size_t{7}, std::size_t{2 * 64 + 3}}) {
+    const auto a = io::random_bitmatrix(n, 300, 0.5, 209);
+    const auto gamma = bits::compare_reference(a, a, Comparison::kXor);
+    bits::CountMatrix out(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        out.at(i, j) = static_cast<std::uint32_t>(1000 * i + j);
+      }
+    }
+    const auto old = out;
+    kernel.execute(a, a, out, /*accumulate=*/true);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        EXPECT_EQ(out.at(i, j), old.at(i, j) + gamma.at(i, j))
+            << i << "," << j;
+      }
+    }
+  }
 }
 
 TEST(GpuKernel, PreNegatedMatchesFused) {

@@ -75,12 +75,13 @@ TEST(LdStats, R2MatrixDiagonalOfPolymorphicLociIsOne) {
                                              bits::Comparison::kAnd);
   const auto counts = row_counts(a);
   const auto r2 = r2_matrix(gamma, counts, 200);
+  ASSERT_EQ(r2.loci(), 8u);
   for (std::size_t i = 0; i < 8; ++i) {
     if (counts[i] > 0 && counts[i] < 200) {
-      EXPECT_NEAR(r2[i * 8 + i], 1.0, 1e-9);
+      EXPECT_NEAR(r2.at(i, i), 1.0, 1e-9);
     }
     for (std::size_t j = 0; j < 8; ++j) {
-      EXPECT_NEAR(r2[i * 8 + j], r2[j * 8 + i], 1e-12);
+      EXPECT_EQ(r2.at(i, j), r2.at(j, i));
     }
   }
 }
@@ -114,19 +115,45 @@ TEST(LdStats, R2MatrixIsBitIdenticalToLdFromCounts) {
   ASSERT_EQ(counts[7], 0u);
   ASSERT_EQ(counts[123], kSamples);
   const auto r2 = r2_matrix(gamma, counts, kSamples);
+  // One double per unordered pair, the diagonal included.
+  ASSERT_EQ(r2.packed().size(), kLoci * (kLoci + 1) / 2);
+  EXPECT_EQ(r2.size_bytes(), kLoci * (kLoci + 1) / 2 * sizeof(double));
+  // at(i, j) for every ordered pair, against ld_from_counts with the loci
+  // in the same order and swapped.
+  std::vector<double> got(kLoci * kLoci);
   std::vector<double> expected(kLoci * kLoci);
+  std::vector<double> swapped(kLoci * kLoci);
   for (std::size_t i = 0; i < kLoci; ++i) {
     for (std::size_t j = 0; j < kLoci; ++j) {
+      got[i * kLoci + j] = r2.at(i, j);
       expected[i * kLoci + j] =
           ld_from_counts(gamma.at(i, j), counts[i], counts[j], kSamples).r2;
+      swapped[i * kLoci + j] =
+          ld_from_counts(gamma.at(j, i), counts[j], counts[i], kSamples).r2;
     }
   }
-  ASSERT_EQ(r2.size(), expected.size());
-  EXPECT_EQ(std::memcmp(r2.data(), expected.data(),
-                        r2.size() * sizeof(double)),
-            0);
-  EXPECT_EQ(r2[7 * kLoci + 40], 0.0);
-  EXPECT_EQ(r2[40 * kLoci + 123], 0.0);
+  const std::size_t bytes = got.size() * sizeof(double);
+  EXPECT_EQ(std::memcmp(got.data(), expected.data(), bytes), 0);
+  EXPECT_EQ(std::memcmp(got.data(), swapped.data(), bytes), 0);
+  EXPECT_EQ(r2.at(7, 40), 0.0);
+  EXPECT_EQ(r2.at(40, 123), 0.0);
+}
+
+TEST(LdStats, R2MatrixRejectsAsymmetricGamma) {
+  const auto a = io::random_bitmatrix(150, 300, 0.4, 305);
+  auto gamma = bits::compare_reference(a, a, bits::Comparison::kAnd);
+  const auto counts = row_counts(a);
+  EXPECT_NO_THROW((void)r2_matrix(gamma, counts, 300));
+  // One lower entry, in a tile off the diagonal, lowered below its
+  // mirror: still consistent with the counts, but not an LD output.
+  ASSERT_GT(gamma.at(140, 3), 0u);
+  gamma.at(140, 3) -= 1;
+  EXPECT_THROW((void)r2_matrix(gamma, counts, 300), std::invalid_argument);
+  // The same inside a diagonal tile.
+  gamma.at(140, 3) += 1;
+  ASSERT_GT(gamma.at(9, 2), 0u);
+  gamma.at(9, 2) -= 1;
+  EXPECT_THROW((void)r2_matrix(gamma, counts, 300), std::invalid_argument);
 }
 
 TEST(LdStats, R2MatrixRejectsInconsistentCounts) {
@@ -135,9 +162,14 @@ TEST(LdStats, R2MatrixRejectsInconsistentCounts) {
   gamma.at(1, 1) = 5;
   gamma.at(2, 2) = 6;
   gamma.at(2, 1) = 5;
+  gamma.at(1, 2) = 5;
   EXPECT_NO_THROW((void)r2_matrix(gamma, {4, 5, 6}, 10));
-  // A joint count above min(count_i, count_j) = 5, deep inside the pass.
+  // A joint count above min(count_i, count_j) = 5 in both triangles.
   gamma.at(2, 1) = 6;
+  gamma.at(1, 2) = 6;
+  EXPECT_THROW((void)r2_matrix(gamma, {4, 5, 6}, 10), std::invalid_argument);
+  // Only the lower entry bad.
+  gamma.at(1, 2) = 5;
   EXPECT_THROW((void)r2_matrix(gamma, {4, 5, 6}, 10), std::invalid_argument);
   gamma.at(2, 1) = 5;
   EXPECT_THROW((void)r2_matrix(gamma, {4, 5, 11}, 10),

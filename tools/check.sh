@@ -12,7 +12,8 @@
 #   2. ASan/UBSan build + tier-1 tests.
 #   3. TSan build + the concurrency-heavy suites (the exec pool, the
 #      in-place chunk pipeline, the host engines whose loops run on the
-#      exec pool — CPU engine, LD stats, sparse — the obs metrics/span
+#      exec pool — CPU engine, GPU kernel, LD stats, sparse — the obs
+#      metrics/span
 #      registry, the fault-injection soak, and the multi-client
 #      service-engine soak, its teardown race repeated 50 times). Every
 #      host thread is an exec pool thread, so TSan sees the parallel code
@@ -54,6 +55,12 @@ for bin in build/tools/snpcmp build/tests/test_*; do
   fi
 done
 echo "no OpenMP runtime linked"
+
+echo "== CPU engine LD self-comparison row (cpu_microkernel_gbench) =="
+# A short run of the triangle-only self path's google-benchmark row, so
+# the row keeps building and running.
+./build/bench/cpu_microkernel_gbench --benchmark_filter=BM_CpuLdSelf \
+  --benchmark_min_time=0.05
 
 echo "== engine-teardown race (repeated) =="
 # A kBlock submitter parked in admission while the engine is destroyed
@@ -359,17 +366,20 @@ echo "== TSan build + exec/pipeline/engine/obs/fault/service tests =="
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$jobs" \
   --target test_exec test_chunk_pipeline \
-           test_cpu_engine test_ld_stats test_sparse test_obs \
-           test_fault_injection test_service test_chaos test_flight \
-           test_tracing
+           test_cpu_engine test_gpu_kernel test_ld_stats test_sparse \
+           test_obs test_fault_injection test_service test_chaos \
+           test_flight test_tracing
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_exec
 # Each chunk's execute stage spreads its tiles over the host pool, whose
 # threads write disjoint parts of one result matrix; the engine's tile
 # loop also runs here on a 3-worker pool.
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_chunk_pipeline
-# The engine's tiles, r2_matrix's row blocks and the sparse engines' rows
-# run on the host pool (hardware_threads() - 1 workers).
+# The engine's tiles, r2_matrix's tile rows and the sparse engines' rows
+# run on the host pool (hardware_threads() - 1 workers); a
+# self-comparison's mirrored adds cross macro-tile boundaries, and the
+# GPU kernel's execute reaches the same engine.
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_cpu_engine
+TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_gpu_kernel
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_ld_stats
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_sparse
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_obs
