@@ -1,9 +1,14 @@
 // google-benchmark harness for the real (natively executed) CPU engine —
 // the Section III baseline. Measures the blocked popcount-GEMM throughput
-// of this machine for each comparison operation and a packing-cost probe.
-// Unlike the figure benches (which model the paper's Xeon), these numbers
-// are real wall-clock measurements of the host CPU.
+// of this machine for each comparison operation at the LD and FastID
+// shapes, the per-core popcount ceiling the paper judges such a baseline
+// against, and a packing-cost probe. Unlike the figure benches (which model
+// the paper's Xeon), these numbers are real wall-clock measurements of the
+// host CPU.
 #include <benchmark/benchmark.h>
+
+#include <bit>
+#include <cstdint>
 
 #include "bits/compare.hpp"
 #include "cpu/engine.hpp"
@@ -13,16 +18,70 @@ namespace {
 
 using snp::bits::Comparison;
 
-/// m x m products of `k_bits` columns per second, in 32-bit word-ops.
-void count_wordops(benchmark::State& state, std::size_t m,
+/// m x n products of `k_bits` columns per second, in 32-bit word-ops. The
+/// engine rows run on the host pool, so they time with UseRealTime(): a
+/// rate over the main thread's CPU time would overstate them.
+void count_wordops(benchmark::State& state, std::size_t m, std::size_t n,
                    std::size_t k_bits) {
   const double wordops =
-      static_cast<double>(m) * static_cast<double>(m) *
+      static_cast<double>(m) * static_cast<double>(n) *
       static_cast<double>(snp::bits::ceil_div(k_bits, 32));
   state.counters["Gwordops/s"] = benchmark::Counter(
       wordops * static_cast<double>(state.iterations()) / 1e9,
       benchmark::Counter::kIsRate);
 }
+
+/// The ceiling loop: the micro-kernel's register block over `kw` words of
+/// packed A and B strips, stored to `out` once at the end, as the kernel
+/// stores its block. It is kept out of line, as the engine calls its
+/// kernel: inlined into the timing loop, GCC keeps the counts in memory.
+[[gnu::noinline]] void ceiling_pass(const std::uint64_t* a,
+                                    const std::uint64_t* b, std::size_t kw,
+                                    std::uint64_t* out) {
+  constexpr std::size_t m_r = snp::cpu::CpuBlocking::m_r;
+  constexpr std::size_t n_r = snp::cpu::CpuBlocking::n_r;
+  std::uint64_t acc[m_r][n_r] = {};
+  for (std::size_t k = 0; k < kw; ++k) {
+    for (std::size_t i = 0; i < m_r; ++i) {
+      const std::uint64_t av = a[k * m_r + i];
+#pragma omp simd simdlen(n_r)
+      for (std::size_t j = 0; j < n_r; ++j) {
+        acc[i][j] +=
+            static_cast<std::uint64_t>(std::popcount(av & b[k * n_r + j]));
+      }
+    }
+  }
+  for (std::size_t i = 0; i < m_r; ++i) {
+    for (std::size_t j = 0; j < n_r; ++j) {
+      out[i * n_r + j] = acc[i][j];
+    }
+  }
+}
+
+void BM_PopcountCeiling(benchmark::State& state) {
+  // The per-core ceiling the engine rows are judged against: AND +
+  // popcount + add on 64-bit words that stay in L1 (12 KiB), in the
+  // micro-kernel's register shape (a broadcast word of A against a vector
+  // of n_r words of B, into m_r x n_r 64-bit counts), on one thread, with
+  // no packing, no C traffic and no scheduling. Its rate is in 32-bit
+  // word-ops like every row here, so a row's share of the machine's
+  // ceiling is its rate over this one times the threads it ran on.
+  constexpr std::size_t m_r = snp::cpu::CpuBlocking::m_r;
+  constexpr std::size_t n_r = snp::cpu::CpuBlocking::n_r;
+  const std::size_t kw = 128;
+  const auto words =
+      snp::io::random_bitmatrix(1, kw * (m_r + n_r) * 64, 0.5, 5);
+  const std::uint64_t* a = words.row64(0).data();
+  const std::uint64_t* b = a + kw * m_r;
+  std::uint64_t out[m_r * n_r];
+  for (auto _ : state) {
+    ceiling_pass(a, b, kw, out);
+    benchmark::DoNotOptimize(out);
+    benchmark::ClobberMemory();
+  }
+  count_wordops(state, m_r, n_r, kw * 64);
+}
+BENCHMARK(BM_PopcountCeiling);
 
 void bench_compare(benchmark::State& state, Comparison op) {
   const auto m = static_cast<std::size_t>(state.range(0));
@@ -33,7 +92,7 @@ void bench_compare(benchmark::State& state, Comparison op) {
     auto c = snp::cpu::compare_blocked(a, b, op);
     benchmark::DoNotOptimize(c.raw().data());
   }
-  count_wordops(state, m, k_bits);
+  count_wordops(state, m, m, k_bits);
 }
 
 void BM_CpuAnd(benchmark::State& state) {
@@ -49,9 +108,10 @@ void BM_CpuAndNot(benchmark::State& state) {
 BENCHMARK(BM_CpuAnd)
     ->Args({256, 4096})
     ->Args({512, 8192})
-    ->Args({2048, 4096});
-BENCHMARK(BM_CpuXor)->Args({256, 4096});
-BENCHMARK(BM_CpuAndNot)->Args({256, 4096});
+    ->Args({2048, 4096})
+    ->UseRealTime();
+BENCHMARK(BM_CpuXor)->Args({256, 4096})->UseRealTime();
+BENCHMARK(BM_CpuAndNot)->Args({256, 4096})->UseRealTime();
 
 void BM_CpuLdSelf(benchmark::State& state) {
   // LD (Eq. 1): one matrix on both sides, which the engine computes on the
@@ -65,9 +125,27 @@ void BM_CpuLdSelf(benchmark::State& state) {
     benchmark::DoNotOptimize(c.raw().data());
     benchmark::ClobberMemory();
   }
-  count_wordops(state, n, k_bits);
+  count_wordops(state, n, n, k_bits);
 }
-BENCHMARK(BM_CpuLdSelf)->Args({2048, 4096});
+BENCHMARK(BM_CpuLdSelf)->Args({2048, 4096})->UseRealTime();
+
+void BM_CpuFastId(benchmark::State& state) {
+  // FastID identity search (Eq. 2): a batch of m query profiles against a
+  // resident database of 65,536 profiles x 1,024 SNPs under XOR, the
+  // idsearch_large shape; the service's batches hold 1-32 queries.
+  const auto m = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kProfiles = 65536;
+  constexpr std::size_t kSnps = 1024;
+  const auto q = snp::io::random_bitmatrix(m, kSnps, 0.5, 6);
+  const auto db = snp::io::random_bitmatrix(kProfiles, kSnps, 0.5, 7);
+  for (auto _ : state) {
+    auto c = snp::cpu::compare_blocked(q, db, Comparison::kXor);
+    benchmark::DoNotOptimize(c.raw().data());
+    benchmark::ClobberMemory();
+  }
+  count_wordops(state, m, kProfiles, kSnps);
+}
+BENCHMARK(BM_CpuFastId)->Arg(1)->Arg(4)->Arg(32)->UseRealTime();
 
 void BM_ReferenceAnd(benchmark::State& state) {
   // The unblocked reference, to show what the BLIS-like blocking buys.

@@ -10,7 +10,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "bits/word.hpp"
@@ -96,12 +99,41 @@ struct RowWindow {
   std::size_t rows = 0;
 };
 
+/// std::allocator whose value-less construct default-initializes, so a
+/// vector sized with it leaves its elements unset instead of zeroing them:
+/// for outputs that a writer overwrites entirely. Construction from a
+/// value is unchanged.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  using std::allocator<T>::allocator;
+  template <class U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
 /// Dense count matrix produced by SNP comparisons: gamma[i,j] as in Eqs. 1-3.
 class CountMatrix {
  public:
   CountMatrix() = default;
+  /// A rows x cols matrix of zero counts.
   CountMatrix(std::size_t rows, std::size_t cols)
       : rows_(rows), cols_(cols), data_(rows * cols, 0) {}
+
+  /// A rows x cols matrix whose counts are left unset, for a writer that
+  /// stores every entry: its memory is written once, not zeroed first.
+  [[nodiscard]] static CountMatrix for_overwrite(std::size_t rows,
+                                                 std::size_t cols) {
+    CountMatrix m;
+    m.rows_ = rows;
+    m.cols_ = cols;
+    m.data_.resize(rows * cols);
+    return m;
+  }
 
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
@@ -128,7 +160,7 @@ class CountMatrix {
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<std::uint32_t> data_;
+  std::vector<std::uint32_t, DefaultInitAllocator<std::uint32_t>> data_;
 };
 
 }  // namespace snp::bits

@@ -64,8 +64,8 @@ void check_operands(const BitMatrix& a, const BitMatrix& b, Comparison op,
 /// [row0, row0 + rows) when B streams, rows [row0, row0 + rows) otherwise.
 CountMatrix chunk_block(const CountMatrix& counts, std::size_t row0,
                         std::size_t rows, bool stream_b) {
-  CountMatrix part(stream_b ? counts.rows() : rows,
-                   stream_b ? rows : counts.cols());
+  auto part = CountMatrix::for_overwrite(stream_b ? counts.rows() : rows,
+                                        stream_b ? rows : counts.cols());
   const std::uint32_t* src =
       counts.raw().data() + (stream_b ? row0 : row0 * counts.cols());
   for (std::size_t i = 0; i < part.rows(); ++i) {
@@ -550,7 +550,8 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
     }
   }
   if (options.functional && options.keep_counts) {
-    result.counts = CountMatrix(a.rows(), b.rows());
+    // The chunks' blocks tile it and the kernel stores each one.
+    result.counts = CountMatrix::for_overwrite(a.rows(), b.rows());
   }
 
   const kern::GpuSnpKernel kernel(dev, cfg, op);
@@ -704,11 +705,11 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
           block = result.counts.raw().data() +
                   (stream_b ? row0 : row0 * ldc);
         } else {
-          part = CountMatrix(ap.rows, bp.rows);
+          part = CountMatrix::for_overwrite(ap.rows, bp.rows);
           block = part.raw().data();
         }
-        // The kernel zeroes the block before accumulating into it, so a
-        // retried body does not count twice.
+        // The kernel overwrites the block (beta = 0), so a retried body
+        // does not count twice.
         kernel.execute(ap, bp, block, ldc);
       });
       // The block's rows: every row of A when B streams, else the chunk's.

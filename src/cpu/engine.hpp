@@ -27,7 +27,8 @@ struct CpuBlocking {
   std::size_t k_c = 256;   ///< panel depth in 64-bit words (2 KiB strips)
   std::size_t n_c = 2048;  ///< B columns per L3 block
   static constexpr std::size_t m_r = 4;  ///< micro-tile rows
-  static constexpr std::size_t n_r = 4;  ///< micro-tile cols
+  /// Micro-tile cols: one 512-bit vector of 64-bit words.
+  static constexpr std::size_t n_r = 8;
 
   [[nodiscard]] bool valid() const {
     return m_c >= m_r && n_c >= n_r && k_c > 0 && m_c % m_r == 0 &&
@@ -35,32 +36,36 @@ struct CpuBlocking {
   }
 };
 
-/// The engine's core entry, BLIS's C += AB on a rectangle: adds
+/// The engine's core entry, BLIS's C = AB + beta C on a rectangle: writes
 /// gamma[i,j] = sum_k popcount(op(A[i,k], B[j,k])) for the rows of the
 /// windows `a` (M rows) and `b` (N rows) into the M x N block of C at `c`,
 /// whose rows are `ldc` >= N counts apart, so the block may sit inside a
-/// larger matrix. The operands are read in place and no M x N temporary
-/// is allocated. One pool.parallel_for runs over the 2-D grid of
-/// m_c x n_c macro-tiles, so a one-row query still spreads across B's n_c
-/// blocks; a problem of one macro-tile runs on the calling thread alone.
-/// When `a` and `b` are the same rows of one matrix and `op` is symmetric
-/// (AND, XOR), it computes only the tiles on or above the diagonal, as
-/// SYRK does, and adds each strictly-upper block at (i, j) and (j, i): half
-/// the popcounts, and C += A op A^T stays exact. The counts are the same on
-/// every pool.
+/// larger matrix. With `accumulate` the counts are added to the block
+/// (beta = 1); without it they overwrite it (beta = 0), so the block needs
+/// no zeroing first and running the call again gives the same block. The
+/// operands are read in place and no M x N temporary is allocated. One
+/// pool.parallel_for runs over the 2-D grid of m_c x n_c macro-tiles, so a
+/// one-row query still spreads across B's n_c blocks; a problem of one
+/// macro-tile runs on the calling thread alone. When `a` and `b` are the
+/// same rows of one matrix and `op` is symmetric (AND, XOR), it computes
+/// only the tiles on or above the diagonal, as SYRK does, and writes each
+/// block wholly above it at (i, j) and (j, i): half the popcounts, and both
+/// modes stay exact. The counts are the same on every pool.
 void compare_accumulate(bits::RowWindow a, bits::RowWindow b,
                         bits::Comparison op, std::uint32_t* c,
-                        std::size_t ldc, const CpuBlocking& blocking = {},
+                        std::size_t ldc, bool accumulate,
+                        const CpuBlocking& blocking = {},
                         exec::ThreadPool& pool = exec::host_pool());
 
 /// The rectangle form over whole operands: `c` must be
 /// a.rows() x b.rows().
 void compare_accumulate(const bits::BitMatrix& a, const bits::BitMatrix& b,
                         bits::Comparison op, bits::CountMatrix& c,
-                        const CpuBlocking& blocking = {},
+                        bool accumulate, const CpuBlocking& blocking = {},
                         exec::ThreadPool& pool = exec::host_pool());
 
-/// gamma = A op B into a fresh matrix: compare_accumulate from zero.
+/// gamma = A op B into a fresh matrix that compare_accumulate's store
+/// overwrites, so it is never zero-filled.
 [[nodiscard]] bits::CountMatrix compare_blocked(
     const bits::BitMatrix& a, const bits::BitMatrix& b, bits::Comparison op,
     const CpuBlocking& blocking = {});

@@ -1,6 +1,5 @@
 #include "kern/gpu_kernel.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "cpu/engine.hpp"
@@ -37,12 +36,7 @@ void GpuSnpKernel::execute(bits::RowWindow a, bits::RowWindow b,
     throw std::invalid_argument(
         "GpuSnpKernel::execute: operands must share the K dimension");
   }
-  if (!accumulate) {
-    for (std::size_t i = 0; i < a.rows; ++i) {
-      std::fill_n(c + i * ldc, b.rows, 0u);
-    }
-  }
-  cpu::compare_accumulate(a, b, lowered_op(), c, ldc);
+  cpu::compare_accumulate(a, b, lowered_op(), c, ldc, accumulate);
 }
 
 void GpuSnpKernel::execute(const bits::BitMatrix& a, const bits::BitMatrix& b,

@@ -43,12 +43,13 @@ class GpuSnpKernel {
   /// lowering (AND when the database is pre-negated).
   [[nodiscard]] bits::Comparison lowered_op() const;
 
-  /// Functional execution on a rectangle: accumulates gamma[i,j] +=
+  /// Functional execution on a rectangle: gamma[i,j] =
   /// popc(op(A[i,:], B[j,:])) under lowered_op(), computed by the host
   /// engine from the operands in place, for the rows of the windows `a`
   /// and `b` into the a.rows x b.rows block of C at `c`, whose rows are
-  /// `ldc` counts apart. `accumulate = false` zeroes the block first
-  /// (beta = 0), so running it again gives the same block.
+  /// `ldc` counts apart. `accumulate = false` overwrites the block
+  /// (beta = 0), so running it again gives the same block; `true` adds
+  /// to it.
   void execute(bits::RowWindow a, bits::RowWindow b, std::uint32_t* c,
                std::size_t ldc, bool accumulate = false) const;
 

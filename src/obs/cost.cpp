@@ -24,7 +24,7 @@ std::vector<std::uint64_t> split_exact(
   }
   // 128-bit products: total and the cumulative weights are both u64, so
   // total * cum cannot overflow unsigned __int128.
-  using u128 = unsigned __int128;
+  __extension__ using u128 = unsigned __int128;
   u128 weight_sum = 0;
   for (const std::uint64_t w : weights) {
     weight_sum += w;

@@ -40,8 +40,6 @@ struct LdStats {
 class R2Matrix {
  public:
   R2Matrix() = default;
-  explicit R2Matrix(std::size_t loci)
-      : loci_(loci), packed_(loci * (loci + 1) / 2) {}
 
   [[nodiscard]] std::size_t loci() const { return loci_; }
   [[nodiscard]] bool empty() const { return loci_ == 0; }
@@ -58,6 +56,10 @@ class R2Matrix {
   friend R2Matrix r2_matrix(const bits::CountMatrix&,
                             const std::vector<std::uint32_t>&, std::size_t);
 
+  /// Leaves the entries unset: r2_matrix writes every one of them.
+  explicit R2Matrix(std::size_t loci)
+      : loci_(loci), packed_(loci * (loci + 1) / 2) {}
+
   /// packed_[offset(i) + j] is (i, j) for j >= i: the rows above row i
   /// hold loci, loci - 1, ..., loci - i + 1 entries.
   [[nodiscard]] std::size_t offset(std::size_t i) const {
@@ -65,7 +67,7 @@ class R2Matrix {
   }
 
   std::size_t loci_ = 0;
-  std::vector<double> packed_;
+  std::vector<double, bits::DefaultInitAllocator<double>> packed_;
 };
 
 /// All-pairs r^2 from a full gamma matrix (as produced by an LD kernel run

@@ -69,7 +69,7 @@ TEST(EngineRectangle, MatchesReferenceOnRandomWindows) {
   exec::ThreadPool inline_pool(0);
   exec::ThreadPool three_workers(3);
   // Tiny blocking crosses every m_c / n_c / k_c edge at these sizes; the
-  // default one crosses the 4 x 4 micro-tile edges.
+  // default one crosses the 4 x 8 micro-tile edges.
   cpu::CpuBlocking tiny;
   tiny.m_c = 8;
   tiny.k_c = 2;
@@ -102,7 +102,7 @@ TEST(EngineRectangle, MatchesReferenceOnRandomWindows) {
                        std::to_string(pool->thread_count()));
           auto c = sentinel_buffer(r0 + aw.rows + 2, ldc);
           cpu::compare_accumulate(aw, bw, op, c.data() + r0 * ldc + c0, ldc,
-                                  blocking, *pool);
+                                  /*accumulate=*/true, blocking, *pool);
           expect_block(c, ldc, r0, c0, expected, kSentinel);  // C += AB
         }
       }
@@ -114,10 +114,10 @@ TEST(EngineRectangle, RejectsWindowsOutOfRange) {
   const auto a = io::random_bitmatrix(4, 64, 0.5, 1);
   std::vector<std::uint32_t> c(16);
   EXPECT_THROW(cpu::compare_accumulate({&a, 2, 3}, {&a, 0, 4},
-                                       Comparison::kAnd, c.data(), 4),
+                                       Comparison::kAnd, c.data(), 4, false),
                std::invalid_argument);
   EXPECT_THROW(cpu::compare_accumulate({&a, 0, 4}, {&a, 0, 4},
-                                       Comparison::kAnd, c.data(), 3),
+                                       Comparison::kAnd, c.data(), 3, false),
                std::invalid_argument);
 }
 
@@ -165,7 +165,8 @@ TEST(EngineFullMatrix, CpuEngineMatchesReferenceForAnyPoolSize) {
       exec::ThreadPool pool(threads);
       for (const cpu::CpuBlocking& blocking : {cpu::CpuBlocking{}, small}) {
         CountMatrix got(a.rows(), b.rows());
-        cpu::compare_accumulate(a, b, op, got, blocking, pool);
+        cpu::compare_accumulate(a, b, op, got, /*accumulate=*/true,
+                                blocking, pool);
         EXPECT_TRUE(got == expected) << to_string(op) << " with " << threads
                                      << " threads, m_c " << blocking.m_c;
       }
@@ -243,7 +244,7 @@ TEST(ChunkPipeline, InPlaceStagesMatchReference) {
   struct Shape {
     std::size_t m, n, bit_cols;
   };
-  // B streams when n >= m, A otherwise. Rows straddle the 4 x 4
+  // B streams when n >= m, A otherwise. Rows straddle the 4 x 8
   // micro-tile and the engine's 64-row m_c block; one B exceeds its
   // 2,048-row n_c block; K runs from one bit to past a 64-bit word.
   const Shape shapes[] = {{3, 37, 65},  {1, 130, 1},  {33, 33, 200},

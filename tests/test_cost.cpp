@@ -39,7 +39,7 @@ using obs::RequestCost;
 using svc::QueryResult;
 using svc::ServiceConfig;
 using svc::ServiceEngine;
-using u128 = unsigned __int128;
+__extension__ using u128 = unsigned __int128;
 
 // ---- split_exact: the telescoping identity -----------------------------
 

@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "bits/compare.hpp"
+#include "exec/thread_pool.hpp"
 #include "io/datagen.hpp"
 #include "obs/obs.hpp"
 
@@ -83,7 +85,7 @@ TEST(CpuEngine, DeepKCrossesPanels) {
 TEST(CpuEngine, TinyBlockingStillCorrect) {
   CpuBlocking blk;
   blk.m_c = 4;
-  blk.n_c = 4;
+  blk.n_c = 8;  // one m_r x n_r micro-tile per macro-tile
   blk.k_c = 1;
   const auto a = io::random_bitmatrix(17, 333, 0.3, 105);
   const auto b = io::random_bitmatrix(19, 333, 0.7, 106);
@@ -121,7 +123,8 @@ std::string self_case_name(
 }
 
 // One matrix on both sides under a symmetric op takes the triangle-only
-// path: ragged n around m_r, m_c and n_c, and k across k_c.
+// path: ragged n around m_r, n_r (the diagonal micro-tiles of the 4 x 8
+// grid), m_c and n_c, and k across k_c.
 TEST_P(SelfComparison, MatchesReference) {
   const auto& [c, op] = GetParam();
   const auto a = io::random_bitmatrix(c.n, c.bits, 0.45, 109);
@@ -148,8 +151,10 @@ INSTANTIATE_TEST_SUITE_P(
           std::vector<SelfCase> cases;
           for (const std::size_t n :
                {std::size_t{1}, std::size_t{3}, std::size_t{4},
-                std::size_t{5}, std::size_t{63}, std::size_t{64},
-                std::size_t{65}, 2 * kDefault.m_c + 3, kDefault.n_c + 5}) {
+                std::size_t{5}, std::size_t{7}, std::size_t{8},
+                std::size_t{9}, std::size_t{12}, std::size_t{63},
+                std::size_t{64}, std::size_t{65}, 2 * kDefault.m_c + 3,
+                kDefault.n_c + 5}) {
             for (const std::size_t bits :
                  {std::size_t{1}, std::size_t{100},
                   kDefault.k_c * 64 + 3}) {
@@ -176,7 +181,7 @@ TEST(CpuEngine, OtherSelfShapesTakeTheGeneralPath) {
     for (const auto op : {Comparison::kAnd, Comparison::kXor}) {
       bits::CountMatrix c(w.a_rows, w.b_rows);
       compare_accumulate({&a, w.a0, w.a_rows}, {&a, w.b0, w.b_rows}, op,
-                         c.raw().data(), w.b_rows);
+                         c.raw().data(), w.b_rows, /*accumulate=*/true);
       EXPECT_TRUE(c == bits::compare_reference(
                            a.row_slice(w.a0, w.a0 + w.a_rows),
                            a.row_slice(w.b0, w.b0 + w.b_rows), op))
@@ -202,6 +207,81 @@ TEST(CpuEngine, SelfComparisonSkipsTheLowerTriangle) {
   // 128 x 128 micro-tiles: 128 * 129 / 2 of them on or above the diagonal.
   EXPECT_LE(static_cast<double>(self), 0.55 * static_cast<double>(full))
       << self << " of " << full << " word-ops";
+}
+
+/// compare_accumulate in store mode over a C first filled with all-ones
+/// words, which no count of these shapes can equal.
+bits::CountMatrix stored(bits::RowWindow a, bits::RowWindow b, Comparison op,
+                         const CpuBlocking& blocking, exec::ThreadPool& pool) {
+  bits::CountMatrix c(a.rows, b.rows);
+  std::fill(c.raw().begin(), c.raw().end(), 0xFFFFFFFFu);
+  compare_accumulate(a, b, op, c.raw().data(), b.rows,
+                     /*accumulate=*/false, blocking, pool);
+  return c;
+}
+
+// The store epilogue (BLAS beta = 0) writes every entry of C, so nothing C
+// held shows through: m and n around m_r = 4 and n_r = 8, around m_c = 64,
+// and on every micro-tile of a 4 x 8 grid's diagonal when one matrix is on
+// both sides; k over three k_c panels, the first stored and the others
+// added; every participant of a pool writing its own tiles.
+TEST(CpuEngine, StoreOverwritesEveryEntry) {
+  CpuBlocking tiny;
+  tiny.m_c = 4;
+  tiny.n_c = 8;
+  tiny.k_c = 1;
+  exec::ThreadPool inline_pool(0);
+  exec::ThreadPool three_workers(3);
+  const std::size_t shapes[] = {1, 3, 4, 5, 7, 8, 9, 12, 65, 131};
+  for (const CpuBlocking& blocking : {kDefault, tiny}) {
+    const std::size_t k_bits = 2 * blocking.k_c * 64 + 3;
+    std::vector<bits::BitMatrix> bs;
+    for (const std::size_t n : shapes) {
+      bs.push_back(io::random_bitmatrix(n, k_bits, 0.6, 127 + n));
+    }
+    for (const std::size_t m : shapes) {
+      const auto a = io::random_bitmatrix(m, k_bits, 0.4, 113 + m);
+      for (const bits::BitMatrix& b : bs) {
+        const std::size_t n = b.rows();
+        for (const auto op :
+             {Comparison::kAnd, Comparison::kXor, Comparison::kAndNot}) {
+          const auto expected = bits::compare_reference(a, b, op);
+          for (exec::ThreadPool* pool : {&inline_pool, &three_workers}) {
+            EXPECT_TRUE(stored({&a, 0, m}, {&b, 0, n}, op, blocking, *pool) ==
+                        expected)
+                << m << " x " << n << " op " << static_cast<int>(op)
+                << " k_c " << blocking.k_c << " workers "
+                << pool->thread_count();
+          }
+        }
+      }
+      for (const auto op :
+           {Comparison::kAnd, Comparison::kXor, Comparison::kAndNot}) {
+        const auto expected = bits::compare_reference(a, a, op);
+        for (exec::ThreadPool* pool : {&inline_pool, &three_workers}) {
+          EXPECT_TRUE(stored({&a, 0, m}, {&a, 0, m}, op, blocking, *pool) ==
+                      expected)
+              << "self " << m << " op " << static_cast<int>(op) << " k_c "
+              << blocking.k_c << " workers " << pool->thread_count();
+        }
+      }
+    }
+  }
+}
+
+TEST(CpuEngine, StoreWithoutColumnsGivesZeros) {
+  // No bit columns means no k_c panel: a store must still zero C.
+  const bits::BitMatrix a(5, 0);
+  const bits::BitMatrix b(9, 0);
+  exec::ThreadPool three_workers(3);
+  for (const auto op :
+       {Comparison::kAnd, Comparison::kXor, Comparison::kAndNot}) {
+    EXPECT_TRUE(stored({&a, 0, 5}, {&b, 0, 9}, op, kDefault, three_workers) ==
+                bits::CountMatrix(5, 9));
+    EXPECT_TRUE(stored({&a, 0, 5}, {&a, 0, 5}, op, kDefault, three_workers) ==
+                bits::CountMatrix(5, 5));
+    EXPECT_TRUE(compare_blocked(a, b, op) == bits::CountMatrix(5, 9));
+  }
 }
 
 TEST(CpuEngine, DensityExtremes) {

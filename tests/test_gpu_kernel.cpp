@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "bits/compare.hpp"
 #include "io/datagen.hpp"
 
@@ -142,6 +145,49 @@ TEST(GpuKernel, AccumulateMode) {
             << i << "," << j;
       }
     }
+  }
+}
+
+TEST(GpuKernel, OverwriteStoresEveryEntry) {
+  // execute(accumulate = false) overwrites its block (beta = 0) instead of
+  // zeroing it first: C starts as all-ones words, which no count here can
+  // equal, and none may show through. Distinct operands and one matrix on
+  // both sides, m and n around the host engine's 4 x 8 micro-tile and its
+  // 64-row m_c, k over three of its k_c panels; no columns gives zeros.
+  const auto dev = model::titan_v();
+  const auto cfg = model::paper_preset(dev, model::WorkloadKind::kLd);
+  const std::size_t shapes[] = {1, 3, 4, 5, 7, 8, 9, 12, 65, 131};
+  const std::size_t k_bits = 2 * 256 * 64 + 3;
+  const auto overwritten = [](const GpuSnpKernel& kernel,
+                              const bits::BitMatrix& a,
+                              const bits::BitMatrix& b) {
+    bits::CountMatrix out(a.rows(), b.rows());
+    std::fill(out.raw().begin(), out.raw().end(), 0xFFFFFFFFu);
+    kernel.execute(a, b, out, /*accumulate=*/false);
+    return out;
+  };
+  std::vector<bits::BitMatrix> as;
+  std::vector<bits::BitMatrix> bs;
+  for (const std::size_t m : shapes) {
+    as.push_back(io::random_bitmatrix(m, k_bits, 0.4, 211 + m));
+    bs.push_back(io::random_bitmatrix(m, k_bits, 0.6, 223 + m));
+  }
+  for (const auto op :
+       {Comparison::kAnd, Comparison::kXor, Comparison::kAndNot}) {
+    const GpuSnpKernel kernel(dev, cfg, op);
+    for (const bits::BitMatrix& a : as) {
+      EXPECT_TRUE(overwritten(kernel, a, a) ==
+                  bits::compare_reference(a, a, op))
+          << "self " << a.rows() << " op " << static_cast<int>(op);
+      for (const bits::BitMatrix& b : bs) {
+        EXPECT_TRUE(overwritten(kernel, a, b) ==
+                    bits::compare_reference(a, b, op))
+            << a.rows() << " x " << b.rows() << " op "
+            << static_cast<int>(op);
+      }
+    }
+    const bits::BitMatrix none(6, 0);
+    EXPECT_TRUE(overwritten(kernel, none, none) == bits::CountMatrix(6, 6));
   }
 }
 

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Full verification sweep:
-#   1. Release build + the whole test suite (tier1 + slow labels), the
+#   1. Release build with warnings as errors (-DSNP_WERROR=ON) + the whole
+#      test suite (tier1 + slow labels), a micro-kernel codegen guard
+#      (512-bit vpopcntq where the host has AVX-512 VPOPCNTDQ), the
 #      service's engine-teardown race test repeated 500 times, plus
 #      a telemetry smoke: a real search run with --metrics-out /
 #      --trace-out whose outputs are validated as JSON, and a
@@ -19,6 +21,8 @@
 #      host thread is an exec pool thread, so TSan sees the parallel code
 #      production runs.
 #   4. Telemetry compiled out (-DSNPCMP_OBS=OFF) build + tier-1 tests.
+#   5. Portable build (-DSNP_NATIVE=OFF, baseline x86-64 codegen) + the
+#      suites that check the host engine's counts against the reference.
 #
 # The release stage also runs a fault-injection smoke: an injected
 # search under --fail-policy degrade must match the clean ranking and
@@ -42,10 +46,25 @@ skip_san=no
 ci_mode=no
 [[ "${1:-}" == "--ci" ]] && ci_mode=yes
 
-echo "== release build + full test suite =="
-cmake --preset default >/dev/null
+echo "== release build (warnings as errors) + full test suite =="
+cmake --preset default -DSNP_WERROR=ON >/dev/null
 cmake --build --preset default -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
+
+echo "== micro-kernel codegen (512-bit vpopcntq) =="
+# The micro-kernel's n_r = 8 lanes of 64-bit counts are one 512-bit
+# vector: where the CPU has AVX-512 VPOPCNTDQ, the -march=native build must
+# popcount them with vpopcntq on %zmm registers, not on narrower ones.
+if grep -qw avx512_vpopcntdq /proc/cpuinfo; then
+  zmm=$(objdump -d --no-show-raw-insn build/src/cpu/libsnp_cpu.a |
+        awk '/^[0-9a-f]+ <.*>:$/ { mk = /micro_kernel/; next }
+             mk && /vpopcntq/ && /%zmm/' | wc -l)
+  [[ "$zmm" -gt 0 ]] || {
+    echo "micro_kernel has no vpopcntq on %zmm registers"; exit 1; }
+  echo "micro_kernel: $zmm vpopcntq on %zmm registers"
+else
+  echo "skipped: this CPU does not list avx512_vpopcntdq"
+fi
 
 echo "== one thread runtime (no binary links libgomp) =="
 for bin in build/tools/snpcmp build/tests/test_*; do
@@ -404,5 +423,17 @@ cmake -S . -B build-noobs -DCMAKE_BUILD_TYPE=Release -DSNPCMP_OBS=OFF \
   >/dev/null
 cmake --build build-noobs -j "$jobs"
 ctest --test-dir build-noobs -L tier1 --output-on-failure -j "$jobs"
+
+echo "== portable build (SNP_NATIVE=OFF) + host engine suites =="
+# The micro-kernel is one portable source: under baseline x86-64 codegen
+# its counts must stay bit-exact too.
+portable_tests=(test_cpu_engine test_cross_engine test_gpu_kernel
+                test_chunk_pipeline test_ld_stats)
+cmake -S . -B build-portable -DCMAKE_BUILD_TYPE=Release -DSNP_NATIVE=OFF \
+  >/dev/null
+cmake --build build-portable -j "$jobs" --target "${portable_tests[@]}"
+for t in "${portable_tests[@]}"; do
+  ./build-portable/tests/"$t" --gtest_brief=1
+done
 
 echo "== all checks passed =="
