@@ -56,8 +56,8 @@ void pack_b(const bits::BitMatrix& b, std::size_t col0, std::size_t cols,
 /// Where a micro-tile's register block goes: its rows x cols corner (all
 /// of it but at the edge of C) at `c`, rows `ldc` counts apart, and for a
 /// strictly-upper self block also transposed at `mirror`. With `add`
-/// false (the first k_c panel of a store, BLAS beta = 0) the block
-/// overwrites what C held.
+/// false (the first k_c panel, BLAS beta = 0) the block overwrites what C
+/// held.
 struct TileOut {
   std::uint32_t* c;
   std::uint32_t* mirror;  ///< nullptr unless the block is mirrored
@@ -187,9 +187,9 @@ struct Panels {
 
 }  // namespace
 
-void compare_accumulate(bits::RowWindow a, bits::RowWindow b, Comparison op,
-                        std::uint32_t* c, std::size_t ldc, bool accumulate,
-                        const CpuBlocking& blocking, exec::ThreadPool& pool) {
+void compare_into(bits::RowWindow a, bits::RowWindow b, Comparison op,
+                  std::uint32_t* c, std::size_t ldc,
+                  const CpuBlocking& blocking, exec::ThreadPool& pool) {
   if (a.matrix->bit_cols() != b.matrix->bit_cols()) {
     throw std::invalid_argument(
         "compare_blocked: operands must share the K dimension");
@@ -213,10 +213,8 @@ void compare_accumulate(bits::RowWindow a, bits::RowWindow b, Comparison op,
   }
   if (k_words == 0) {
     // No columns: every count is zero.
-    if (!accumulate) {
-      for (std::size_t i = 0; i < m; ++i) {
-        std::fill_n(c + i * ldc, n, 0u);
-      }
+    for (std::size_t i = 0; i < m; ++i) {
+      std::fill_n(c + i * ldc, n, 0u);
     }
     return;
   }
@@ -237,15 +235,14 @@ void compare_accumulate(bits::RowWindow a, bits::RowWindow b, Comparison op,
   // self tile's mirrored writes land only in skipped lower micro-tiles, so
   // every entry has one writer per k_c panel and no synchronization is
   // needed; a single tile posts no helper. The first panel stores its
-  // counts unless the caller accumulates, and later panels add theirs, so
-  // each entry of a store is written once per panel and never zeroed
-  // first. Tiles are numbered column-major, so the tiles a participant
-  // takes in turn mostly share an n_c block, and it repacks its B panel
-  // only when the block changes.
+  // counts and later panels add theirs, so each entry is written once per
+  // panel and never zeroed first. Tiles are numbered column-major, so the
+  // tiles a participant takes in turn mostly share an n_c block, and it
+  // repacks its B panel only when the block changes.
   std::vector<Panels> panels(pool.thread_count() + 1);
   for (std::size_t pc = 0; pc < k_words; pc += blocking.k_c) {
     const std::size_t kw = std::min(blocking.k_c, k_words - pc);
-    const bool add = accumulate || pc > 0;
+    const bool add = pc > 0;
     for (Panels& p : panels) {
       p.b_jc = n;
     }
@@ -269,21 +266,21 @@ void compare_accumulate(bits::RowWindow a, bits::RowWindow b, Comparison op,
   }
 }
 
-void compare_accumulate(const bits::BitMatrix& a, const bits::BitMatrix& b,
-                        Comparison op, bits::CountMatrix& c, bool accumulate,
-                        const CpuBlocking& blocking, exec::ThreadPool& pool) {
+void compare_into(const bits::BitMatrix& a, const bits::BitMatrix& b,
+                  Comparison op, bits::CountMatrix& c,
+                  const CpuBlocking& blocking, exec::ThreadPool& pool) {
   if (c.rows() != a.rows() || c.cols() != b.rows()) {
     throw std::invalid_argument("compare_blocked: output shape mismatch");
   }
-  compare_accumulate({&a, 0, a.rows()}, {&b, 0, b.rows()}, op,
-                     c.raw().data(), c.cols(), accumulate, blocking, pool);
+  compare_into({&a, 0, a.rows()}, {&b, 0, b.rows()}, op, c.raw().data(),
+               c.cols(), blocking, pool);
 }
 
 bits::CountMatrix compare_blocked(const bits::BitMatrix& a,
                                   const bits::BitMatrix& b, Comparison op,
                                   const CpuBlocking& blocking) {
   auto c = bits::CountMatrix::for_overwrite(a.rows(), b.rows());
-  compare_accumulate(a, b, op, c, /*accumulate=*/false, blocking);
+  compare_into(a, b, op, c, blocking);
   return c;
 }
 

@@ -36,36 +36,34 @@ struct CpuBlocking {
   }
 };
 
-/// The engine's core entry, BLIS's C = AB + beta C on a rectangle: writes
-/// gamma[i,j] = sum_k popcount(op(A[i,k], B[j,k])) for the rows of the
-/// windows `a` (M rows) and `b` (N rows) into the M x N block of C at `c`,
-/// whose rows are `ldc` >= N counts apart, so the block may sit inside a
-/// larger matrix. With `accumulate` the counts are added to the block
-/// (beta = 1); without it they overwrite it (beta = 0), so the block needs
-/// no zeroing first and running the call again gives the same block. The
-/// operands are read in place and no M x N temporary is allocated. One
-/// pool.parallel_for runs over the 2-D grid of m_c x n_c macro-tiles, so a
-/// one-row query still spreads across B's n_c blocks; a problem of one
-/// macro-tile runs on the calling thread alone. When `a` and `b` are the
-/// same rows of one matrix and `op` is symmetric (AND, XOR), it computes
-/// only the tiles on or above the diagonal, as SYRK does, and writes each
-/// block wholly above it at (i, j) and (j, i): half the popcounts, and both
-/// modes stay exact. The counts are the same on every pool.
-void compare_accumulate(bits::RowWindow a, bits::RowWindow b,
-                        bits::Comparison op, std::uint32_t* c,
-                        std::size_t ldc, bool accumulate,
-                        const CpuBlocking& blocking = {},
-                        exec::ThreadPool& pool = exec::host_pool());
+/// The engine's core entry, BLIS's C = AB with beta = 0 on a rectangle:
+/// writes gamma[i,j] = sum_k popcount(op(A[i,k], B[j,k])) for the rows of
+/// the windows `a` (M rows) and `b` (N rows) into the M x N block of C at
+/// `c`, whose rows are `ldc` >= N counts apart, so the block may sit inside
+/// a larger matrix. The first k_c panel stores its counts and later panels
+/// add theirs, so the block needs no zeroing first and running the call
+/// again gives the same block. The operands are read in place and no
+/// M x N temporary is allocated. One pool.parallel_for runs over the 2-D
+/// grid of m_c x n_c macro-tiles, so a one-row query still spreads across
+/// B's n_c blocks; a problem of one macro-tile runs on the calling thread
+/// alone. When `a` and `b` are the same rows of one matrix and `op` is
+/// symmetric (AND, XOR), it computes only the tiles on or above the
+/// diagonal, as SYRK does, and writes each block wholly above it at (i, j)
+/// and (j, i): half the popcounts. The counts are the same on every pool.
+void compare_into(bits::RowWindow a, bits::RowWindow b, bits::Comparison op,
+                  std::uint32_t* c, std::size_t ldc,
+                  const CpuBlocking& blocking = {},
+                  exec::ThreadPool& pool = exec::host_pool());
 
 /// The rectangle form over whole operands: `c` must be
 /// a.rows() x b.rows().
-void compare_accumulate(const bits::BitMatrix& a, const bits::BitMatrix& b,
-                        bits::Comparison op, bits::CountMatrix& c,
-                        bool accumulate, const CpuBlocking& blocking = {},
-                        exec::ThreadPool& pool = exec::host_pool());
+void compare_into(const bits::BitMatrix& a, const bits::BitMatrix& b,
+                  bits::Comparison op, bits::CountMatrix& c,
+                  const CpuBlocking& blocking = {},
+                  exec::ThreadPool& pool = exec::host_pool());
 
-/// gamma = A op B into a fresh matrix that compare_accumulate's store
-/// overwrites, so it is never zero-filled.
+/// gamma = A op B into a fresh matrix that compare_into overwrites, so
+/// it is never zero-filled.
 [[nodiscard]] bits::CountMatrix compare_blocked(
     const bits::BitMatrix& a, const bits::BitMatrix& b, bits::Comparison op,
     const CpuBlocking& blocking = {});

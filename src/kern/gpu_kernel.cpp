@@ -30,23 +30,21 @@ Comparison GpuSnpKernel::lowered_op() const {
 }
 
 void GpuSnpKernel::execute(bits::RowWindow a, bits::RowWindow b,
-                           std::uint32_t* c, std::size_t ldc,
-                           bool accumulate) const {
+                           std::uint32_t* c, std::size_t ldc) const {
   if (a.matrix->bit_cols() != b.matrix->bit_cols()) {
     throw std::invalid_argument(
         "GpuSnpKernel::execute: operands must share the K dimension");
   }
-  cpu::compare_accumulate(a, b, lowered_op(), c, ldc, accumulate);
+  cpu::compare_into(a, b, lowered_op(), c, ldc);
 }
 
 void GpuSnpKernel::execute(const bits::BitMatrix& a, const bits::BitMatrix& b,
-                           bits::CountMatrix& c, bool accumulate) const {
+                           bits::CountMatrix& c) const {
   if (c.rows() != a.rows() || c.cols() != b.rows()) {
     throw std::invalid_argument(
         "GpuSnpKernel::execute: output shape mismatch");
   }
-  execute({&a, 0, a.rows()}, {&b, 0, b.rows()}, c.raw().data(), c.cols(),
-          accumulate);
+  execute({&a, 0, a.rows()}, {&b, 0, b.rows()}, c.raw().data(), c.cols());
 }
 
 sim::KernelTiming GpuSnpKernel::timing(const sim::KernelShape& shape) const {

@@ -10,7 +10,7 @@
 // the core grid.
 //
 // Execution here is functional: the counts come from the host engine
-// (cpu::compare_accumulate), the one popcount-GEMM on the host, and the
+// (cpu::compare_into), the one popcount-GEMM on the host, and the
 // time the simulated device takes comes from sim::estimate_kernel on this
 // config. The GPU tiling itself lives in kernel_program's IR, which the
 // dataflow verifier (analyze/) proves in bounds, and in the rendered
@@ -47,16 +47,15 @@ class GpuSnpKernel {
   /// popc(op(A[i,:], B[j,:])) under lowered_op(), computed by the host
   /// engine from the operands in place, for the rows of the windows `a`
   /// and `b` into the a.rows x b.rows block of C at `c`, whose rows are
-  /// `ldc` counts apart. `accumulate = false` overwrites the block
-  /// (beta = 0), so running it again gives the same block; `true` adds
-  /// to it.
+  /// `ldc` counts apart. The block is overwritten (beta = 0), so running
+  /// it again gives the same block.
   void execute(bits::RowWindow a, bits::RowWindow b, std::uint32_t* c,
-               std::size_t ldc, bool accumulate = false) const;
+               std::size_t ldc) const;
 
   /// The rectangle form over whole operands: `c` must be
   /// a.rows() x b.rows().
   void execute(const bits::BitMatrix& a, const bits::BitMatrix& b,
-               bits::CountMatrix& c, bool accumulate = false) const;
+               bits::CountMatrix& c) const;
 
   /// Largest K (in 32-bit words) a single A tile supports on the device:
   /// k_c. Deeper problems run multiple packed panels.

@@ -48,17 +48,17 @@ std::vector<std::uint32_t> sentinel_buffer(std::size_t rows,
   return std::vector<std::uint32_t>(rows * ldc, kSentinel);
 }
 
-/// Checks that the block at (r0, c0) of `c` holds base + expected and that
-/// every entry outside it still holds the sentinel.
+/// Checks that the block at (r0, c0) of `c` holds expected and that every
+/// entry outside it still holds the sentinel.
 void expect_block(const std::vector<std::uint32_t>& c, std::size_t ldc,
-                  std::size_t r0, std::size_t c0, const CountMatrix& expected,
-                  std::uint32_t base) {
+                  std::size_t r0, std::size_t c0,
+                  const CountMatrix& expected) {
   for (std::size_t i = 0; i < c.size() / ldc; ++i) {
     for (std::size_t j = 0; j < ldc; ++j) {
       const bool inside = i >= r0 && i < r0 + expected.rows() && j >= c0 &&
                           j < c0 + expected.cols();
       const std::uint32_t want =
-          inside ? base + expected.at(i - r0, j - c0) : kSentinel;
+          inside ? expected.at(i - r0, j - c0) : kSentinel;
       ASSERT_EQ(c[i * ldc + j], want) << "at (" << i << ", " << j << ")";
     }
   }
@@ -101,9 +101,9 @@ TEST(EngineRectangle, MatchesReferenceOnRandomWindows) {
                        std::to_string(blocking.m_c) + " workers " +
                        std::to_string(pool->thread_count()));
           auto c = sentinel_buffer(r0 + aw.rows + 2, ldc);
-          cpu::compare_accumulate(aw, bw, op, c.data() + r0 * ldc + c0, ldc,
-                                  /*accumulate=*/true, blocking, *pool);
-          expect_block(c, ldc, r0, c0, expected, kSentinel);  // C += AB
+          cpu::compare_into(aw, bw, op, c.data() + r0 * ldc + c0, ldc,
+                            blocking, *pool);
+          expect_block(c, ldc, r0, c0, expected);  // C = AB over sentinels
         }
       }
     }
@@ -113,11 +113,11 @@ TEST(EngineRectangle, MatchesReferenceOnRandomWindows) {
 TEST(EngineRectangle, RejectsWindowsOutOfRange) {
   const auto a = io::random_bitmatrix(4, 64, 0.5, 1);
   std::vector<std::uint32_t> c(16);
-  EXPECT_THROW(cpu::compare_accumulate({&a, 2, 3}, {&a, 0, 4},
-                                       Comparison::kAnd, c.data(), 4, false),
+  EXPECT_THROW(cpu::compare_into({&a, 2, 3}, {&a, 0, 4}, Comparison::kAnd,
+                                 c.data(), 4),
                std::invalid_argument);
-  EXPECT_THROW(cpu::compare_accumulate({&a, 0, 4}, {&a, 0, 4},
-                                       Comparison::kAnd, c.data(), 3, false),
+  EXPECT_THROW(cpu::compare_into({&a, 0, 4}, {&a, 0, 4}, Comparison::kAnd,
+                                 c.data(), 3),
                std::invalid_argument);
 }
 
@@ -140,12 +140,7 @@ TEST(EngineRectangle, KernelOverwriteZeroesItsBlockFirst) {
   std::uint32_t* block = c.data() + 1 * ldc + 2;
   kernel.execute(aw, bw, block, ldc);
   kernel.execute(aw, bw, block, ldc);
-  expect_block(c, ldc, 1, 2, expected, 0);
-  // Accumulating instead adds the counts a second time.
-  kernel.execute(aw, bw, block, ldc, /*accumulate=*/true);
-  CountMatrix doubled = expected;
-  for (auto& v : doubled.raw()) v *= 2;
-  expect_block(c, ldc, 1, 2, doubled, 0);
+  expect_block(c, ldc, 1, 2, expected);
 }
 
 TEST(EngineFullMatrix, CpuEngineMatchesReferenceForAnyPoolSize) {
@@ -165,8 +160,8 @@ TEST(EngineFullMatrix, CpuEngineMatchesReferenceForAnyPoolSize) {
       exec::ThreadPool pool(threads);
       for (const cpu::CpuBlocking& blocking : {cpu::CpuBlocking{}, small}) {
         CountMatrix got(a.rows(), b.rows());
-        cpu::compare_accumulate(a, b, op, got, /*accumulate=*/true,
-                                blocking, pool);
+        std::fill(got.raw().begin(), got.raw().end(), kSentinel);
+        cpu::compare_into(a, b, op, got, blocking, pool);
         EXPECT_TRUE(got == expected) << to_string(op) << " with " << threads
                                      << " threads, m_c " << blocking.m_c;
       }

@@ -166,6 +166,17 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(Comparison::kAnd, Comparison::kXor)),
     self_case_name);
 
+/// compare_into over a C first filled with all-ones words, which no count
+/// of these shapes can equal.
+bits::CountMatrix stored(bits::RowWindow a, bits::RowWindow b, Comparison op,
+                         const CpuBlocking& blocking = kDefault,
+                         exec::ThreadPool& pool = exec::host_pool()) {
+  bits::CountMatrix c(a.rows, b.rows);
+  std::fill(c.raw().begin(), c.raw().end(), 0xFFFFFFFFu);
+  compare_into(a, b, op, c.raw().data(), b.rows, blocking, pool);
+  return c;
+}
+
 TEST(CpuEngine, OtherSelfShapesTakeTheGeneralPath) {
   // AND-NOT is not symmetric, and windows of one matrix at different
   // offsets, overlapping or not, are not one operand: each must give the
@@ -179,12 +190,10 @@ TEST(CpuEngine, OtherSelfShapesTakeTheGeneralPath) {
   for (const Windows w : {Windows{0, 70, 70, 70}, Windows{0, 90, 20, 90},
                           Windows{5, 70, 5, 90}, Windows{13, 137, 0, 137}}) {
     for (const auto op : {Comparison::kAnd, Comparison::kXor}) {
-      bits::CountMatrix c(w.a_rows, w.b_rows);
-      compare_accumulate({&a, w.a0, w.a_rows}, {&a, w.b0, w.b_rows}, op,
-                         c.raw().data(), w.b_rows, /*accumulate=*/true);
-      EXPECT_TRUE(c == bits::compare_reference(
-                           a.row_slice(w.a0, w.a0 + w.a_rows),
-                           a.row_slice(w.b0, w.b0 + w.b_rows), op))
+      EXPECT_TRUE(stored({&a, w.a0, w.a_rows}, {&a, w.b0, w.b_rows}, op) ==
+                  bits::compare_reference(a.row_slice(w.a0, w.a0 + w.a_rows),
+                                          a.row_slice(w.b0, w.b0 + w.b_rows),
+                                          op))
           << w.a0 << "+" << w.a_rows << " vs " << w.b0 << "+" << w.b_rows;
     }
   }
@@ -207,17 +216,6 @@ TEST(CpuEngine, SelfComparisonSkipsTheLowerTriangle) {
   // 128 x 128 micro-tiles: 128 * 129 / 2 of them on or above the diagonal.
   EXPECT_LE(static_cast<double>(self), 0.55 * static_cast<double>(full))
       << self << " of " << full << " word-ops";
-}
-
-/// compare_accumulate in store mode over a C first filled with all-ones
-/// words, which no count of these shapes can equal.
-bits::CountMatrix stored(bits::RowWindow a, bits::RowWindow b, Comparison op,
-                         const CpuBlocking& blocking, exec::ThreadPool& pool) {
-  bits::CountMatrix c(a.rows, b.rows);
-  std::fill(c.raw().begin(), c.raw().end(), 0xFFFFFFFFu);
-  compare_accumulate(a, b, op, c.raw().data(), b.rows,
-                     /*accumulate=*/false, blocking, pool);
-  return c;
 }
 
 // The store epilogue (BLAS beta = 0) writes every entry of C, so nothing C

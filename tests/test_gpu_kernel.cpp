@@ -103,57 +103,12 @@ TEST(GpuKernel, MultiPanelDeepK) {
   EXPECT_TRUE(out == bits::compare_reference(a, b, Comparison::kAnd));
 }
 
-TEST(GpuKernel, AccumulateMode) {
-  const auto dev = model::titan_v();
-  const auto cfg = model::paper_preset(dev, model::WorkloadKind::kLd);
-  const GpuSnpKernel kernel(dev, cfg, Comparison::kXor);
-  // One micro-tile, and a shape wider than one host macro-tile in both
-  // dimensions (m_c = 64 rows, n_c = 2048 columns).
-  for (const KernelCase c : {KernelCase{3, 4, 100},
-                             KernelCase{70, 2 * 2048 + 5, 200}}) {
-    const auto a = io::random_bitmatrix(c.m, c.bits, 0.5, 205);
-    const auto b = io::random_bitmatrix(c.n, c.bits, 0.5, 206);
-    bits::CountMatrix out(c.m, c.n);
-    kernel.execute(a, b, out);
-    const auto once = out;
-    EXPECT_TRUE(once == bits::compare_reference(a, b, Comparison::kXor));
-    kernel.execute(a, b, out, /*accumulate=*/true);
-    for (std::size_t i = 0; i < c.m; ++i) {
-      for (std::size_t j = 0; j < c.n; ++j) {
-        EXPECT_EQ(out.at(i, j), 2 * once.at(i, j));
-      }
-    }
-    kernel.execute(a, b, out);  // overwrite resets
-    EXPECT_TRUE(out == once);
-  }
-  // One matrix on both sides (the triangle-only self path) accumulating
-  // into a C that is not symmetric: every entry gains exactly gamma.
-  for (const std::size_t n : {std::size_t{7}, std::size_t{2 * 64 + 3}}) {
-    const auto a = io::random_bitmatrix(n, 300, 0.5, 209);
-    const auto gamma = bits::compare_reference(a, a, Comparison::kXor);
-    bits::CountMatrix out(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        out.at(i, j) = static_cast<std::uint32_t>(1000 * i + j);
-      }
-    }
-    const auto old = out;
-    kernel.execute(a, a, out, /*accumulate=*/true);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        EXPECT_EQ(out.at(i, j), old.at(i, j) + gamma.at(i, j))
-            << i << "," << j;
-      }
-    }
-  }
-}
-
 TEST(GpuKernel, OverwriteStoresEveryEntry) {
-  // execute(accumulate = false) overwrites its block (beta = 0) instead of
-  // zeroing it first: C starts as all-ones words, which no count here can
-  // equal, and none may show through. Distinct operands and one matrix on
-  // both sides, m and n around the host engine's 4 x 8 micro-tile and its
-  // 64-row m_c, k over three of its k_c panels; no columns gives zeros.
+  // execute overwrites its block (beta = 0) instead of zeroing it first:
+  // C starts as all-ones words, which no count here can equal, and none
+  // may show through. Distinct operands and one matrix on both sides, m
+  // and n around the host engine's 4 x 8 micro-tile and its 64-row m_c, k
+  // over three of its k_c panels; no columns gives zeros.
   const auto dev = model::titan_v();
   const auto cfg = model::paper_preset(dev, model::WorkloadKind::kLd);
   const std::size_t shapes[] = {1, 3, 4, 5, 7, 8, 9, 12, 65, 131};
@@ -163,7 +118,7 @@ TEST(GpuKernel, OverwriteStoresEveryEntry) {
                               const bits::BitMatrix& b) {
     bits::CountMatrix out(a.rows(), b.rows());
     std::fill(out.raw().begin(), out.raw().end(), 0xFFFFFFFFu);
-    kernel.execute(a, b, out, /*accumulate=*/false);
+    kernel.execute(a, b, out);
     return out;
   };
   std::vector<bits::BitMatrix> as;

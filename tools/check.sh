@@ -29,7 +29,7 @@
 # report its fault events; abort must exit 4 with the SNPRT-* code
 # (docs/robustness.md).
 #
-# Usage: tools/check.sh [--skip-sanitizers | --ci]
+# Usage: tools/check.sh [--skip-sanitizers | --ci | --portable]
 #
 # --ci is the GitHub Actions profile: release build, the full test
 # suite, the telemetry smoke, the bench_compare self-test, a quick
@@ -37,6 +37,8 @@
 # must be clean), and the repository benchmark (snpbench/) built as its
 # own tree and smoke-run by its ctest — but no sanitizer or
 # telemetry-off rebuilds, which dominate wall time.
+#
+# --portable runs stage 5 alone (the GitHub Actions `portable` job).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,7 +48,30 @@ skip_san=no
 ci_mode=no
 [[ "${1:-}" == "--ci" ]] && ci_mode=yes
 
+portable_stage() {
+  echo "== portable build (SNP_NATIVE=OFF) + host engine suites =="
+  # The micro-kernel is one portable source: under baseline x86-64
+  # codegen its counts must stay bit-exact too.
+  local suites=(test_cpu_engine test_cross_engine test_gpu_kernel
+                test_chunk_pipeline test_ld_stats)
+  cmake -S . -B build-portable -DCMAKE_BUILD_TYPE=Release -DSNP_NATIVE=OFF \
+    >/dev/null
+  cmake --build build-portable -j "$jobs" --target "${suites[@]}"
+  local t
+  for t in "${suites[@]}"; do
+    ./build-portable/tests/"$t" --gtest_brief=1
+  done
+}
+
+if [[ "${1:-}" == "--portable" ]]; then
+  portable_stage
+  echo "== portable stage passed =="
+  exit 0
+fi
+
 echo "== release build (warnings as errors) + full test suite =="
+# The default preset pins SNP_WERROR=OFF, so the ON given here lasts only
+# until the next plain `cmake --preset default` configure of build/.
 cmake --preset default -DSNP_WERROR=ON >/dev/null
 cmake --build --preset default -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
@@ -424,16 +449,6 @@ cmake -S . -B build-noobs -DCMAKE_BUILD_TYPE=Release -DSNPCMP_OBS=OFF \
 cmake --build build-noobs -j "$jobs"
 ctest --test-dir build-noobs -L tier1 --output-on-failure -j "$jobs"
 
-echo "== portable build (SNP_NATIVE=OFF) + host engine suites =="
-# The micro-kernel is one portable source: under baseline x86-64 codegen
-# its counts must stay bit-exact too.
-portable_tests=(test_cpu_engine test_cross_engine test_gpu_kernel
-                test_chunk_pipeline test_ld_stats)
-cmake -S . -B build-portable -DCMAKE_BUILD_TYPE=Release -DSNP_NATIVE=OFF \
-  >/dev/null
-cmake --build build-portable -j "$jobs" --target "${portable_tests[@]}"
-for t in "${portable_tests[@]}"; do
-  ./build-portable/tests/"$t" --gtest_brief=1
-done
+portable_stage
 
 echo "== all checks passed =="
