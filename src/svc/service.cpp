@@ -5,17 +5,16 @@
 #include <cmath>
 #include <condition_variable>
 #include <deque>
-#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
 #include <utility>
-#include <variant>
 
 #include "exec/thread_pool.hpp"
 #include "obs/obs.hpp"
 #include "rt/status.hpp"
+#include "svc/packed_row.hpp"
 
 namespace snp::svc {
 namespace {
@@ -114,16 +113,10 @@ struct ServiceEngine::Impl {
     std::uint64_t id = 0;
   };
 
-  /// A cached gamma row. Every gamma counts set bits of a bit_cols-wide
-  /// row, so it never exceeds bit_cols: up to 65,535 columns the row is
-  /// kept at 16 bits, half of QueryResult::row, and at 32 above that.
-  using CachedRow =
-      std::variant<std::vector<std::uint16_t>, std::vector<std::uint32_t>>;
-
   struct CacheEntry {
     std::vector<bits::Word64> words;  ///< stored for exact collision check
     std::uint64_t epoch = 1;
-    CachedRow row;
+    PackedRow row;
   };
 
   Impl(bits::BitMatrix database, ServiceConfig config)
@@ -239,9 +232,7 @@ struct ServiceEngine::Impl {
         SNP_OBS_FLIGHT(obs::FlightKind::kCacheHit, trace_id, 0,
                        static_cast<std::int64_t>(epoch), 0);
         QueryResult qr;
-        std::visit(
-            [&qr](const auto& row) { qr.row.assign(row.begin(), row.end()); },
-            it->second.row);
+        it->second.row.decode(qr.row);
         qr.cache_hit = true;
         qr.epoch = epoch;
         qr.trace_id = trace_id;
@@ -630,7 +621,7 @@ struct ServiceEngine::Impl {
         for (std::size_t i = 0; i < n; ++i) {
           fresh[i].words = std::move(batch.requests[i].words);
           fresh[i].epoch = batch.epoch;
-          fresh[i].row = cached_row(counts.subspan(i * cols, cols));
+          fresh[i].row = PackedRow(counts.subspan(i * cols, cols));
         }
       }
 
@@ -836,23 +827,9 @@ struct ServiceEngine::Impl {
     }
   }
 
-  /// Copies one gamma row at the cache's width, which bit_cols fixes for
-  /// the engine's life. Every value is <= bit_cols, so 16 bits are exact
-  /// up to 65,535 columns.
-  [[nodiscard]] CachedRow cached_row(
-      std::span<const std::uint32_t> row) const {
-    if (bit_cols <= std::numeric_limits<std::uint16_t>::max()) {
-      return std::vector<std::uint16_t>(row.begin(), row.end());
-    }
-    return std::vector<std::uint32_t>(row.begin(), row.end());
-  }
-
   /// Bytes an entry holds in its row and query words (svc.cache.bytes).
   [[nodiscard]] static std::size_t entry_bytes(const CacheEntry& entry) {
-    return entry.words.size() * sizeof(bits::Word64) +
-           std::visit(
-               [](const auto& row) { return row.size() * sizeof(row[0]); },
-               entry.row);
+    return entry.words.size() * sizeof(bits::Word64) + entry.row.size_bytes();
   }
 
   /// Caller holds mu. Single-probe table: a hash collision with different

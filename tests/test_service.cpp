@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <random>
 #include <string>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "io/datagen.hpp"
 #include "obs/obs.hpp"
 #include "rt/fault.hpp"
+#include "svc/packed_row.hpp"
 #include "svc/service.hpp"
 
 namespace snp {
@@ -212,6 +214,97 @@ TEST(ServiceSoak, MultiClientFaultInjectionBitIdenticalAndExactlyOnce) {
   }
 }
 
+// ---- cached row format -------------------------------------------------
+
+/// Encodes `row` and checks that it decodes bit-identically and holds
+/// exactly its offsets, block b's at widths[b] bytes per count, plus 5 B
+/// per block.
+void expect_packs(const std::vector<std::uint32_t>& row,
+                  const std::vector<std::size_t>& widths) {
+  constexpr std::size_t kBlock = svc::PackedRow::kBlock;
+  ASSERT_EQ(widths.size(), (row.size() + kBlock - 1) / kBlock);
+  const svc::PackedRow packed(row);
+  std::vector<std::uint32_t> out;
+  packed.decode(out);
+  EXPECT_EQ(out, row) << "row of " << row.size();
+  EXPECT_EQ(packed.size(), row.size());
+  std::size_t bytes = 0;
+  for (std::size_t b = 0; b < widths.size(); ++b) {
+    bytes += std::min(kBlock, row.size() - b * kBlock) * widths[b] + 5;
+  }
+  EXPECT_EQ(packed.size_bytes(), bytes) << "row of " << row.size();
+}
+
+/// A block of `n` counts from lo to lo + spread, both ends included.
+std::vector<std::uint32_t> block_spanning(std::uint32_t lo,
+                                          std::uint32_t spread,
+                                          std::size_t n = 256) {
+  std::vector<std::uint32_t> block(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    block[j] = lo + static_cast<std::uint32_t>(
+                        (j * 2'654'435'761ULL) % (std::uint64_t{spread} + 1));
+  }
+  block[n / 3] = lo;
+  block[n / 2] = lo + spread;
+  return block;
+}
+
+TEST(PackedRow, ConstantRowTakesOneBytePerCount) {
+  expect_packs(std::vector<std::uint32_t>(600, 368), {1, 1, 1});
+}
+
+TEST(PackedRow, RoundTripsEveryBlockRemainder) {
+  for (const std::size_t n : {1U, 255U, 256U, 257U, 65'539U}) {
+    std::vector<std::uint32_t> row(n);
+    std::mt19937 rng(static_cast<unsigned>(n));
+    std::uniform_int_distribution<std::uint32_t> gamma(150, 368);
+    for (auto& v : row) v = gamma(rng);
+    expect_packs(row, std::vector<std::size_t>((n + 255) / 256, 1));
+  }
+}
+
+TEST(PackedRow, BlockSpreadPicksTheNarrowestWidth) {
+  const std::pair<std::uint32_t, std::size_t> cases[] = {
+      {255, 1}, {256, 2}, {65'535, 2}, {65'536, 4}};
+  for (const auto& [spread, width] : cases) {
+    expect_packs(block_spanning(1'000, spread), {width});
+    // The spread decides, not the size of the counts.
+    expect_packs(block_spanning(3'000'000'000U, spread), {width});
+  }
+}
+
+TEST(PackedRow, CountsReachUint32Max) {
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  expect_packs(std::vector<std::uint32_t>(300, kMax), {1, 1});
+  expect_packs(block_spanning(kMax - 255, 255), {1});
+  expect_packs(block_spanning(kMax - 256, 256), {2});
+  expect_packs(block_spanning(0, kMax), {4});
+}
+
+TEST(PackedRow, OneRowMixesEveryWidth) {
+  std::vector<std::uint32_t> row;
+  const std::pair<std::vector<std::uint32_t>, std::size_t> blocks[] = {
+      {block_spanning(200, 150), 1},
+      {block_spanning(0, 40'000), 2},
+      {block_spanning(7, 3'000'000'000U), 4},
+      {block_spanning(5, 0), 1},
+      {block_spanning(90, 70'000), 4},
+      {block_spanning(2, 366, 77), 2}};
+  std::vector<std::size_t> widths;
+  for (const auto& [block, width] : blocks) {
+    row.insert(row.end(), block.begin(), block.end());
+    widths.push_back(width);
+  }
+  expect_packs(row, widths);
+}
+
+TEST(PackedRow, DecodeOverwritesALongerVector) {
+  const std::vector<std::uint32_t> row = block_spanning(10, 70'000, 300);
+  std::vector<std::uint32_t> out(100'000, 0xdeadbeefU);
+  svc::PackedRow(row).decode(out);
+  EXPECT_EQ(out, row);
+}
+
 // ---- result cache ------------------------------------------------------
 
 TEST(ServiceCache, RepeatQueryHitsAndEpochBumpInvalidates) {
@@ -333,16 +426,19 @@ TEST(ServiceCache, EvictionKeepsCapacityBounded) {
 }
 
 TEST(ServiceCache, HitsAreExactAtTheCachedRowWidthBoundary) {
-  // Cached rows are kept at 16 bits up to 65,535 bit columns and at 32
-  // above. Under XOR a profile's complement scores gamma = bit_cols, the
-  // largest value either width must hold, and the profile itself 0.
+  // Under XOR a profile's complement scores gamma = bit_cols, the largest
+  // value a row can hold, and the profile itself 0. Database row 3 is the
+  // complement of row 2, so whichever of the two a query is, its row's
+  // block spans 0...bit_cols: 2-byte offsets at 65,535 bit columns and
+  // 4-byte ones at 65,536.
   for (const std::size_t bit_cols : {65'535U, 65'536U}) {
-    const BitMatrix db = io::random_bitmatrix(5, bit_cols, 0.5, 671);
+    BitMatrix db = io::random_bitmatrix(5, bit_cols, 0.5, 671);
+    const BitMatrix profile = db.row_slice(2, 3);
+    std::ranges::copy(profile.negated().row64(0), db.row64(3).begin());
     ServiceConfig cfg = base_config("cpu", Comparison::kXor, 1);
     cfg.cache_capacity = 4;
     cfg.start_paused = false;
     ServiceEngine engine(db, cfg);
-    const BitMatrix profile = db.row_slice(2, 3);
     // Each query with its gamma against database row 2.
     const std::pair<BitMatrix, std::size_t> cases[] = {
         {profile.negated(), bit_cols}, {profile, 0}};
@@ -358,6 +454,7 @@ TEST(ServiceCache, HitsAreExactAtTheCachedRowWidthBoundary) {
           << "bit_cols " << bit_cols;
       EXPECT_EQ(hit.row, miss.row) << "bit_cols " << bit_cols;
       EXPECT_EQ(hit.row[2], gamma) << "bit_cols " << bit_cols;
+      EXPECT_EQ(hit.row[3], bit_cols - gamma) << "bit_cols " << bit_cols;
     }
   }
 }
@@ -375,8 +472,9 @@ TEST(ServiceCache, CacheBytesGaugeFollowsInsertsEvictionsAndSwaps) {
   ServiceEngine engine(db, cfg);
   const obs::Gauge& gauge =
       obs::MetricsRegistry::global().gauge("svc.cache.bytes");
-  // One entry: 37 16-bit gammas and the query's two 64-bit words.
-  constexpr std::int64_t kEntryBytes = 37 * 2 + 2 * 8;
+  // One entry: 37 one-byte offsets, one 5-B block header and the query's
+  // two 64-bit words.
+  constexpr std::int64_t kEntryBytes = 37 + 5 + 2 * 8;
   for (std::size_t q = 0; q < queries.rows(); ++q) {
     (void)engine.submit(queries.row_slice(q, q + 1)).get();
     // Inserted before the future resolves; FIFO eviction past 3 entries.

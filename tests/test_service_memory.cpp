@@ -1,12 +1,13 @@
 // Memory regression tests for svc::ServiceEngine: a long-running engine's
 // live heap must plateau however many requests it has served, and each
-// cached result row must cost what its width promises.
+// cached result row must cost what its packed format promises.
 //
 // Live bytes are counted by replacing the global operator new/delete for
 // this binary (live_heap.hpp), which is why the test has an executable of
 // its own.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -43,34 +44,68 @@ TEST(ServiceMemory, LiveHeapIsFlatFrom70kTo200kRequests) {
       << " B, after 200,000: " << at_200k << " B";
 }
 
-TEST(ServiceMemory, CachedRowsCostTwoBytesPerDatabaseProfile) {
-  // Below 65,536 bit columns every gamma fits 16 bits, so a cached row
-  // costs 2 B per database profile, half of a QueryResult row.
-  constexpr std::int64_t kProfiles = 4096;
-  constexpr std::int64_t kQueries = 64;
-  const bits::BitMatrix db = io::random_bitmatrix(kProfiles, 128, 0.5, 9103);
-  const bits::BitMatrix queries =
-      io::random_bitmatrix(kQueries + 1, 128, 0.4, 9104);
+/// Live bytes the engine's heap grows by while it caches one row for each
+/// query but the first, which pays the engine's lazy set-up. Every query
+/// must miss, and the oldest entry must still be cached afterwards.
+std::int64_t cache_growth(const bits::BitMatrix& db,
+                          const bits::BitMatrix& queries) {
   svc::ServiceConfig cfg;
   cfg.device = "cpu";
   svc::ServiceEngine engine(db, cfg);
-  // The first request pays the engine's lazy set-up.
   (void)engine.submit(queries.row_slice(0, 1)).get();
   engine.drain();
   const std::int64_t before = live_heap::live();
-  for (std::size_t q = 1; q <= kQueries; ++q) {
+  for (std::size_t q = 1; q < queries.rows(); ++q) {
     EXPECT_FALSE(engine.submit(queries.row_slice(q, q + 1)).get().cache_hit);
   }
   engine.drain();
   const std::int64_t grown = live_heap::live() - before;
-  // Per entry: the row, plus at most 512 B for its query words, table
-  // node and cost-ledger record; 32 KiB for the table's and ledger's
-  // growth. Rows at 4 B would exceed this by about 8 KiB per entry.
-  EXPECT_LT(grown, kQueries * (2 * kProfiles + 512) + 32 * 1024)
-      << "live heap grew " << grown << " B over " << kQueries
-      << " cached rows of " << kProfiles << " profiles";
   EXPECT_TRUE(engine.submit(queries.row_slice(1, 2)).get().cache_hit)
       << "the oldest entry must still be cached";
+  return grown;
+}
+
+// A cached row keeps each 256-profile block's gammas as 1-byte offsets
+// from the block's minimum whenever they span fewer than 256 values, plus
+// 5 B per block. Per entry the bound adds at most 512 B for the query's
+// words, the table node and the cost-ledger record, and 32 KiB for the
+// table's and ledger's growth. Rows at 2 B per profile exceed it by about
+// 4 KiB per entry.
+constexpr std::int64_t kProfiles = 4096;
+constexpr std::int64_t kQueries = 64;
+constexpr std::int64_t kBound =
+    kQueries * (kProfiles + 5 * ((kProfiles + 255) / 256) + 512) + 32 * 1024;
+
+TEST(ServiceMemory, CachedRowsCostAboutOneBytePerDatabaseProfile) {
+  const bits::BitMatrix db = io::random_bitmatrix(kProfiles, 128, 0.5, 9103);
+  const bits::BitMatrix queries =
+      io::random_bitmatrix(kQueries + 1, 128, 0.4, 9104);
+  const std::int64_t grown = cache_growth(db, queries);
+  EXPECT_LT(grown, kBound) << "live heap grew " << grown << " B over "
+                           << kQueries << " cached rows of " << kProfiles
+                           << " profiles";
+}
+
+TEST(ServiceMemory, CachedFastIdRowsCostAboutOneBytePerDatabaseProfile) {
+  // Forensic profiles at 1,024 SNPs: a row's gammas run past 255, but
+  // within a block they span fewer than 100 values. Queries 1, 11, ..., 61
+  // (7 of 64) are database rows with two SNPs flipped; such a planted
+  // match scores gamma 2 and widens only its own block, to 2 B.
+  io::ProfileDbParams params;
+  params.seed = 9105;
+  const bits::BitMatrix db = io::generate_profile_db(kProfiles, 1024, params);
+  params.seed = 9106;
+  bits::BitMatrix queries =
+      io::generate_profile_db(kQueries + 1, 1024, params);
+  for (std::size_t q = 1; q < queries.rows(); q += 10) {
+    std::ranges::copy(db.row64(q * 613 % db.rows()), queries.row64(q).begin());
+    queries.set(q, q, !queries.get(q, q));
+    queries.set(q, 1000 - q, !queries.get(q, 1000 - q));
+  }
+  const std::int64_t grown = cache_growth(db, queries);
+  EXPECT_LT(grown, kBound) << "live heap grew " << grown << " B over "
+                           << kQueries << " cached rows of " << kProfiles
+                           << " profiles";
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 # Full verification sweep:
 #   1. Release build with warnings as errors (-DSNP_WERROR=ON) + the whole
 #      test suite (tier1 + slow labels), a micro-kernel codegen guard
-#      (512-bit vpopcntq where the host has AVX-512 VPOPCNTDQ), the
+#      (512-bit vpopcntq where the host has AVX-512 VPOPCNTDQ), short
+#      runs of two google-benchmark binaries' rows, the
 #      service's engine-teardown race test repeated 500 times, plus
 #      a telemetry smoke: a real search run with --metrics-out /
 #      --trace-out whose outputs are validated as JSON, and a
@@ -105,6 +106,11 @@ echo "== CPU engine LD self-comparison row (cpu_microkernel_gbench) =="
 # the row keeps building and running.
 ./build/bench/cpu_microkernel_gbench --benchmark_filter=BM_CpuLdSelf \
   --benchmark_min_time=0.05
+
+echo "== result-cache row codec rows (svc_cache_gbench) =="
+# The packed row's encode and decode rows beside the 16-bit copies they
+# are judged against, run briefly so the rows keep building and running.
+./build/bench/svc_cache_gbench --benchmark_min_time=0.05
 
 echo "== engine-teardown race (repeated) =="
 # A kBlock submitter parked in admission while the engine is destroyed
@@ -339,6 +345,15 @@ for bid, batch in by_batch.items():
             f"total {batch[a]}"
 print(f"cost ledger ok: {len(doc['requests'])} request shares sum "
       f"bit-identically across {len(by_batch)} batches x {len(axes)} axes")
+EOF
+python3 - "$smoke/cost_m.json" <<'EOF'
+import json, sys
+# The cache row format, end to end: 4 distinct queries are cached, each as
+# 200 one-byte offsets (the 200-profile database is one block), its 5-B
+# block header and 4 query words.
+got = json.load(open(sys.argv[1]))["gauges"]["svc.cache.bytes"]
+assert got == 4 * (200 + 5 + 4 * 8), f"svc.cache.bytes is {got}, want 948"
+print(f"cache bytes ok: {got}")
 EOF
 ./build/tools/snpcmp report --trace "$smoke/cost_t.json" \
   --metrics "$smoke/cost_m.json" --cost "$smoke/cost_c.json" \
