@@ -26,7 +26,7 @@ class PackedRow {
   explicit PackedRow(std::span<const std::uint32_t> row);
 
   /// Replaces the contents of `out` with the row, bit-identical to the
-  /// encoded one. `out` keeps its capacity and is never zero-filled.
+  /// encoded one.
   void decode(std::vector<std::uint32_t>& out) const;
 
   /// Counts in the row.
