@@ -33,9 +33,9 @@ void narrow(const std::uint32_t* counts, std::size_t n, std::uint32_t base,
 }
 
 /// Appends `n` offsets plus `base` to `out`. Growing `out` a block at a
-/// time zero-fills each block just before it is written, while its cache
-/// lines are hot; inside the service this served hits faster than a
-/// widening insert that skips the fill (EXPERIMENTS.md).
+/// time zero-fills each block just before it is written; a widening
+/// insert that skips the fill measured faster on a reused buffer but
+/// slower for hits served into fresh rows (EXPERIMENTS.md).
 template <typename T>
 void widen(const T* offsets, std::size_t n, std::uint32_t base,
            std::vector<std::uint32_t>& out) {
