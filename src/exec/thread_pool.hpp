@@ -3,8 +3,10 @@
 // A plain fixed-size worker pool over a FIFO work queue, with a
 // parallel-for in which the caller works too. The host kernels' parallel
 // loops (the engine's macro-tile grid, the sparse engines' rows, r^2's
-// tile rows) run on one process-wide pool, host_pool(); the only other
-// pool is the service's one-worker batch executor.
+// tile rows) run on one process-wide pool, host_pool(), the only pool
+// src/ builds. Under src/ only parallel_for posts tasks, and nothing
+// calls wait_idle() or reads the sticky first-error channel; tests and
+// snpbench's hand-off replay still do.
 //
 // Threading contract: submission is thread-safe; tasks run exactly once;
 // a pool constructed with 0 threads degenerates to inline execution on the

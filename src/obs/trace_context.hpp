@@ -11,12 +11,11 @@
 //
 // Propagation points:
 //   - svc::ServiceEngine::submit() allocates the id;
-//   - the svc dispatcher installs the batch root's context before
-//     posting batch execution to the pool;
+//   - the svc dispatcher installs the batch root's context around the
+//     batch it executes;
 //   - exec::ThreadPool::post() captures the poster's context into the
 //     queued task and the worker re-installs it around the task body,
-//     which covers the service's batch executor and the helpers of every
-//     parallel_for;
+//     which covers the helpers of every parallel_for;
 //   - rt::with_retry stamps the ambient id into every FaultEvent and
 //     flight-recorder fault/retry record;
 //   - obs::Span snapshots the ambient id so every slice (svc.batch,

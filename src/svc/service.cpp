@@ -11,7 +11,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "exec/thread_pool.hpp"
 #include "obs/obs.hpp"
 #include "rt/status.hpp"
 #include "svc/packed_row.hpp"
@@ -123,7 +122,6 @@ struct ServiceEngine::Impl {
       : cfg(std::move(config)),
         bit_cols(database.bit_cols()),
         ctx(make_context(cfg.device)),
-        pool(1),
         slo_mon(cfg.slo),
         paused(cfg.start_paused) {
     if (database.empty()) {
@@ -462,65 +460,52 @@ struct ServiceEngine::Impl {
         continue;
       }
 
-      auto batch = std::make_shared<Batch>();
-      batch->db = db;
-      batch->epoch = epoch;
-      batch->id = ++batch_counter;
-      // FIFO prefix of one recovery class: later same-class arrivals never
-      // jump ahead of an earlier different-class request.
-      while (!pending.empty() &&
-             batch->requests.size() < cfg.max_batch_rows &&
-             (batch->requests.empty() ||
-              (same_class(batch->requests.front().recovery,
-                          pending.front().recovery) &&
-               batch->requests.front().request_class ==
-                   pending.front().request_class))) {
-        Request& head = pending.front();
-        head.queue_wait_ns = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                formed - head.enqueued)
-                .count());
-        SNP_OBS_OBSERVE("svc.queue.wait_seconds",
-                        static_cast<double>(head.queue_wait_ns) * 1e-9);
-        batch->requests.push_back(std::move(head));
-        pending.pop_front();
-        SNP_OBS_GAUGE_SUB("svc.queue_depth", 1);
-      }
-      inflight = batch->requests.size();
-      lock.unlock();
-      cv_space.notify_all();
-
-      // Batches run on the pool's sticky-error channel on purpose: this is
-      // the path the PR-6 regression test pins. A failed batch scatters
-      // its rt::Error to its own futures, the dispatcher swallows the
-      // sticky rethrow and clears it — so batch N failing can never
-      // poison batch N+1.
-      //
-      // The batch executes under its root (first) request's trace
-      // context: post() snapshots the installed context into the task,
-      // the worker re-installs it, and every downstream span / chunk
-      // flight record / fault event inherits the id. The other members
-      // stay visible through their own per-request flow points.
+      // The batch lives in this block, so its promises are destroyed before
+      // inflight is cleared and drain() can return: a client that reads a
+      // failed future after drain() holds the last reference to its
+      // exception and frees it on its own thread.
       {
-        obs::TraceContext root{batch->requests.front().trace_id};
-        if (batch->requests.front().has_deadline) {
+        Batch batch;
+        batch.db = db;
+        batch.epoch = epoch;
+        batch.id = ++batch_counter;
+        // FIFO prefix of one recovery class: later same-class arrivals
+        // never jump ahead of an earlier different-class request.
+        while (!pending.empty() &&
+               batch.requests.size() < cfg.max_batch_rows &&
+               (batch.requests.empty() ||
+                (same_class(batch.requests.front().recovery,
+                            pending.front().recovery) &&
+                 batch.requests.front().request_class ==
+                     pending.front().request_class))) {
+          Request& head = pending.front();
+          head.queue_wait_ns = static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  formed - head.enqueued)
+                  .count());
+          SNP_OBS_OBSERVE("svc.queue.wait_seconds",
+                          static_cast<double>(head.queue_wait_ns) * 1e-9);
+          batch.requests.push_back(std::move(head));
+          pending.pop_front();
+          SNP_OBS_GAUGE_SUB("svc.queue_depth", 1);
+        }
+        inflight = batch.requests.size();
+        lock.unlock();
+        cv_space.notify_all();
+
+        // The batch executes under its root (first) request's trace
+        // context, so every downstream span / chunk flight record / fault
+        // event inherits the id. The other members stay visible through
+        // their own per-request flow points.
+        obs::TraceContext root{batch.requests.front().trace_id};
+        if (batch.requests.front().has_deadline) {
           root.deadline_s = std::max(
               0.0, seconds_between(Clock::now(),
-                                   batch->requests.front().deadline_at));
+                                   batch.requests.front().deadline_at));
         }
         const obs::ScopedTraceContext root_scope(root);
-        pool.post([this, batch] { execute_batch(*batch); });
+        execute_batch(batch);
       }
-      try {
-        pool.wait_idle();
-      } catch (...) {
-        // Already delivered to the batch's promises in execute_batch().
-      }
-      pool.clear_error();
-      // Destroy the batch's promises before drain() can return, so a
-      // client that reads a failed future after drain() holds the last
-      // reference to its exception and frees it on its own thread.
-      batch.reset();
 
       lock.lock();
       inflight = 0;
@@ -543,6 +528,9 @@ struct ServiceEngine::Impl {
     }
   }
 
+  /// Resolves every member exactly once, with its row or with the error
+  /// that killed the batch, and returns normally: nothing reaches the
+  /// dispatcher thread it runs on.
   void execute_batch(Batch& batch) {
     SNP_OBS_SPAN("svc.batch");
     const std::size_t n = batch.requests.size();
@@ -710,7 +698,6 @@ struct ServiceEngine::Impl {
         SNP_OBS_FLOW_POINT("req.resolve", req.trace_id, 'f');
         req.promise.set_exception(std::current_exception());
       }
-      throw;  // lands in the pool's sticky channel; dispatcher clears it
     }
   }
 
@@ -924,7 +911,6 @@ struct ServiceEngine::Impl {
   const std::size_t bit_cols;
   Context ctx;
   bits::Comparison effective_op = bits::Comparison::kXor;
-  exec::ThreadPool pool;  ///< 1-thread batch executor (sticky-error channel)
   /// Internally locked; fed under mu on every completion path (the
   /// engine's one latency record, in every build), never under mu for
   /// the dump-triggering edge (see on_slo_trip).

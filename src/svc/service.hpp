@@ -17,8 +17,7 @@
 //    order, or client thread count.
 //  * Exactly-once: every accepted request resolves its future exactly
 //    once — with a result row or with the rt::Error that killed its
-//    batch. A failed batch never poisons later batches (the engine
-//    clears the exec::ThreadPool's sticky error after scattering it).
+//    batch. A failed batch never poisons later batches.
 //  * Admission control: a bounded pending queue sheds (kReject ->
 //    rt::Error(kOverload)) or backpressures (kBlock) before the service
 //    falls over; shed requests are counted, never half-processed.
@@ -55,10 +54,6 @@
 #include "obs/cost.hpp"
 #include "obs/slo.hpp"
 #include "rt/recovery.hpp"
-
-namespace snp::exec {
-class ThreadPool;
-}  // namespace snp::exec
 
 namespace snp::svc {
 
@@ -267,7 +262,7 @@ struct SloReport {
 /// Long-running, in-process query service over one resident database.
 /// Thread-safe: submit()/stats()/update_database() may be called from
 /// any number of client threads; a single dispatcher thread forms
-/// batches and executes them in submission order on an exec::ThreadPool.
+/// batches and executes them itself, in submission order.
 class ServiceEngine {
  public:
   /// Loads and packs `database` once (negated here when config.op is

@@ -80,6 +80,11 @@ TEST(ThreadPool, PostedTaskExceptionPropagatesToWaitIdle) {
   pool.clear_error();
   EXPECT_NO_THROW(pool.wait_idle());
   EXPECT_EQ(pool.failed_count(), 0u);
+  // A task posted after the clear runs, and nothing is rethrown.
+  pool.post([&ran] { ++ran; });
+  EXPECT_NO_THROW(pool.wait_idle());
+  EXPECT_EQ(ran.load(), 9);
+  EXPECT_EQ(pool.failed_count(), 0u);
 }
 
 TEST(ThreadPool, OnlyTheFirstExceptionIsRethrown) {

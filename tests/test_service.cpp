@@ -555,30 +555,11 @@ TEST(ServiceAdmission, BlockPolicyBackpressuresInsteadOfShedding) {
   EXPECT_LE(s.peak_queue_depth, 2U);
 }
 
-// ---- sticky-error regression (satellite: ThreadPool propagation) -------
+// ---- failed-batch isolation --------------------------------------------
 
-/// exec-level contract first: a pool error is sticky until clear_error(),
-/// and cleared pools run later work normally. This is the primitive the
-/// service's per-batch clear depends on.
-TEST(ServiceStickyError, ThreadPoolClearErrorUnpoisonsLaterWork) {
-  exec::ThreadPool pool(1);
-  pool.post([] { throw std::runtime_error("batch 1 exploded"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // Sticky: rethrows again until cleared.
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  pool.clear_error();
-  std::atomic<bool> ran{false};
-  pool.post([&] { ran = true; });
-  EXPECT_NO_THROW(pool.wait_idle());
-  EXPECT_TRUE(ran.load());
-  EXPECT_EQ(pool.failed_count(), 0U);
-}
-
-/// Service-level regression: a batch killed by an injected fault under
-/// --fail-policy abort scatters its error to exactly its own futures,
-/// and the *next* batch — same engine, same pool — succeeds with rows
-/// bit-identical to a clean run. Before the per-batch clear_error() this
-/// poisoned every subsequent wait_idle().
+/// A batch killed by an injected fault under --fail-policy abort scatters
+/// its error to exactly its own futures, and the *next* batch on the same
+/// engine succeeds with rows bit-identical to a clean run.
 TEST(ServiceStickyError, FailedBatchDoesNotPoisonSubsequentBatches) {
   const BitMatrix db = io::random_bitmatrix(29, 128, 0.5, 691);
   const BitMatrix queries = io::random_bitmatrix(6, 128, 0.4, 692);
@@ -687,6 +668,33 @@ TEST(ServiceEngineContract, DestructionResolvesEveryAcceptedRequest) {
   for (std::size_t q = 0; q < queries.rows(); ++q) {
     EXPECT_EQ(futs[q].get().row, expected[q]) << "query=" << q;
   }
+}
+
+TEST(ServiceEngineContract, ServesBatchesWithoutAPoolOfItsOwn) {
+  if (!obs::kEnabled) {
+    GTEST_SKIP() << "exec.pool.workers is published only with telemetry "
+                    "compiled in (SNPCMP_OBS=ON)";
+  }
+  // The host pool is built on first use and adds its own workers, so it
+  // must exist before the baseline is read.
+  (void)exec::host_pool();
+  const obs::Gauge& workers =
+      obs::MetricsRegistry::global().gauge("exec.pool.workers");
+  const std::int64_t before = workers.value();
+  const BitMatrix db = io::random_bitmatrix(19, 128, 0.5, 725);
+  const BitMatrix queries = io::random_bitmatrix(3, 128, 0.4, 726);
+  ServiceEngine engine(db, base_config("titanv", Comparison::kXor, 4));
+  std::vector<std::future<QueryResult>> futs;
+  for (std::size_t q = 0; q < queries.rows(); ++q) {
+    futs.push_back(engine.submit(queries.row_slice(q, q + 1)));
+  }
+  EXPECT_EQ(workers.value(), before);
+  engine.resume();  // the three paused queries run as one batch
+  engine.drain();
+  for (auto& fut : futs) {
+    EXPECT_EQ(fut.get().batch_rows, 3U);
+  }
+  EXPECT_EQ(workers.value(), before);
 }
 
 TEST(ServiceEngineContract, StatsLatencyPercentilesArePopulated) {
