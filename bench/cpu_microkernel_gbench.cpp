@@ -132,7 +132,9 @@ BENCHMARK(BM_CpuLdSelf)->Args({2048, 4096})->UseRealTime();
 void BM_CpuFastId(benchmark::State& state) {
   // FastID identity search (Eq. 2): a batch of m query profiles against a
   // resident database of 65,536 profiles x 1,024 SNPs under XOR, the
-  // idsearch_large shape; the service's batches hold 1-32 queries.
+  // idsearch_large shape; the service's batches hold 1-32 queries. Below
+  // m_r = 4 rows the engine takes its skinny path, from 4 on the blocked
+  // one, so the rows on either side show where the crossover lies.
   const auto m = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kProfiles = 65536;
   constexpr std::size_t kSnps = 1024;
@@ -145,7 +147,13 @@ void BM_CpuFastId(benchmark::State& state) {
   }
   count_wordops(state, m, kProfiles, kSnps);
 }
-BENCHMARK(BM_CpuFastId)->Arg(1)->Arg(4)->Arg(32)->UseRealTime();
+BENCHMARK(BM_CpuFastId)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(32)
+    ->UseRealTime();
 
 void BM_ReferenceAnd(benchmark::State& state) {
   // The unblocked reference, to show what the BLIS-like blocking buys.

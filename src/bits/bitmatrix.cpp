@@ -7,14 +7,23 @@ namespace snp::bits {
 
 BitMatrix::BitMatrix(std::size_t rows, std::size_t bit_cols,
                      std::size_t stride_words64)
-    : rows_(rows), bit_cols_(bit_cols) {
+    : BitMatrix(for_overwrite(rows, bit_cols, stride_words64)) {
+  std::fill(data_.begin(), data_.end(), Word64{0});
+}
+
+BitMatrix BitMatrix::for_overwrite(std::size_t rows, std::size_t bit_cols,
+                                   std::size_t stride_words64) {
   if (stride_words64 == 0) {
     throw std::invalid_argument("BitMatrix: stride_words64 must be positive");
   }
+  BitMatrix m;
+  m.rows_ = rows;
+  m.bit_cols_ = bit_cols;
   const std::size_t min_words = ceil_div(bit_cols, kBitsPerWord64);
-  stride64_ = std::max<std::size_t>(round_up(min_words, stride_words64),
-                                    stride_words64);
-  data_.assign(rows_ * stride64_, 0);
+  m.stride64_ = std::max<std::size_t>(round_up(min_words, stride_words64),
+                                      stride_words64);
+  m.data_.resize(rows * m.stride64_);
+  return m;
 }
 
 void BitMatrix::set(std::size_t row, std::size_t bit, bool value) {

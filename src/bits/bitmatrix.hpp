@@ -20,6 +20,23 @@
 
 namespace snp::bits {
 
+/// std::allocator whose value-less construct default-initializes, so a
+/// vector sized with it leaves its elements unset instead of zeroing them:
+/// for outputs that a writer overwrites entirely. Construction from a
+/// value is unchanged.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  using std::allocator<T>::allocator;
+  template <class U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
 class BitMatrix {
  public:
   BitMatrix() = default;
@@ -29,6 +46,13 @@ class BitMatrix {
   /// `bit_cols` (default: 1 word, i.e. padding only to the next 64 bits).
   BitMatrix(std::size_t rows, std::size_t bit_cols,
             std::size_t stride_words64 = 1);
+
+  /// The same shape and stride, with every word left unset, for a writer
+  /// that stores all of them, padding included (io::load_bitmatrix reads
+  /// its payload into one): its memory is written once, not zeroed first.
+  [[nodiscard]] static BitMatrix for_overwrite(std::size_t rows,
+                                               std::size_t bit_cols,
+                                               std::size_t stride_words64 = 1);
 
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t bit_cols() const { return bit_cols_; }
@@ -60,6 +84,9 @@ class BitMatrix {
   [[nodiscard]] std::span<const Word64> raw64() const {
     return {data_.data(), data_.size()};
   }
+  [[nodiscard]] std::span<Word64> raw64() {
+    return {data_.data(), data_.size()};
+  }
   [[nodiscard]] std::span<const Word32> raw32() const {
     return {reinterpret_cast<const Word32*>(data_.data()), data_.size() * 2};
   }
@@ -87,7 +114,7 @@ class BitMatrix {
   std::size_t rows_ = 0;
   std::size_t bit_cols_ = 0;
   std::size_t stride64_ = 0;  // 64-bit words per row
-  std::vector<Word64> data_;
+  std::vector<Word64, DefaultInitAllocator<Word64>> data_;
 };
 
 /// Rows [row0, row0 + rows) of a BitMatrix, by reference: lets a kernel
@@ -97,23 +124,6 @@ struct RowWindow {
   const BitMatrix* matrix = nullptr;
   std::size_t row0 = 0;
   std::size_t rows = 0;
-};
-
-/// std::allocator whose value-less construct default-initializes, so a
-/// vector sized with it leaves its elements unset instead of zeroing them:
-/// for outputs that a writer overwrites entirely. Construction from a
-/// value is unchanged.
-template <class T>
-struct DefaultInitAllocator : std::allocator<T> {
-  using std::allocator<T>::allocator;
-  template <class U>
-  void construct(U* p) {
-    ::new (static_cast<void*>(p)) U;
-  }
-  template <class U, class... Args>
-  void construct(U* p, Args&&... args) {
-    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
-  }
 };
 
 /// Dense count matrix produced by SNP comparisons: gamma[i,j] as in Eqs. 1-3.

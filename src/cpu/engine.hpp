@@ -44,12 +44,17 @@ struct CpuBlocking {
 /// add theirs, so the block needs no zeroing first and running the call
 /// again gives the same block. The operands are read in place and no
 /// M x N temporary is allocated. One pool.parallel_for runs over the 2-D
-/// grid of m_c x n_c macro-tiles, so a one-row query still spreads across
-/// B's n_c blocks; a problem of one macro-tile runs on the calling thread
-/// alone. When `a` and `b` are the same rows of one matrix and `op` is
-/// symmetric (AND, XOR), it computes only the tiles on or above the
-/// diagonal, as SYRK does, and writes each block wholly above it at (i, j)
-/// and (j, i): half the popcounts. The counts are the same on every pool.
+/// grid of m_c x n_c macro-tiles; a problem of one macro-tile runs on the
+/// calling thread alone. When `a` and `b` are the same rows of one matrix
+/// and `op` is symmetric (AND, XOR), it computes only the tiles on or
+/// above the diagonal, as SYRK does, and writes each block wholly above it
+/// at (i, j) and (j, i): half the popcounts. An A of fewer than m_r rows
+/// (FastID's one to three queries against a database) takes the skinny
+/// path instead, chosen from the shape alone: one pool.parallel_for over
+/// B's n_c row blocks reads each row of B once, where it lies, against
+/// every row of A over the full depth and stores each count once, with no
+/// packing and no padding of A to m_r rows. The counts are the same on
+/// every pool and on both paths.
 void compare_into(bits::RowWindow a, bits::RowWindow b, bits::Comparison op,
                   std::uint32_t* c, std::size_t ldc,
                   const CpuBlocking& blocking = {},

@@ -5,14 +5,13 @@
 #include "obs/obs.hpp"
 
 #include <array>
-#include <cstring>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace snp::io {
 
@@ -115,6 +114,18 @@ void save_bitmatrix(const bits::BitMatrix& m, std::ostream& os) {
 
 namespace {
 
+/// rows * cols * elem_bytes, the payload a header declares, or `corrupt`
+/// thrown when the product does not fit in 64 bits: each dimension may be
+/// up to 2^40, and a wrapped size would pass checked_payload_bytes.
+std::uint64_t payload_bytes(std::uint64_t rows, std::uint64_t cols,
+                            std::uint64_t elem_bytes, const char* corrupt) {
+  if (cols != 0 &&
+      rows > std::numeric_limits<std::uint64_t>::max() / cols / elem_bytes) {
+    throw std::runtime_error(corrupt);
+  }
+  return rows * cols * elem_bytes;
+}
+
 bits::BitMatrix load_bitmatrix_impl(std::istream& is) {
   SNP_OBS_SPAN("io.load_bitmatrix");
   expect_magic(is, kBitMagic, "bit matrix");
@@ -122,25 +133,24 @@ bits::BitMatrix load_bitmatrix_impl(std::istream& is) {
   const std::uint64_t bit_cols = read_u64(is);
   const std::uint64_t stride = read_u64(is);
   constexpr std::uint64_t kDimCap = 1ull << 40;
+  constexpr const char* kCorrupt = "snp::io: corrupt bit-matrix header";
   if (stride == 0 || rows > kDimCap || stride > kDimCap ||
       bit_cols > kDimCap ||
       stride < bits::ceil_div(bit_cols, bits::kBitsPerWord64)) {
-    throw std::runtime_error("snp::io: corrupt bit-matrix header");
+    throw std::runtime_error(kCorrupt);
   }
-  (void)checked_payload_bytes(is, rows * stride * 8);
-  bits::BitMatrix m(rows, bit_cols, stride);
-  std::vector<bits::Word64> buf(rows * stride);
-  is.read(reinterpret_cast<char*>(buf.data()),
-          static_cast<std::streamsize>(buf.size() * sizeof(bits::Word64)));
+  (void)checked_payload_bytes(
+      is, payload_bytes(rows, stride, sizeof(bits::Word64), kCorrupt));
+  // The payload, padding words included, is read straight into the
+  // matrix, whose stride is the header's, so its memory is written once.
+  auto m = bits::BitMatrix::for_overwrite(rows, bit_cols, stride);
+  const auto raw = m.raw64();
+  is.read(reinterpret_cast<char*>(raw.data()),
+          static_cast<std::streamsize>(raw.size_bytes()));
   if (!is) {
     throw std::runtime_error("snp::io: truncated bit matrix");
   }
-  for (std::uint64_t r = 0; r < rows; ++r) {
-    auto dst = m.row64(r);
-    std::memcpy(dst.data(), buf.data() + r * stride,
-                stride * sizeof(bits::Word64));
-  }
-  SNP_OBS_COUNT("io.load.bytes", buf.size() * sizeof(bits::Word64));
+  SNP_OBS_COUNT("io.load.bytes", raw.size_bytes());
   if (!m.padding_is_zero()) {
     // Set bits in the word-padding region cannot come from the writer —
     // this is bit-flip corruption made detectable by construction.
@@ -186,12 +196,14 @@ bits::CountMatrix load_countmatrix_impl(std::istream& is) {
   const std::uint64_t rows = read_u64(is);
   const std::uint64_t cols = read_u64(is);
   constexpr std::uint64_t kDimCap = 1ull << 40;
+  constexpr const char* kCorrupt = "snp::io: corrupt count-matrix header";
   if (rows > kDimCap || cols > kDimCap) {
-    throw std::runtime_error("snp::io: corrupt count-matrix header");
+    throw std::runtime_error(kCorrupt);
   }
-  (void)checked_payload_bytes(is, rows * cols * 4);
-  bits::CountMatrix m(rows, cols);
-  auto raw = m.raw();
+  (void)checked_payload_bytes(
+      is, payload_bytes(rows, cols, sizeof(std::uint32_t), kCorrupt));
+  auto m = bits::CountMatrix::for_overwrite(rows, cols);
+  const auto raw = m.raw();
   is.read(reinterpret_cast<char*>(raw.data()),
           static_cast<std::streamsize>(raw.size_bytes()));
   if (!is) {

@@ -5,7 +5,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
+#include <new>
 #include <ostream>
+
+#include <sys/mman.h>
 
 namespace snp::obs {
 
@@ -115,6 +119,12 @@ const char* to_string(FlightKind kind) {
 /// store the five payload words, seq -> even; all accesses are atomic
 /// (payload relaxed, seq release/acquire) so readers never race and a
 /// torn slot is detected by an odd or changed sequence.
+///
+/// The slots are mapped pages of their own, not heap blocks: a ring is
+/// registered at a thread's first record, often in the middle of a large
+/// job, and a 96-KiB block placed then in the heap decides where the
+/// job's next large blocks land, and so how much of the heap stays
+/// resident.
 struct FlightRecorder::Ring {
   struct Slot {
     std::atomic<std::uint32_t> seq{0};
@@ -122,13 +132,26 @@ struct FlightRecorder::Ring {
   };
 
   explicit Ring(std::uint32_t thread_index, std::size_t capacity)
-      : thread(thread_index), mask(capacity - 1),
-        slots(new Slot[capacity]) {}
+      : thread(thread_index), mask(capacity - 1), slots(map_slots(capacity)) {}
+  ~Ring() { ::munmap(slots, (mask + 1) * sizeof(Slot)); }
+  Ring(const Ring&) = delete;
+  Ring& operator=(const Ring&) = delete;
+
+  static Slot* map_slots(std::size_t capacity) {
+    void* p = ::mmap(nullptr, capacity * sizeof(Slot), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) {
+      throw std::bad_alloc();
+    }
+    auto* slots = static_cast<Slot*>(p);
+    std::uninitialized_value_construct_n(slots, capacity);
+    return slots;
+  }
 
   std::uint32_t thread;
   std::size_t mask;
   std::atomic<std::uint64_t> head{0};  ///< next write position
-  std::unique_ptr<Slot[]> slots;
+  Slot* slots;
   /// Cleared when the owning thread exits (or moves to another
   /// recorder); the next thread that registers takes the ring over,
   /// records intact.

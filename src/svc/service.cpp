@@ -540,7 +540,7 @@ struct ServiceEngine::Impl {
     if constexpr (obs::kEnabled) {
       // Every member request's flow arrow passes through the batch, not
       // just the root whose context the batch runs under.
-      for (const auto& req : batch.requests) {
+      for ([[maybe_unused]] const auto& req : batch.requests) {
         SNP_OBS_FLOW_POINT("req.batch", req.trace_id, 't');
       }
     }
@@ -793,7 +793,7 @@ struct ServiceEngine::Impl {
   /// Burn-rate trigger edge: latch brown-out, pin the breach in the
   /// flight stream, then dump the rings while the evidence is still
   /// resident. Never called under mu (auto_dump writes a file).
-  void on_slo_trip(std::uint64_t trace_id) {
+  void on_slo_trip([[maybe_unused]] std::uint64_t trace_id) {
     {
       const std::lock_guard lock(mu);
       if (!brownout) {
@@ -805,7 +805,7 @@ struct ServiceEngine::Impl {
       }
     }
     if constexpr (obs::kEnabled) {
-      const auto snap = slo_mon.snapshot();
+      [[maybe_unused]] const auto snap = slo_mon.snapshot();
       SNP_OBS_COUNT("svc.slo.trips", 1);
       SNP_OBS_FLIGHT(obs::FlightKind::kSloBreach, trace_id, 0,
                      static_cast<std::int64_t>(snap.breaches),

@@ -110,6 +110,54 @@ TEST(EngineRectangle, MatchesReferenceOnRandomWindows) {
   }
 }
 
+TEST(EngineRectangle, SkinnyWindowsMatchReferenceAcrossTheCrossover) {
+  // m = 1 ... 2 m_r query rows from row0 != 0 against a ragged window of a
+  // database, into a block at (1, 3) of a sentinel-filled C whose rows are
+  // wider than the block: below m_r the skinny path writes the block, from
+  // m_r on the blocked one. k spans several panels of each blocking, and a
+  // window of the database against itself covers the self shapes.
+  constexpr std::size_t m_r = cpu::CpuBlocking::m_r;
+  exec::ThreadPool inline_pool(0);
+  exec::ThreadPool three_workers(3);
+  cpu::CpuBlocking tiny;
+  tiny.m_c = 4;
+  tiny.k_c = 2;
+  tiny.n_c = 8;
+  const std::size_t k_bits = 5 * 64 + 17;
+  const auto queries = io::random_bitmatrix(2 * m_r + 3, k_bits, 0.5, 51);
+  const auto db = io::random_bitmatrix(61, k_bits, 0.4, 52);
+  const bits::RowWindow dw{&db, 4, 53};  // ragged: 6 n_c blocks + 5 rows
+  const auto db_part = db.row_slice(dw.row0, dw.row0 + dw.rows);
+  const std::size_t ldc = dw.rows + 7;
+  for (std::size_t m = 1; m <= 2 * m_r; ++m) {
+    const bits::RowWindow qw{&queries, 2, m};
+    const bits::RowWindow self{&db, 9, m};
+    const auto q_part = queries.row_slice(2, 2 + m);
+    const auto self_part = db.row_slice(9, 9 + m);
+    for (const Comparison op : kOps) {
+      const CountMatrix expected = bits::compare_reference(q_part, db_part, op);
+      const CountMatrix self_expected =
+          bits::compare_reference(self_part, self_part, op);
+      for (const cpu::CpuBlocking& blocking : {cpu::CpuBlocking{}, tiny}) {
+        for (exec::ThreadPool* pool : {&inline_pool, &three_workers}) {
+          SCOPED_TRACE(std::to_string(m) + " rows, op " +
+                       std::to_string(static_cast<int>(op)) + ", n_c " +
+                       std::to_string(blocking.n_c) + ", workers " +
+                       std::to_string(pool->thread_count()));
+          auto c = sentinel_buffer(m + 3, ldc);
+          cpu::compare_into(qw, dw, op, c.data() + ldc + 3, ldc, blocking,
+                            *pool);
+          expect_block(c, ldc, 1, 3, expected);
+          auto cs = sentinel_buffer(m + 3, ldc);
+          cpu::compare_into(self, self, op, cs.data() + ldc + 3, ldc,
+                            blocking, *pool);
+          expect_block(cs, ldc, 1, 3, self_expected);
+        }
+      }
+    }
+  }
+}
+
 TEST(EngineRectangle, RejectsWindowsOutOfRange) {
   const auto a = io::random_bitmatrix(4, 64, 0.5, 1);
   std::vector<std::uint32_t> c(16);

@@ -267,6 +267,80 @@ TEST(CpuEngine, StoreOverwritesEveryEntry) {
   }
 }
 
+// An A of fewer than m_r rows takes the skinny path, which reads B in place
+// in n_c row blocks; from m_r rows on, the blocked path packs. Both sides
+// of that crossover, m = 1 ... 2 m_r, against ragged n over several n_c
+// blocks and k over several k_c panels, every op, a self window (a window
+// of B against itself) on both sides too, on pools of 0 and 3 workers.
+TEST(CpuEngine, SkinnyAndBlockedPathsAgreeAcrossTheCrossover) {
+  constexpr std::size_t m_r = CpuBlocking::m_r;
+  CpuBlocking tiny;
+  tiny.m_c = 4;
+  tiny.n_c = 8;
+  tiny.k_c = 1;
+  exec::ThreadPool inline_pool(0);
+  exec::ThreadPool three_workers(3);
+  struct Shape {
+    CpuBlocking blocking;
+    std::size_t n, k_bits;
+  };
+  for (const Shape& s :
+       {Shape{kDefault, kDefault.n_c + 5, 2 * kDefault.k_c * 64 + 3},
+        Shape{tiny, 3 * tiny.n_c + 5, 3 * 64 + 5}}) {
+    const auto b = io::random_bitmatrix(s.n, s.k_bits, 0.6, 131);
+    for (std::size_t m = 1; m <= 2 * m_r; ++m) {
+      const auto a = io::random_bitmatrix(m, s.k_bits, 0.4, 131 + m);
+      const std::size_t b0 = s.n - m - 2;  // the self window's first row
+      for (const auto op :
+           {Comparison::kAnd, Comparison::kXor, Comparison::kAndNot}) {
+        const auto expected = bits::compare_reference(a, b, op);
+        const auto window = b.row_slice(b0, b0 + m);
+        const auto self_expected =
+            bits::compare_reference(window, window, op);
+        for (exec::ThreadPool* pool : {&inline_pool, &three_workers}) {
+          EXPECT_TRUE(stored({&a, 0, m}, {&b, 0, s.n}, op, s.blocking,
+                             *pool) == expected)
+              << m << " x " << s.n << " op " << static_cast<int>(op)
+              << " k_c " << s.blocking.k_c << " workers "
+              << pool->thread_count();
+          EXPECT_TRUE(stored({&b, b0, m}, {&b, b0, m}, op, s.blocking,
+                             *pool) == self_expected)
+              << "self " << m << " op " << static_cast<int>(op) << " k_c "
+              << s.blocking.k_c << " workers " << pool->thread_count();
+        }
+      }
+    }
+  }
+}
+
+TEST(CpuEngine, SkinnyPathPacksNothingAndCountsItsWordOps) {
+  if (!obs::kEnabled) {
+    GTEST_SKIP() << "telemetry compiled out (SNPCMP_OBS=OFF)";
+  }
+  auto& registry = obs::MetricsRegistry::global();
+  const obs::Counter& wordops = registry.counter("cpu.wordops");
+  const obs::Counter& pack_a = registry.counter("cpu.pack_a.words");
+  const obs::Counter& pack_b = registry.counter("cpu.pack_b.words");
+  // 2,053 profiles of 17 words: the count shows no padding of A to m_r
+  // rows or of B to n_r rows.
+  constexpr std::size_t kWords = 17;
+  const std::size_t k_bits = kWords * 64 - 9;
+  const auto b = io::random_bitmatrix(kDefault.n_c + 5, k_bits, 0.5, 141);
+  for (std::size_t m = 1; m < CpuBlocking::m_r; ++m) {
+    const auto a = io::random_bitmatrix(m, k_bits, 0.5, 141 + m);
+    const std::uint64_t w0 = wordops.value();
+    const std::uint64_t packed0 = pack_a.value() + pack_b.value();
+    (void)compare_blocked(a, b, Comparison::kXor);
+    EXPECT_EQ(wordops.value() - w0, m * b.rows() * kWords) << m << " rows";
+    EXPECT_EQ(pack_a.value() + pack_b.value(), packed0) << m << " rows";
+  }
+  // From m_r rows on, the blocked path packs.
+  const auto a = io::random_bitmatrix(CpuBlocking::m_r, k_bits, 0.5, 145);
+  const std::uint64_t packed0 = pack_a.value() + pack_b.value();
+  (void)compare_blocked(a, b, Comparison::kXor);
+  EXPECT_GT(pack_a.value() + pack_b.value(), packed0);
+}
+
 TEST(CpuEngine, StoreWithoutColumnsGivesZeros) {
   // No bit columns means no k_c panel: a store must still zero C.
   const bits::BitMatrix a(5, 0);

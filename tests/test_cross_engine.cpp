@@ -64,6 +64,31 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(Comparison::kAnd, Comparison::kXor,
                           Comparison::kAndNot)));
 
+TEST(CrossEngine, QueryBatchesAgreeAcrossTheSkinnyCrossover) {
+  // Batches of m = 1 ... 2 m_r queries: below m_r the engine under every
+  // device's kernel takes the skinny path, from m_r on the blocked one.
+  // A ragged database over two n_c blocks, k over three k_c panels.
+  constexpr cpu::CpuBlocking kBlocking{};
+  const std::size_t k_bits = 2 * kBlocking.k_c * 64 + 3;
+  const auto db = io::random_bitmatrix(kBlocking.n_c + 5, k_bits, 0.5, 9000);
+  for (std::size_t m = 1; m <= 2 * cpu::CpuBlocking::m_r; ++m) {
+    const auto queries = io::random_bitmatrix(m, k_bits, 0.5, 9000 + m);
+    for (const auto op :
+         {Comparison::kAnd, Comparison::kXor, Comparison::kAndNot}) {
+      const auto expected = bits::compare_reference(queries, db, op);
+      EXPECT_TRUE(cpu::compare_blocked(queries, db, op) == expected)
+          << "cpu engine, " << m << " queries";
+      for (const auto& dev : model::all_gpus()) {
+        const kern::GpuSnpKernel kernel(
+            dev, model::paper_preset(dev, model::WorkloadKind::kFastId), op);
+        bits::CountMatrix out(m, db.rows());
+        kernel.execute(queries, db, out);
+        EXPECT_TRUE(out == expected) << dev.name << ", " << m << " queries";
+      }
+    }
+  }
+}
+
 TEST(CrossEngine, PublicApiAgreesAcrossBackends) {
   const auto a = io::random_bitmatrix(25, 700, 0.4, 6000);
   const auto b = io::random_bitmatrix(60, 700, 0.5, 6001);

@@ -4,7 +4,9 @@
 // stand in for a fuzzer in this offline environment.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <sstream>
 
 #include "io/datagen.hpp"
@@ -178,6 +180,37 @@ TEST(StatusApi, BinaryLoadersFlagEveryTruncationBoundaryWithOffset) {
     // The untruncated blob still loads clean through the same API.
     std::stringstream ss(c.blob);
     EXPECT_TRUE(c.try_load(ss).ok()) << c.name;
+  }
+}
+
+/// A header of `magic` and the given u64 fields, with no payload.
+std::string header_only(const char* magic,
+                        std::initializer_list<std::uint64_t> fields) {
+  std::string blob(magic, 4);
+  for (const std::uint64_t v : fields) {
+    blob.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  }
+  return blob;
+}
+
+TEST(StatusApi, BinaryLoadersRejectHeadersWhoseSizesOverflow) {
+  // Every dimension is within the 2^40 cap, but the payload size each
+  // header declares wraps to 0 in 64 bits, which an empty payload matches.
+  constexpr std::uint64_t kRows = 1ull << 40;
+  {
+    // .sbm: 2^40 rows x 2^24 words of stride x 8 B.
+    std::stringstream ss(header_only("SBM1", {kRows, 64, 1ull << 24}));
+    bits::BitMatrix out;
+    const rt::Status st = try_load_bitmatrix(ss, out);
+    EXPECT_EQ(st.code, rt::ErrorCode::kIoCorrupt) << st.to_string();
+  }
+  {
+    // .scm: 2^40 rows x 2^24 columns x 4 B.
+    std::stringstream ss(header_only("SCM1", {kRows, 1ull << 24}));
+    bits::CountMatrix out;
+    const rt::Status st = try_load_countmatrix(ss, out);
+    EXPECT_EQ(st.code, rt::ErrorCode::kIoCorrupt) << st.to_string();
+    EXPECT_EQ(out.rows(), 0u);
   }
 }
 

@@ -44,6 +44,26 @@ TEST(Formats, BitMatrixDirtyPaddingRejected) {
   EXPECT_THROW((void)load_bitmatrix(dirty), std::runtime_error);
 }
 
+TEST(Formats, BitMatrixDirtyPaddingWordOfLastRowRejected) {
+  // 5 rows of 70 bits at a 4-word stride: each row's last two words are
+  // whole padding words. Clean, the file round-trips with its stride; with
+  // one bit set in the last row's last word, it is rejected.
+  const auto m = random_bitmatrix(5, 70, 0.5, 64, 4);
+  ASSERT_EQ(m.words64_per_row(), 4u);
+  std::stringstream ss;
+  save_bitmatrix(m, ss);
+  const std::string clean = ss.str();
+  std::stringstream clean_in(clean);
+  const auto back = load_bitmatrix(clean_in);
+  EXPECT_EQ(back, m);
+  EXPECT_EQ(back.words64_per_row(), 4u);
+  EXPECT_TRUE(back.padding_is_zero());
+  std::string dirty = clean;
+  dirty[dirty.size() - 5] = '\x10';  // bit 28 of the last word
+  std::stringstream dirty_in(dirty);
+  EXPECT_THROW((void)load_bitmatrix(dirty_in), std::runtime_error);
+}
+
 TEST(Formats, CountMatrixRoundTrip) {
   bits::CountMatrix c(3, 7);
   for (std::size_t i = 0; i < 3; ++i) {

@@ -1,6 +1,7 @@
 // Memory regression tests for svc::ServiceEngine: a long-running engine's
-// live heap must plateau however many requests it has served, and each
-// cached result row must cost what its packed format promises.
+// live heap must plateau however many requests it has served, each cached
+// result row must cost what its packed format promises, and the flight
+// recorder's per-thread rings must not be heap blocks.
 //
 // Live bytes are counted by replacing the global operator new/delete for
 // this binary (live_heap.hpp), which is why the test has an executable of
@@ -10,9 +11,11 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <thread>
 
 #include "io/datagen.hpp"
 #include "live_heap.hpp"
+#include "obs/flight.hpp"
 #include "svc/service.hpp"
 
 namespace snp {
@@ -106,6 +109,25 @@ TEST(ServiceMemory, CachedFastIdRowsCostAboutOneBytePerDatabaseProfile) {
   EXPECT_LT(grown, kBound) << "live heap grew " << grown << " B over "
                            << kQueries << " cached rows of " << kProfiles
                            << " profiles";
+}
+
+TEST(ServiceMemory, FlightRingsStayOutOfTheHeap) {
+  // A thread's first flight record registers its ring, often in the
+  // middle of a large job; the ring's slots must not be a heap block, or
+  // where it lands decides where the job's next large blocks go. A fresh
+  // recorder has no ring to hand over, so the thread gets a new one.
+  obs::FlightRecorder recorder;
+  std::int64_t grown = 0;
+  std::thread([&] {
+    const std::int64_t before = live_heap::live();
+    recorder.record(obs::FlightKind::kBatch, 0, 0, 1, 1);
+    grown = live_heap::live() - before;
+  }).join();
+  ASSERT_EQ(recorder.snapshot().size(), 1U);
+  const auto ring_bytes = static_cast<std::int64_t>(recorder.capacity() * 48);
+  EXPECT_LT(grown, ring_bytes) << "the first record added " << grown
+                               << " B of heap; a ring is " << ring_bytes
+                               << " B";
 }
 
 }  // namespace

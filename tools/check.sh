@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Full verification sweep:
 #   1. Release build with warnings as errors (-DSNP_WERROR=ON) + the whole
-#      test suite (tier1 + slow labels), a micro-kernel codegen guard
-#      (512-bit vpopcntq where the host has AVX-512 VPOPCNTDQ), short
-#      runs of two google-benchmark binaries' rows, the
+#      test suite (tier1 + slow labels), a codegen guard on the CPU
+#      engine's two kernels (512-bit vpopcntq where the host has AVX-512
+#      VPOPCNTDQ), short runs of two google-benchmark binaries' rows, the
 #      service's engine-teardown race test repeated 500 times, plus
 #      a telemetry smoke: a real search run with --metrics-out /
 #      --trace-out whose outputs are validated as JSON, and a
@@ -21,7 +21,8 @@
 #      service-engine soak, its teardown race repeated 50 times). Every
 #      host thread is an exec pool thread, so TSan sees the parallel code
 #      production runs.
-#   4. Telemetry compiled out (-DSNPCMP_OBS=OFF) build + tier-1 tests.
+#   4. Telemetry compiled out (-DSNPCMP_OBS=OFF) build with warnings as
+#      errors + tier-1 tests.
 #   5. Portable build (-DSNP_NATIVE=OFF, baseline x86-64 codegen) + the
 #      suites that check the host engine's counts against the reference.
 #
@@ -77,17 +78,20 @@ cmake --preset default -DSNP_WERROR=ON >/dev/null
 cmake --build --preset default -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
 
-echo "== micro-kernel codegen (512-bit vpopcntq) =="
+echo "== kernel codegen (512-bit vpopcntq) =="
 # The micro-kernel's n_r = 8 lanes of 64-bit counts are one 512-bit
-# vector: where the CPU has AVX-512 VPOPCNTDQ, the -march=native build must
-# popcount them with vpopcntq on %zmm registers, not on narrower ones.
+# vector, and the skinny kernel's k loop runs over 512-bit vectors of
+# words: where the CPU has AVX-512 VPOPCNTDQ, the -march=native build must
+# popcount both with vpopcntq on %zmm registers, not on narrower ones.
 if grep -qw avx512_vpopcntdq /proc/cpuinfo; then
-  zmm=$(objdump -d --no-show-raw-insn build/src/cpu/libsnp_cpu.a |
-        awk '/^[0-9a-f]+ <.*>:$/ { mk = /micro_kernel/; next }
-             mk && /vpopcntq/ && /%zmm/' | wc -l)
-  [[ "$zmm" -gt 0 ]] || {
-    echo "micro_kernel has no vpopcntq on %zmm registers"; exit 1; }
-  echo "micro_kernel: $zmm vpopcntq on %zmm registers"
+  for kernel in micro_kernel skinny_kernel; do
+    zmm=$(objdump -d --no-show-raw-insn build/src/cpu/libsnp_cpu.a |
+          awk -v k="$kernel" '/^[0-9a-f]+ <.*>:$/ { mk = index($0, k); next }
+                              mk && /vpopcntq/ && /%zmm/' | wc -l)
+    [[ "$zmm" -gt 0 ]] || {
+      echo "$kernel has no vpopcntq on %zmm registers"; exit 1; }
+    echo "$kernel: $zmm vpopcntq on %zmm registers"
+  done
 else
   echo "skipped: this CPU does not list avx512_vpopcntdq"
 fi
@@ -101,11 +105,12 @@ for bin in build/tools/snpcmp build/tests/test_*; do
 done
 echo "no OpenMP runtime linked"
 
-echo "== CPU engine LD self-comparison row (cpu_microkernel_gbench) =="
-# A short run of the triangle-only self path's google-benchmark row, so
-# the row keeps building and running.
-./build/bench/cpu_microkernel_gbench --benchmark_filter=BM_CpuLdSelf \
-  --benchmark_min_time=0.05
+echo "== CPU engine LD self and FastID rows (cpu_microkernel_gbench) =="
+# Short runs of the triangle-only self path's google-benchmark row and of
+# the FastID rows on both sides of the skinny path's crossover, so the
+# rows keep building and running.
+./build/bench/cpu_microkernel_gbench \
+  --benchmark_filter='BM_CpuLdSelf|BM_CpuFastId' --benchmark_min_time=0.05
 
 echo "== result-cache row codec rows (svc_cache_gbench) =="
 # The packed row's encode and decode rows beside the 16-bit copies they
@@ -460,7 +465,7 @@ echo "== telemetry-off build (SNPCMP_OBS=OFF) + tier-1 tests =="
 # still records each completion in its SLO monitor (its one latency
 # record); tests that need telemetry skip themselves.
 cmake -S . -B build-noobs -DCMAKE_BUILD_TYPE=Release -DSNPCMP_OBS=OFF \
-  >/dev/null
+  -DSNP_WERROR=ON >/dev/null
 cmake --build build-noobs -j "$jobs"
 ctest --test-dir build-noobs -L tier1 --output-on-failure -j "$jobs"
 
