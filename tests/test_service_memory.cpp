@@ -123,7 +123,6 @@ TEST(ServiceMemory, FlightRingsStayOutOfTheHeap) {
     recorder.record(obs::FlightKind::kBatch, 0, 0, 1, 1);
     grown = live_heap::live() - before;
   }).join();
-  ASSERT_EQ(recorder.snapshot().size(), 1U);
   const auto ring_bytes = static_cast<std::int64_t>(recorder.capacity() * 48);
   EXPECT_LT(grown, ring_bytes) << "the first record added " << grown
                                << " B of heap; a ring is " << ring_bytes
