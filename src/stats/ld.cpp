@@ -74,8 +74,10 @@ R2Matrix r2_matrix(const bits::CountMatrix& gamma,
   // checked against min(count_i, count_j), and the tile mirrored below the
   // diagonal must equal it transposed, so every input entry is checked.
   // Both checks are ORs read after the loop, so the loops stay
-  // branch-free, and `omp simd` (-fopenmp-simd) lets the compiler
-  // if-convert the guarded division. Walking the mirror tile by tile keeps
+  // branch-free. The guarded division vectorizes as a masked packed divide
+  // only because ld.cpp is built with -fno-trapping-math: under the
+  // default -ftrapping-math GCC will not if-convert a division that may
+  // trap, and the loop stays scalar. Walking the mirror tile by tile keeps
   // its strided column reads in cache.
   constexpr std::size_t kTile = 64;
   const std::size_t tile_rows = bits::ceil_div(loci, kTile);

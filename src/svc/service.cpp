@@ -83,6 +83,7 @@ struct ServiceEngine::Impl {
   struct Request {
     std::vector<bits::Word64> words;  ///< canonical (base-stride) query row
     std::uint64_t key = 0;            ///< cache key at admission epoch
+    bool admit = false;               ///< second miss: cache the row
     std::uint64_t trace_id = 0;       ///< allocated at submit()
     rt::RecoveryOptions recovery;
     /// End-to-end deadline (absolute, from submit() + deadline_ms).
@@ -123,6 +124,7 @@ struct ServiceEngine::Impl {
         bit_cols(database.bit_cols()),
         ctx(make_context(cfg.device)),
         slo_mon(cfg.slo),
+        seen(cfg.cache_capacity),
         paused(cfg.start_paused) {
     if (database.empty()) {
       throw std::invalid_argument("svc: database must be non-empty");
@@ -143,6 +145,9 @@ struct ServiceEngine::Impl {
     // efficiency (achieved batch width / configured maximum) from a
     // metrics snapshot alone.
     SNP_OBS_GAUGE_SET("svc.config.max_batch_rows", cfg.max_batch_rows);
+    // The gauge is process-wide: a new engine's empty cache replaces what
+    // an earlier engine left in it.
+    SNP_OBS_GAUGE_SET("svc.cache.bytes", 0);
     dispatcher = std::thread([this] { dispatch_loop(); });
   }
 
@@ -349,6 +354,13 @@ struct ServiceEngine::Impl {
     Request req;
     req.words = std::move(words);
     req.key = key;
+    if (!seen.empty()) {
+      // Second-miss admission: the row is cached only if this key missed
+      // before, so a query asked once costs the cache nothing.
+      std::uint64_t& slot = seen[key % seen.size()];
+      req.admit = slot == key;
+      slot = key;
+    }
     req.trace_id = trace_id;
     req.recovery = options.recovery.value_or(cfg.recovery);
     req.has_deadline = has_deadline;
@@ -601,16 +613,15 @@ struct ServiceEngine::Impl {
         }
       }
 
-      // Cache entries are built before taking mu, which then only moves
-      // them in. The query words are no longer needed by the request.
-      std::vector<CacheEntry> fresh;
-      if (cfg.cache_capacity > 0) {
-        fresh.resize(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          fresh[i].words = std::move(batch.requests[i].words);
-          fresh[i].epoch = batch.epoch;
-          fresh[i].row = PackedRow(counts.subspan(i * cols, cols));
-        }
+      // Entries of admitted members are built before taking mu, which
+      // then only moves them in. The query words are no longer needed by
+      // the request.
+      std::vector<CacheEntry> fresh(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!batch.requests[i].admit) continue;
+        fresh[i].words = std::move(batch.requests[i].words);
+        fresh[i].epoch = batch.epoch;
+        fresh[i].row = PackedRow(counts.subspan(i * cols, cols));
       }
 
       std::uint64_t trip_trace = 0;
@@ -648,7 +659,7 @@ struct ServiceEngine::Impl {
               rows[i].latency_s > cfg.slo.objective_s) {
             SNP_OBS_COUNT("svc.slo.breaches", 1);
           }
-          if (cfg.cache_capacity > 0 && batch.epoch == epoch) {
+          if (batch.requests[i].admit && batch.epoch == epoch) {
             cache_insert(batch.requests[i].key, std::move(fresh[i]));
           }
         }
@@ -824,6 +835,7 @@ struct ServiceEngine::Impl {
   /// eviction is FIFO by insertion order. cache_fifo holds exactly the
   /// table's keys, oldest first.
   void cache_insert(std::uint64_t key, CacheEntry entry) {
+    SNP_OBS_COUNT("svc.cache.admitted", 1);
     cache_bytes += entry_bytes(entry);
     if (const auto it = cache.find(key); it != cache.end()) {
       cache_bytes -= entry_bytes(it->second);
@@ -924,6 +936,11 @@ struct ServiceEngine::Impl {
   std::deque<Request> pending;
   std::unordered_map<std::uint64_t, CacheEntry> cache;
   std::deque<std::uint64_t> cache_fifo;
+  /// Second-miss admission, the doorkeeper of TinyLFU (Einziger et al.):
+  /// the last key queued as a miss in each slot, one slot per cache entry
+  /// (empty when the cache is off). A key that is still in its slot at its
+  /// next miss is admitted.
+  std::vector<std::uint64_t> seen;
   /// Bytes held by the cache's rows and query words (entry_bytes).
   std::size_t cache_bytes = 0;
   std::uint64_t epoch = 1;

@@ -94,6 +94,8 @@ struct ServiceConfig {
   /// Result cache keyed by (query-row hash, op, DB epoch); 0 disables.
   /// Counted in entries: each holds its gamma row as a PackedRow, about
   /// 1 B per database profile on FastID data, so size it against the DB.
+  /// A row is cached on its query's second miss, never on its first: a
+  /// table of one 8-B key per entry remembers the last miss in each slot.
   std::size_t cache_capacity = 1024;
 
   /// Default per-request recovery policy (a request class may override

@@ -370,21 +370,25 @@ TEST(ServiceCost, CacheHitsRideNoBatchAndCostNoDeviceTime) {
   ServiceConfig cfg = cost_config("titanv", Comparison::kXor, 4);
   cfg.cache_capacity = 16;
   ServiceEngine engine(db, cfg);
+  // Two misses in one batch: the second copy's row is cached.
   auto miss = engine.submit(query);
+  auto cached = engine.submit(query);
   engine.resume();
   engine.drain();
-  (void)miss.get();
+  const QueryResult miss_row = miss.get();
+  EXPECT_EQ(cached.get().row, miss_row.row);
   auto hit_fut = engine.submit(query);
   engine.drain();
   const QueryResult hit = hit_fut.get();
   ASSERT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.row, miss_row.row);
   EXPECT_TRUE(hit.cost.cache_hit);
   EXPECT_EQ(hit.cost.batch_id, 0U);
   EXPECT_EQ(hit.cost.device_ns, 0U);
   EXPECT_EQ(hit.cost.h2d_bytes, 0U);
   const CostSnapshot snap = engine.cost();
   EXPECT_EQ(snap.cache_hits, 1U);
-  EXPECT_EQ(snap.total_requests, 2U);
+  EXPECT_EQ(snap.total_requests, 3U);
   assert_shares_sum_to_batches(snap, "cache-hit run");
 }
 

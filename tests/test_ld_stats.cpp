@@ -98,8 +98,9 @@ TEST(LdStats, R2MatrixIsBitIdenticalToLdFromCounts) {
   io::PopulationParams p;
   p.seed = 304;
   p.ld_block_len = 20;
-  // An odd locus count leaves a remainder after the vectorized pass; an
-  // odd sample count a ragged last word.
+  // An odd locus count leaves rows whose length is no multiple of the
+  // vector width, so r2_matrix's packed divides end in a remainder; an
+  // odd sample count leaves a ragged last word.
   constexpr std::size_t kLoci = 301;
   constexpr std::size_t kSamples = 517;
   auto m = bits::encode(io::generate_genotypes(kLoci, kSamples, p),

@@ -325,6 +325,8 @@ TEST(ServiceCache, RepeatQueryHitsAndEpochBumpInvalidates) {
   EXPECT_FALSE(r1.cache_hit);
   EXPECT_EQ(r1.row, vs_db1[0]);
   EXPECT_EQ(r1.epoch, 1U);
+  // Its second miss caches the row.
+  EXPECT_FALSE(engine.submit(queries.row_slice(0, 1)).get().cache_hit);
 
   // Same profile again: served from cache, bit-identical, no new batch.
   const auto batches_before = engine.stats().batches;
@@ -345,8 +347,11 @@ TEST(ServiceCache, RepeatQueryHitsAndEpochBumpInvalidates) {
   EXPECT_EQ(r3.epoch, 2U);
   EXPECT_EQ(r3.row, vs_db2[0]);
 
-  // And the new epoch caches too.
-  EXPECT_TRUE(engine.submit(queries.row_slice(0, 1)).get().cache_hit);
+  // And the new epoch caches too, from the query's second miss in it.
+  EXPECT_FALSE(engine.submit(queries.row_slice(0, 1)).get().cache_hit);
+  const QueryResult r4 = engine.submit(queries.row_slice(0, 1)).get();
+  EXPECT_TRUE(r4.cache_hit);
+  EXPECT_EQ(r4.row, vs_db2[0]);
 }
 
 TEST(ServiceCache, ConcurrentDatabaseSwapsResolveAgainstTheirEpoch) {
@@ -402,12 +407,17 @@ TEST(ServiceCache, CapacityZeroDisablesCaching) {
   ServiceConfig cfg = base_config("cpu", Comparison::kAnd, 4);
   cfg.start_paused = false;
   ServiceEngine engine(db, cfg);
+  // A cache would admit the second miss and serve the third request.
   const auto a = engine.submit(queries).get();
   const auto b = engine.submit(queries).get();
+  const auto c = engine.submit(queries).get();
   EXPECT_FALSE(a.cache_hit);
   EXPECT_FALSE(b.cache_hit);
+  EXPECT_FALSE(c.cache_hit);
   EXPECT_EQ(a.row, b.row);
+  EXPECT_EQ(a.row, c.row);
   EXPECT_EQ(engine.stats().cache_hits, 0U);
+  EXPECT_EQ(engine.stats().batches, 3U);
 }
 
 TEST(ServiceCache, EvictionKeepsCapacityBounded) {
@@ -418,6 +428,8 @@ TEST(ServiceCache, EvictionKeepsCapacityBounded) {
   cfg.start_paused = false;
   ServiceEngine engine(db, cfg);
   for (std::size_t q = 0; q < queries.rows(); ++q) {
+    // The second miss caches the row.
+    (void)engine.submit(queries.row_slice(q, q + 1)).get();
     (void)engine.submit(queries.row_slice(q, q + 1)).get();
   }
   // Oldest profile was evicted -> recomputed; newest still hits.
@@ -447,17 +459,24 @@ TEST(ServiceCache, HitsAreExactAtTheCachedRowWidthBoundary) {
           bits::compare_reference(query, db, Comparison::kXor);
       const auto want = reference.raw();
       const QueryResult miss = engine.submit(query).get();
+      const QueryResult cached = engine.submit(query).get();
       const QueryResult hit = engine.submit(query).get();
       EXPECT_FALSE(miss.cache_hit);
+      EXPECT_FALSE(cached.cache_hit);
       ASSERT_TRUE(hit.cache_hit);
       EXPECT_EQ(miss.row, std::vector<std::uint32_t>(want.begin(), want.end()))
           << "bit_cols " << bit_cols;
+      EXPECT_EQ(cached.row, miss.row) << "bit_cols " << bit_cols;
       EXPECT_EQ(hit.row, miss.row) << "bit_cols " << bit_cols;
       EXPECT_EQ(hit.row[2], gamma) << "bit_cols " << bit_cols;
       EXPECT_EQ(hit.row[3], bit_cols - gamma) << "bit_cols " << bit_cols;
     }
   }
 }
+
+/// Bytes of one cache entry over a 37-profile, 128-bit database: 37
+/// one-byte offsets, one 5-B block header and the query's two 64-bit words.
+constexpr std::int64_t kEntryBytes = 37 + 5 + 2 * 8;
 
 TEST(ServiceCache, CacheBytesGaugeFollowsInsertsEvictionsAndSwaps) {
   if (!obs::kEnabled) {
@@ -472,17 +491,127 @@ TEST(ServiceCache, CacheBytesGaugeFollowsInsertsEvictionsAndSwaps) {
   ServiceEngine engine(db, cfg);
   const obs::Gauge& gauge =
       obs::MetricsRegistry::global().gauge("svc.cache.bytes");
-  // One entry: 37 one-byte offsets, one 5-B block header and the query's
-  // two 64-bit words.
-  constexpr std::int64_t kEntryBytes = 37 + 5 + 2 * 8;
   for (std::size_t q = 0; q < queries.rows(); ++q) {
+    const auto held = static_cast<std::int64_t>(std::min<std::size_t>(q, 3));
+    // A first miss is not cached.
     (void)engine.submit(queries.row_slice(q, q + 1)).get();
-    // Inserted before the future resolves; FIFO eviction past 3 entries.
-    const auto held = static_cast<std::int64_t>(std::min<std::size_t>(q, 2));
-    EXPECT_EQ(gauge.value(), (held + 1) * kEntryBytes) << "after miss " << q;
+    EXPECT_EQ(gauge.value(), held * kEntryBytes) << "after first miss " << q;
+    // The second is, before its future resolves; FIFO eviction past 3
+    // entries.
+    (void)engine.submit(queries.row_slice(q, q + 1)).get();
+    EXPECT_EQ(gauge.value(), std::min<std::int64_t>(held + 1, 3) * kEntryBytes)
+        << "after second miss " << q;
   }
   engine.update_database(db);
   EXPECT_EQ(gauge.value(), 0);
+}
+
+// Second-miss admission: a row is cached on its query's second miss, so a
+// query asked once never costs the cache a row.
+
+TEST(ServiceCache, SecondMissIsAdmittedAndThirdRequestHits) {
+  const BitMatrix db = io::random_bitmatrix(37, 128, 0.5, 691);
+  const BitMatrix query = io::random_bitmatrix(1, 128, 0.4, 692);
+  const auto expected = serial_rows("cpu", query, db, Comparison::kXor);
+  ServiceConfig cfg = base_config("cpu", Comparison::kXor, 4);
+  cfg.cache_capacity = 8;
+  cfg.start_paused = false;
+  ServiceEngine engine(db, cfg);
+  const obs::Gauge& gauge =
+      obs::MetricsRegistry::global().gauge("svc.cache.bytes");
+  const obs::Counter& admitted =
+      obs::MetricsRegistry::global().counter("svc.cache.admitted");
+  const std::uint64_t admitted_before = admitted.value();
+
+  const QueryResult first = engine.submit(query).get();
+  EXPECT_FALSE(first.cache_hit);
+  if (obs::kEnabled) {
+    EXPECT_EQ(gauge.value(), 0) << "first miss was cached";
+    EXPECT_EQ(admitted.value(), admitted_before);
+  }
+  const QueryResult second = engine.submit(query).get();
+  EXPECT_FALSE(second.cache_hit);
+  if (obs::kEnabled) {
+    EXPECT_EQ(gauge.value(), kEntryBytes);
+    EXPECT_EQ(admitted.value(), admitted_before + 1);
+  }
+  const QueryResult third = engine.submit(query).get();
+  ASSERT_TRUE(third.cache_hit);
+  EXPECT_EQ(first.row, expected[0]);
+  EXPECT_EQ(second.row, first.row);
+  EXPECT_EQ(third.row, second.row);
+  const auto s = engine.stats();
+  EXPECT_EQ(s.cache_misses, 2U);
+  EXPECT_EQ(s.cache_hits, 1U);
+  EXPECT_EQ(s.batches, 2U);
+}
+
+TEST(ServiceCache, TwoCopiesInOneBatchMakeOneEntry) {
+  const BitMatrix db = io::random_bitmatrix(37, 128, 0.5, 693);
+  const BitMatrix queries = io::random_bitmatrix(2, 128, 0.4, 694);
+  const auto expected = serial_rows("cpu", queries, db, Comparison::kXor);
+  ServiceConfig cfg = base_config("cpu", Comparison::kXor, 8);
+  cfg.cache_capacity = 1024;
+  ServiceEngine engine(db, cfg);
+  const obs::Gauge& gauge =
+      obs::MetricsRegistry::global().gauge("svc.cache.bytes");
+  const BitMatrix fresh = queries.row_slice(0, 1);
+  const BitMatrix seen = queries.row_slice(1, 2);
+  // `seen` misses once before the batch, so both of its copies in the
+  // batch are admitted; of `fresh`'s two copies only the second is.
+  auto warm = engine.submit(seen);
+  engine.resume();
+  engine.drain();
+  (void)warm.get();
+  engine.pause();
+  std::vector<std::future<QueryResult>> futs;
+  for (const BitMatrix* q : {&fresh, &seen, &fresh, &seen}) {
+    futs.push_back(engine.submit(*q));
+  }
+  engine.resume();
+  engine.drain();
+  for (std::size_t i = 0; i < futs.size(); ++i) {
+    const QueryResult r = futs[i].get();
+    EXPECT_FALSE(r.cache_hit) << "copy " << i;
+    EXPECT_EQ(r.batch_rows, 4U) << "copy " << i;
+    EXPECT_EQ(r.row, expected[i % 2]) << "copy " << i;
+  }
+  if (obs::kEnabled) {
+    EXPECT_EQ(gauge.value(), 2 * kEntryBytes);
+  }
+  for (std::size_t q = 0; q < 2; ++q) {
+    const QueryResult hit = engine.submit(queries.row_slice(q, q + 1)).get();
+    ASSERT_TRUE(hit.cache_hit) << "query " << q;
+    EXPECT_EQ(hit.row, expected[q]) << "query " << q;
+  }
+}
+
+TEST(ServiceCache, AMissBeforeASwapDoesNotAdmitTheFirstMissAfterIt) {
+  const BitMatrix db1 = io::random_bitmatrix(37, 128, 0.5, 695);
+  const BitMatrix db2 = io::random_bitmatrix(37, 128, 0.5, 696);
+  const BitMatrix query = io::random_bitmatrix(1, 128, 0.4, 697);
+  const auto vs_db2 = serial_rows("cpu", query, db2, Comparison::kXor);
+  ServiceConfig cfg = base_config("cpu", Comparison::kXor, 4);
+  cfg.cache_capacity = 8;
+  cfg.start_paused = false;
+  ServiceEngine engine(db1, cfg);
+  const obs::Gauge& gauge =
+      obs::MetricsRegistry::global().gauge("svc.cache.bytes");
+  EXPECT_FALSE(engine.submit(query).get().cache_hit);
+  engine.update_database(db2);
+  // The key carries the epoch: the miss at epoch 1 does not count.
+  const QueryResult first = engine.submit(query).get();
+  EXPECT_FALSE(first.cache_hit);
+  EXPECT_EQ(first.epoch, 2U);
+  if (obs::kEnabled) {
+    EXPECT_EQ(gauge.value(), 0) << "first miss was cached";
+  }
+  EXPECT_FALSE(engine.submit(query).get().cache_hit);
+  const QueryResult hit = engine.submit(query).get();
+  ASSERT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.epoch, 2U);
+  EXPECT_EQ(hit.row, vs_db2[0]);
+  EXPECT_EQ(first.row, vs_db2[0]);
 }
 
 // ---- admission control -------------------------------------------------

@@ -84,7 +84,7 @@ TEST(ServeCli, GoldenReportBlockAndRequestLines) {
   const Fixture f;
   const auto script = write_script(
       tmp("req.jsonl"),
-      {R"({"submit": 0})", R"({"submit": 1})",
+      {R"({"submit": 0, "count": 2})", R"({"submit": 1})",
        R"({"submit": 2, "count": 2})", "# a comment, skipped", "",
        R"({"barrier": true})", R"({"submit": 0})"});
   const auto r = run_cli({"serve", "--db", f.db, "--queries", f.queries,
@@ -97,17 +97,19 @@ TEST(ServeCli, GoldenReportBlockAndRequestLines) {
             std::string::npos)
       << r.out;
   EXPECT_NE(r.out.find(
-                "service:     requests=5 completed=5 failed=0 rejected=0"),
+                "service:     requests=6 completed=6 failed=0 rejected=0"),
             std::string::npos)
       << r.out;
   EXPECT_NE(
-      r.out.find("service:     batches=1 mean-width=4 max-width=4"),
+      r.out.find("service:     batches=1 mean-width=5 max-width=5"),
       std::string::npos)
       << r.out;
-  EXPECT_NE(r.out.find("service:     cache hits=1 misses=4"),
+  // The second copy of query 0 caches its row, so the repeat after the
+  // barrier hits; query 2's second copy is cached too, but never read.
+  EXPECT_NE(r.out.find("service:     cache hits=1 misses=5"),
             std::string::npos)
       << r.out;
-  EXPECT_NE(r.out.find("service:     queue peak=4 epoch=1"),
+  EXPECT_NE(r.out.find("service:     queue peak=5 epoch=1"),
             std::string::npos)
       << r.out;
   // Approximate (bucket-upper-bound) percentiles carry the '~' marker,
@@ -117,9 +119,10 @@ TEST(ServeCli, GoldenReportBlockAndRequestLines) {
   EXPECT_NE(r.out.find("(bucket upper bounds)"), std::string::npos)
       << r.out;
   // Duplicate submissions of the same profile must carry one digest.
-  EXPECT_EQ(digest_of(r.out, 2), digest_of(r.out, 3));
-  EXPECT_EQ(digest_of(r.out, 0), digest_of(r.out, 4));
-  EXPECT_NE(r.out.find("req 4: cache-hit epoch=1"), std::string::npos)
+  EXPECT_EQ(digest_of(r.out, 3), digest_of(r.out, 4));
+  EXPECT_EQ(digest_of(r.out, 0), digest_of(r.out, 1));
+  EXPECT_EQ(digest_of(r.out, 0), digest_of(r.out, 5));
+  EXPECT_NE(r.out.find("req 5: cache-hit epoch=1"), std::string::npos)
       << r.out;
 }
 
@@ -232,8 +235,8 @@ TEST(ServeCli, OnDemandFlightDumpAndRequestTraceIds) {
   const Fixture f;
   const auto script = write_script(
       tmp("req.jsonl"),
-      {R"({"submit": 0})", R"({"submit": 1})", R"({"barrier": true})",
-       R"({"submit": 0})"});
+      {R"({"submit": 0, "count": 2})", R"({"submit": 1})",
+       R"({"barrier": true})", R"({"submit": 0})"});
   const auto dump = tmp("flight.json");
   const auto r = run_cli({"serve", "--db", f.db, "--queries", f.queries,
                           "--script", script, "--device", "cpu",
@@ -243,8 +246,9 @@ TEST(ServeCli, OnDemandFlightDumpAndRequestTraceIds) {
       << r.out;
   // Every request line names its trace id; ids are unique, including
   // the cache hit (identity is per-request, the cached row is shared).
+  // The second copy of query 0 caches its row; request 3 hits it.
   std::vector<std::string> traces;
-  for (std::size_t req = 0; req < 3; ++req) {
+  for (std::size_t req = 0; req < 4; ++req) {
     const auto line = r.out.find("req " + std::to_string(req) + ": ");
     ASSERT_NE(line, std::string::npos) << r.out;
     const auto tpos = r.out.find("trace=", line);
@@ -255,7 +259,9 @@ TEST(ServeCli, OnDemandFlightDumpAndRequestTraceIds) {
     EXPECT_NE(traces.back(), "");
   }
   EXPECT_NE(traces[0], traces[1]);
-  EXPECT_NE(traces[0], traces[2]);
+  EXPECT_NE(traces[0], traces[3]);
+  EXPECT_NE(traces[1], traces[3]);
+  EXPECT_NE(traces[2], traces[3]);
 
   std::ifstream is(dump);
   std::stringstream buf;
@@ -264,7 +270,7 @@ TEST(ServeCli, OnDemandFlightDumpAndRequestTraceIds) {
   EXPECT_NE(json.find("\"reason\": \"on-demand\""), std::string::npos)
       << json;
   EXPECT_NE(json.find("\"kind\": \"enqueue\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"kind\": \"cache-hit\", \"trace\": " + traces[2]),
+  EXPECT_NE(json.find("\"kind\": \"cache-hit\", \"trace\": " + traces[3]),
             std::string::npos)
       << json;
 }
@@ -464,7 +470,7 @@ TEST(ServeCli, CostBlockAndLedgerJsonAreDeterministic) {
   const Fixture f;
   const auto script = write_script(
       tmp("req.jsonl"),
-      {R"({"submit": 0})", R"({"submit": 1})",
+      {R"({"submit": 0, "count": 2})", R"({"submit": 1})",
        R"({"submit": 2, "count": 2})", R"({"barrier": true})",
        R"({"submit": 0})"});
   // Simulated device: attributed times come from the machine model, so
@@ -487,14 +493,15 @@ TEST(ServeCli, CostBlockAndLedgerJsonAreDeterministic) {
   ASSERT_EQ(r1.code, 0) << r1.err;
   ASSERT_EQ(r2.code, 0) << r2.err;
 
-  // 4 misses coalesce into one batch before the barrier; the repeat of
-  // query 0 is a cache hit that rides no batch.
+  // 5 misses coalesce into one batch before the barrier, and the second
+  // copy of query 0 caches its row; the repeat of query 0 is a cache hit
+  // that rides no batch.
   EXPECT_NE(r1.out.find(
-                "cost:        requests=5 cache-hits=1 batches=1 dropped=0"),
+                "cost:        requests=6 cache-hits=1 batches=1 dropped=0"),
             std::string::npos)
       << r1.out;
   EXPECT_NE(r1.out.find("cost:        h2d="), std::string::npos) << r1.out;
-  EXPECT_NE(r1.out.find("wrote cost ledger (5 requests) to " + cost1),
+  EXPECT_NE(r1.out.find("wrote cost ledger (6 requests) to " + cost1),
             std::string::npos)
       << r1.out;
 

@@ -1,7 +1,8 @@
 // Memory regression tests for svc::ServiceEngine: a long-running engine's
 // live heap must plateau however many requests it has served, each cached
-// result row must cost what its packed format promises, and the flight
-// recorder's per-thread rings must not be heap blocks.
+// result row must cost what its packed format promises, a query asked once
+// must cost the cache no row, and the flight recorder's per-thread rings
+// must not be heap blocks.
 //
 // Live bytes are counted by replacing the global operator new/delete for
 // this binary (live_heap.hpp), which is why the test has an executable of
@@ -16,6 +17,7 @@
 #include "io/datagen.hpp"
 #include "live_heap.hpp"
 #include "obs/flight.hpp"
+#include "obs/obs.hpp"
 #include "svc/service.hpp"
 
 namespace snp {
@@ -27,9 +29,10 @@ TEST(ServiceMemory, LiveHeapIsFlatFrom70kTo200kRequests) {
   svc::ServiceConfig cfg;
   cfg.device = "cpu";
   svc::ServiceEngine engine(db, cfg);
-  // One repeated query: every request after the first is a cache hit,
-  // the serving path that allocates least, so per-request history is
-  // what would show. 70,000 is past the cost ledger's 65,536-record cap.
+  // One repeated query: every request after the second (whose miss
+  // caches the row) is a cache hit, the serving path that allocates least,
+  // so per-request history is what would show. 70,000 is past the cost
+  // ledger's 65,536-record cap.
   std::size_t hits = 0;
   const auto serve = [&](std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -41,14 +44,15 @@ TEST(ServiceMemory, LiveHeapIsFlatFrom70kTo200kRequests) {
   };
   const std::int64_t at_70k = serve(70'000);
   const std::int64_t at_200k = serve(130'000);
-  EXPECT_EQ(hits, 199'999U);
+  EXPECT_EQ(hits, 199'998U);
   EXPECT_LT(at_200k - at_70k, 64 * 1024)
       << "live heap after 70,000 requests: " << at_70k
       << " B, after 200,000: " << at_200k << " B";
 }
 
 /// Live bytes the engine's heap grows by while it caches one row for each
-/// query but the first, which pays the engine's lazy set-up. Every query
+/// query but the first, which pays the engine's lazy set-up. Each query is
+/// sent twice, since a row is cached on its second miss. Every request
 /// must miss, and the oldest entry must still be cached afterwards.
 std::int64_t cache_growth(const bits::BitMatrix& db,
                           const bits::BitMatrix& queries) {
@@ -59,7 +63,10 @@ std::int64_t cache_growth(const bits::BitMatrix& db,
   engine.drain();
   const std::int64_t before = live_heap::live();
   for (std::size_t q = 1; q < queries.rows(); ++q) {
-    EXPECT_FALSE(engine.submit(queries.row_slice(q, q + 1)).get().cache_hit);
+    for (int copy = 0; copy < 2; ++copy) {
+      EXPECT_FALSE(
+          engine.submit(queries.row_slice(q, q + 1)).get().cache_hit);
+    }
   }
   engine.drain();
   const std::int64_t grown = live_heap::live() - before;
@@ -109,6 +116,41 @@ TEST(ServiceMemory, CachedFastIdRowsCostAboutOneBytePerDatabaseProfile) {
   EXPECT_LT(grown, kBound) << "live heap grew " << grown << " B over "
                            << kQueries << " cached rows of " << kProfiles
                            << " profiles";
+}
+
+TEST(ServiceCache, QueriesSentOnceLeaveTheCacheEmptyAndTheHeapFlat) {
+  // A row is cached on its query's second miss, so kQueries distinct
+  // queries sent once cache nothing: the heap grows by kBound's allowance
+  // for the queries' words and ledger records, but by no row (64 rows of
+  // 4,096 profiles would add about 260 KiB).
+  const bits::BitMatrix db = io::random_bitmatrix(kProfiles, 128, 0.5, 9107);
+  const bits::BitMatrix queries =
+      io::random_bitmatrix(kQueries + 1, 128, 0.4, 9108);
+  svc::ServiceConfig cfg;
+  cfg.device = "cpu";
+  svc::ServiceEngine engine(db, cfg);
+  const obs::Counter& admitted =
+      obs::MetricsRegistry::global().counter("svc.cache.admitted");
+  const std::uint64_t admitted_before = admitted.value();
+  (void)engine.submit(queries.row_slice(0, 1)).get();
+  engine.drain();
+  const std::int64_t before = live_heap::live();
+  for (std::size_t q = 1; q < queries.rows(); ++q) {
+    EXPECT_FALSE(engine.submit(queries.row_slice(q, q + 1)).get().cache_hit);
+  }
+  engine.drain();
+  const std::int64_t grown = live_heap::live() - before;
+  EXPECT_LT(grown, kQueries * 512 + 32 * 1024)
+      << "live heap grew " << grown << " B over " << kQueries
+      << " queries sent once";
+  if (obs::kEnabled) {
+    EXPECT_EQ(
+        obs::MetricsRegistry::global().gauge("svc.cache.bytes").value(), 0);
+    EXPECT_EQ(admitted.value(), admitted_before);
+  }
+  const auto s = engine.stats();
+  EXPECT_EQ(s.cache_misses, static_cast<std::uint64_t>(kQueries + 1));
+  EXPECT_EQ(s.cache_hits, 0U);
 }
 
 TEST(ServiceMemory, FlightRingsStayOutOfTheHeap) {

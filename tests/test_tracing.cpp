@@ -125,9 +125,13 @@ TEST(ServiceTracing, CacheHitsKeepTheRequestsOwnId) {
   cfg.cache_capacity = 64;
   ServiceEngine engine(db, cfg);
   const QueryResult miss = engine.submit(query).get();
+  const QueryResult cached = engine.submit(query).get();  // second miss
   const QueryResult hit = engine.submit(query).get();
   ASSERT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.row, miss.row);
+  EXPECT_EQ(cached.row, miss.row);
   EXPECT_NE(hit.trace_id, 0u);
+  EXPECT_NE(hit.trace_id, cached.trace_id);
   // The cached *row* is shared; the trace identity is per-request.
   EXPECT_NE(hit.trace_id, miss.trace_id);
 }

@@ -3,7 +3,8 @@
 #   1. Release build with warnings as errors (-DSNP_WERROR=ON) + the whole
 #      test suite (tier1 + slow labels), a codegen guard on the CPU
 #      engine's two kernels (512-bit vpopcntq where the host has AVX-512
-#      VPOPCNTDQ), short runs of two google-benchmark binaries' rows, the
+#      VPOPCNTDQ) and on stats::r2_matrix (a packed vdivpd where the host
+#      has AVX), short runs of two google-benchmark binaries' rows, the
 #      service's engine-teardown race test repeated 500 times, plus
 #      a telemetry smoke: a real search run with --metrics-out /
 #      --trace-out whose outputs are validated as JSON, and a
@@ -94,6 +95,20 @@ if grep -qw avx512_vpopcntdq /proc/cpuinfo; then
   done
 else
   echo "skipped: this CPU does not list avx512_vpopcntdq"
+fi
+
+echo "== r^2 codegen (packed vdivpd) =="
+# stats::r2_matrix's guarded division vectorizes only because ld.cpp is
+# built with -fno-trapping-math (src/stats/CMakeLists.txt); without it GCC
+# leaves the loop scalar, with vdivsd alone. Any packed width counts.
+if grep -qw avx /proc/cpuinfo; then
+  packed=$(objdump -d --no-show-raw-insn build/src/stats/libsnp_stats.a |
+           awk '/^[0-9a-f]+ <.*>:$/ { r2 = index($0, "r2_matrix"); next }
+                r2 && /vdivpd/' | wc -l)
+  [[ "$packed" -gt 0 ]] || { echo "r2_matrix has no packed vdivpd"; exit 1; }
+  echo "r2_matrix: $packed packed vdivpd"
+else
+  echo "skipped: this CPU does not list avx"
 fi
 
 echo "== one thread runtime (no binary links libgomp) =="
@@ -353,12 +368,19 @@ print(f"cost ledger ok: {len(doc['requests'])} request shares sum "
 EOF
 python3 - "$smoke/cost_m.json" <<'EOF'
 import json, sys
-# The cache row format, end to end: 4 distinct queries are cached, each as
-# 200 one-byte offsets (the 200-profile database is one block), its 5-B
-# block header and 4 query words.
-got = json.load(open(sys.argv[1]))["gauges"]["svc.cache.bytes"]
-assert got == 4 * (200 + 5 + 4 * 8), f"svc.cache.bytes is {got}, want 948"
-print(f"cache bytes ok: {got}")
+# The cache row format, end to end. A row is cached on its query's second
+# miss: of the script's queries 0, 1, 2 (x3) and 3 (x4) only 2 and 3
+# repeat, so 2 rows are cached, each as 200 one-byte offsets (the
+# 200-profile database is one block), its 5-B block header and 4 query
+# words.
+doc = json.load(open(sys.argv[1]))
+got = doc["gauges"]["svc.cache.bytes"]
+assert got == 2 * (200 + 5 + 4 * 8), f"svc.cache.bytes is {got}, want 474"
+# Every copy after a query's first is admitted (a row cached again replaces
+# its entry): 2 of query 2's copies and 3 of query 3's.
+admitted = doc["counters"].get("svc.cache.admitted")
+assert admitted == 5, f"svc.cache.admitted is {admitted}, want 5"
+print(f"cache bytes ok: {got}; rows admitted: {admitted}")
 EOF
 ./build/tools/snpcmp report --trace "$smoke/cost_t.json" \
   --metrics "$smoke/cost_m.json" --cost "$smoke/cost_c.json" \
