@@ -2,25 +2,29 @@
 
 #include <algorithm>
 #include <charconv>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
-#include <set>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <tuple>
 
 #include "analyze/analyzer.hpp"
 #include "analyze/mutate.hpp"
 #include "bits/genotype.hpp"
 #include "core/snpcmp.hpp"
+#include "io/cohort_ops.hpp"
 #include "io/datagen.hpp"
 #include "io/formats.hpp"
 #include "io/plink_lite.hpp"
-#include "io/cohort_ops.hpp"
 #include "io/vcf_lite.hpp"
 #include "kern/opencl_source.hpp"
 #include "obs/obs.hpp"
@@ -30,8 +34,8 @@
 #include "rt/status.hpp"
 #include "sim/trace.hpp"
 #include "stats/assoc.hpp"
-#include "stats/forensic.hpp"
 #include "stats/cluster.hpp"
+#include "stats/forensic.hpp"
 #include "stats/fst.hpp"
 #include "stats/kinship.hpp"
 #include "stats/ld.hpp"
@@ -43,124 +47,175 @@ namespace snp::cli {
 
 namespace {
 
-/// Minimal `--key value` option parser with typed accessors and
-/// unknown-flag detection.
+// ---- the verb table's types and the option parser -----------------------
+
+/// What an option's value must be, checked before the verb's handler
+/// runs: any text; an unsigned 64-bit integer (kUint), or one of at most
+/// INT_MAX (kInt); a finite real; no value at all (kFlag); or one of the
+/// '|'-separated values of the option's `arg` (kChoice).
+enum class Kind : std::uint8_t { kText, kUint, kInt, kReal, kFlag, kChoice };
+
+constexpr bool kRequired = true;
+
+/// One `--name arg` option. Its usage line is `[--name arg]`, followed
+/// by `help` where a group lists it.
+struct Opt {
+  std::string_view name;
+  Kind kind = Kind::kText;
+  std::string_view arg = {};  ///< metavariable, or a choice's values
+  bool required = false;
+  std::string_view help = {};
+};
+
+/// Options several verbs take whole: telemetry, fault tolerance, ...
+struct Group {
+  std::string_view title;
+  std::vector<Opt> opts;
+};
+
+struct Call;
+
+/// One row of the verb table. A verb with two modes has two rows: the
+/// row with a `mode` comes first and runs when its mode option is given.
+struct Verb {
+  std::string_view name;
+  std::string_view usage;  ///< what the verb does; '\n' continues it
+  std::vector<Opt> opts;
+  std::vector<const Group*> groups;
+  int (*handler)(Call&, std::ostream&);
+  std::string_view mode = {};
+
+  [[nodiscard]] const Opt* find(std::string_view key) const {
+    for (const Opt& o : opts) {
+      if (o.name == key) return &o;
+    }
+    for (const Group* g : groups) {
+      for (const Opt& o : g->opts) {
+        if (o.name == key) return &o;
+      }
+    }
+    return nullptr;
+  }
+};
+
+/// A whole-token unsigned integer ("3x", "+3" and " 3" are not).
+std::optional<std::uint64_t> parse_uint(std::string_view s) {
+  std::uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
+  return v;
+}
+
+/// A whole-token finite real number.
+std::optional<double> parse_real(const std::string& s) {
+  std::size_t pos = 0;
+  double v = 0.0;
+  try {
+    v = std::stod(s, &pos);
+  } catch (const std::exception&) {
+    return std::nullopt;  // no number, or out of double's range
+  }
+  if (pos != s.size() || !std::isfinite(v)) return std::nullopt;
+  return v;
+}
+
+/// The `--key value` arguments of one verb row: every option known,
+/// every value of its kind, every required option given.
 class Options {
  public:
-  Options(const std::vector<std::string>& args, std::size_t first) {
-    // Boolean flags take no value; everything else is `--key value`.
-    static const std::set<std::string> kBoolFlags = {"perf"};
-    for (std::size_t i = first; i < args.size(); ++i) {
-      const std::string& a = args[i];
-      if (a.rfind("--", 0) != 0) {
-        throw std::invalid_argument("expected --option, got '" + a + "'");
+  Options(const Verb& verb, const std::vector<std::string>& args) {
+    for (std::size_t i = 1; i < args.size(); ++i) {
+      const std::string& flag = args[i];
+      if (flag.rfind("--", 0) != 0) {
+        throw std::invalid_argument("expected --option, got '" + flag + "'");
       }
-      const std::string key = a.substr(2);
-      if (kBoolFlags.count(key) != 0) {
-        values_[key] = "yes";
-        continue;
+      const Opt* o = verb.find(std::string_view(flag).substr(2));
+      if (o == nullptr) {
+        throw std::invalid_argument("unknown option " + flag);
       }
+      std::string& value = values_[std::string(o->name)];
+      if (o->kind == Kind::kFlag) continue;
       if (i + 1 >= args.size()) {
-        throw std::invalid_argument("missing value for '" + a + "'");
+        throw std::invalid_argument("missing value for '" + flag + "'");
       }
-      values_[key] = args[++i];
+      value = args[++i];
+      check(flag, *o, value);
+    }
+    for (const Opt& o : verb.opts) {
+      if (o.required && !has(o.name)) {
+        throw std::invalid_argument("missing required --" +
+                                    std::string(o.name));
+      }
     }
   }
 
-  /// Presence of a boolean flag (declared in kBoolFlags above).
-  [[nodiscard]] bool flag(const std::string& key) {
-    used_.insert(key);
+  [[nodiscard]] bool has(std::string_view key) const {
     return values_.find(key) != values_.end();
   }
-
-  [[nodiscard]] std::string str(const std::string& key,
-                                const std::string& fallback) {
-    used_.insert(key);
+  [[nodiscard]] std::string text(std::string_view key,
+                                 std::string_view fallback = "") const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
+    return it == values_.end() ? std::string(fallback) : it->second;
   }
-
-  [[nodiscard]] std::string require(const std::string& key) {
-    used_.insert(key);
-    const auto it = values_.find(key);
-    if (it == values_.end()) {
-      throw std::invalid_argument("missing required --" + key);
-    }
-    return it->second;
+  [[nodiscard]] std::uint64_t num(std::string_view key,
+                                  std::uint64_t fallback) const {
+    return has(key) ? parse_uint(text(key)).value() : fallback;
   }
-
-  [[nodiscard]] std::uint64_t num(const std::string& key,
-                                  std::uint64_t fallback) {
-    used_.insert(key);
-    const auto it = values_.find(key);
-    if (it == values_.end()) {
-      return fallback;
-    }
-    std::uint64_t v = 0;
-    const auto* begin = it->second.data();
-    const auto* end = begin + it->second.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, v);
-    if (ec != std::errc{} || ptr != end) {
-      throw std::invalid_argument("--" + key + " expects an integer, got '" +
-                                  it->second + "'");
-    }
-    return v;
+  /// A Kind::kInt option, which always fits an int.
+  [[nodiscard]] int int_num(std::string_view key, int fallback) const {
+    return has(key) ? static_cast<int>(num(key, 0)) : fallback;
   }
-
-  [[nodiscard]] double real(const std::string& key, double fallback) {
-    used_.insert(key);
-    const auto it = values_.find(key);
-    if (it == values_.end()) {
-      return fallback;
-    }
-    try {
-      std::size_t pos = 0;
-      const double v = std::stod(it->second, &pos);
-      if (pos != it->second.size()) {
-        throw std::invalid_argument("");
-      }
-      return v;
-    } catch (const std::exception&) {
-      throw std::invalid_argument("--" + key + " expects a number, got '" +
-                                  it->second + "'");
-    }
+  [[nodiscard]] double real(std::string_view key, double fallback) const {
+    return has(key) ? parse_real(text(key)).value() : fallback;
   }
-
-  void reject_unknown() const {
-    for (const auto& [key, value] : values_) {
-      if (used_.find(key) == used_.end()) {
-        throw std::invalid_argument("unknown option --" + key);
-      }
-    }
+  /// A yes|no choice, no when absent.
+  [[nodiscard]] bool yes(std::string_view key) const {
+    return text(key) == "yes";
   }
 
  private:
-  std::map<std::string, std::string> values_;
-  std::set<std::string> used_;
-};
-
-/// Shared `--metrics-out F` / `--trace-out F` / `--metrics-format
-/// json|prom` / `--perf` handling for the compute commands. Construct
-/// before reject_unknown() (parsing marks the flags used), call begin()
-/// before the work starts (arms the global TraceCollector and zeroes its
-/// epoch; opens and starts the hardware counter group when --perf was
-/// given) and finish() after (prints the IPC/cache line, publishes the
-/// obs.hw.* counters, then writes the metrics snapshot and the merged
-/// Chrome trace). Counter failures never affect the computed results —
-/// an unavailable PMU degrades to a one-line note.
-class Telemetry {
- public:
-  explicit Telemetry(Options& opt)
-      : metrics_path_(opt.str("metrics-out", "")),
-        trace_path_(opt.str("trace-out", "")),
-        flight_path_(opt.str("flight-out", "")),
-        format_(opt.str("metrics-format", "json")),
-        perf_(opt.flag("perf")) {
-    if (format_ != "json" && format_ != "prom") {
-      throw std::invalid_argument(
-          "--metrics-format must be json or prom");
+  static void check(const std::string& flag, const Opt& o,
+                    const std::string& v) {
+    const bool is_int = o.kind == Kind::kInt;
+    if (o.kind == Kind::kUint || is_int) {
+      const auto n = parse_uint(v);
+      if (!n || (is_int && *n > INT_MAX)) {
+        throw std::invalid_argument(flag + " expects an integer" +
+                                    (is_int ? " up to 2147483647" : "") +
+                                    ", got '" + v + "'");
+      }
+    } else if (o.kind == Kind::kReal && !parse_real(v)) {
+      throw std::invalid_argument(flag + " expects a number, got '" + v +
+                                  "'");
+    } else if (o.kind == Kind::kChoice) {
+      std::string list;  // "a|b|c" reads "a, b or c"
+      for (std::size_t start = 0, bar = 0; bar != std::string_view::npos;
+           start = bar + 1) {
+        bar = o.arg.find('|', start);
+        const std::string_view choice = o.arg.substr(start, bar - start);
+        if (choice == v) return;
+        list += start == 0 ? "" : bar == v.npos ? " or " : ", ";
+        list += choice;
+      }
+      throw std::invalid_argument(flag + " must be " + list);
     }
   }
+
+  std::map<std::string, std::string, std::less<>> values_;
+};
+
+/// The telemetry flags: begin() arms the trace collector and the --perf
+/// counters before the work, finish() prints the perf line and writes the
+/// metrics, merged trace and flight dump after it. An unavailable PMU
+/// degrades to a one-line note and never affects the results.
+class Telemetry {
+ public:
+  explicit Telemetry(const Options& opt)
+      : metrics_path_(opt.text("metrics-out")),
+        trace_path_(opt.text("trace-out")),
+        flight_path_(opt.text("flight-out")),
+        format_(opt.text("metrics-format", "json")),
+        perf_(opt.has("perf")) {}
 
   [[nodiscard]] bool wants_trace() const { return !trace_path_.empty(); }
 
@@ -207,30 +262,25 @@ class Telemetry {
       }
     }
     if (!metrics_path_.empty()) {
-      std::ofstream os(metrics_path_);
-      if (!os) {
-        throw std::runtime_error("cannot open metrics file " +
-                                 metrics_path_);
-      }
-      const obs::MetricsSnapshot snap =
-          obs::MetricsRegistry::global().snapshot();
-      if (format_ == "prom") {
-        obs::write_metrics_prometheus(snap, os);
-      } else {
-        obs::write_metrics_json(snap, os);
-      }
+      io::write_file(metrics_path_, [&](std::ostream& os) {
+        const obs::MetricsSnapshot snap =
+            obs::MetricsRegistry::global().snapshot();
+        if (format_ == "prom") {
+          obs::write_metrics_prometheus(snap, os);
+        } else {
+          obs::write_metrics_json(snap, os);
+        }
+      });
       out << "wrote metrics (" << format_ << ") to " << metrics_path_
           << "\n";
     }
     if (wants_trace()) {
       obs::TraceCollector& spans = obs::TraceCollector::global();
       spans.set_enabled(false);
-      std::ofstream os(trace_path_);
-      if (!os) {
-        throw std::runtime_error("cannot open trace file " + trace_path_);
-      }
-      sim::write_merged_chrome_trace(spans, tl, chunks, os, device,
-                                     host_anchor_us);
+      io::write_file(trace_path_, [&](std::ostream& os) {
+        sim::write_merged_chrome_trace(spans, tl, chunks, os, device,
+                                       host_anchor_us);
+      });
       out << "wrote merged chrome trace (" << spans.size()
           << " host spans, " << chunks.size() << " pipeline chunks) to "
           << trace_path_ << "\n";
@@ -239,12 +289,11 @@ class Telemetry {
       // On-demand dump for runs that finished cleanly; faulted runs are
       // dumped by the exit-4 path in run() instead.
       obs::FlightRecorder& fr = obs::FlightRecorder::global();
-      if (fr.dump_to_file(flight_path_, "on-demand")) {
-        out << "wrote flight recording (" << fr.snapshot().size()
-            << " events) to " << flight_path_ << "\n";
-      } else {
-        throw std::runtime_error("cannot open flight file " + flight_path_);
+      if (!fr.dump_to_file(flight_path_, "on-demand")) {
+        throw std::runtime_error("cannot write flight file " + flight_path_);
       }
+      out << "wrote flight recording (" << fr.snapshot().size()
+          << " events) to " << flight_path_ << "\n";
     }
   }
 
@@ -259,62 +308,65 @@ class Telemetry {
   mutable std::unique_ptr<obs::HwCounters> hw_;
 };
 
-/// Shared `--inject-faults SPEC` / `--fail-policy P` handling for the
-/// compute commands (docs/robustness.md). Construct before
-/// reject_unknown(); apply() validates the flags, sets the recovery
-/// policy on the compute options, and arms the fault plan for this
-/// object's lifetime — i.e. exactly the command body, so sequential
-/// in-process cli::run() calls (tests, batch drivers) never leak an
-/// armed plan into each other.
+/// The fault-tolerance flags (docs/robustness.md). apply() sets the
+/// recovery policy and arms the fault plan for this object's lifetime —
+/// exactly the command, so in-process cli::run() calls never leak a plan.
 class FaultControl {
  public:
-  explicit FaultControl(Options& opt)
-      : spec_(opt.str("inject-faults", "")),
-        policy_text_(opt.str("fail-policy", "")) {}
+  explicit FaultControl(const Options& opt)
+      : policy_(rt::parse_fail_policy(opt.text("fail-policy"))) {
+    const std::string spec = opt.text("inject-faults");
+    try {
+      if (!spec.empty()) plan_ = rt::FaultPlan::parse(spec);
+    } catch (const rt::Error& e) {
+      throw std::invalid_argument(e.status().message);
+    }
+  }
 
   void apply(ComputeOptions& copts) {
-    if (!policy_text_.empty()) {
-      const auto policy = rt::parse_fail_policy(policy_text_);
-      if (!policy) {
-        throw std::invalid_argument(
-            "--fail-policy must be abort, retry, failover or degrade");
-      }
-      copts.recovery.policy = *policy;
-    }
-    if (!spec_.empty()) {
-      try {
-        scoped_.emplace(rt::FaultPlan::parse(spec_));
-      } catch (const rt::Error& e) {
-        throw std::invalid_argument(e.status().message);
-      }
-    }
+    if (policy_) copts.recovery.policy = *policy_;
+    if (plan_) scoped_.emplace(*plan_);
   }
 
  private:
-  std::string spec_;
-  std::string policy_text_;
+  std::optional<rt::FailPolicy> policy_;
+  std::optional<rt::FaultPlan> plan_;
   std::optional<rt::ScopedFaultPlan> scoped_;
 };
 
+/// What a handler gets: its checked options and the groups read from
+/// them (inert when the verb lacks the group).
+struct Call {
+  Call(const Verb& verb, const std::vector<std::string>& args)
+      : opt(verb, args), tele(opt), faults(opt) {}
+  Options opt;
+  Telemetry tele;
+  FaultControl faults;
+};
+
+// ---- shared helpers -----------------------------------------------------
+
 bits::Comparison parse_op(const std::string& s) {
-  if (s == "and" || s == "ld") {
-    return bits::Comparison::kAnd;
-  }
-  if (s == "xor" || s == "identity") {
-    return bits::Comparison::kXor;
-  }
-  if (s == "andnot" || s == "mixture") {
-    return bits::Comparison::kAndNot;
-  }
-  throw std::invalid_argument("unknown op '" + s +
-                              "' (and|xor|andnot)");
+  if (s == "and" || s == "ld") return bits::Comparison::kAnd;
+  if (s == "xor" || s == "identity") return bits::Comparison::kXor;
+  if (s == "andnot" || s == "mixture") return bits::Comparison::kAndNot;
+  throw std::invalid_argument("unknown op '" + s + "' (and|xor|andnot)");
 }
 
 Context make_context(const std::string& device) {
-  if (device == "cpu") {
-    return Context::cpu();
-  }
-  return Context::gpu(device);
+  return device == "cpu" ? Context::cpu() : Context::gpu(device);
+}
+
+/// The achieved-vs-model roofline efficiency (obs::EfficiencySummary);
+/// the peak comes back from pct_of_peak = achieved / peak * 100.
+std::string roofline(const TimingReport& t) {
+  obs::EfficiencySummary eff;
+  eff.achieved_gops = t.kernel_gops;
+  eff.attainable_gops = t.attainable_gops;
+  eff.peak_gops =
+      t.pct_of_peak > 0.0 ? t.kernel_gops * 100.0 / t.pct_of_peak : 0.0;
+  eff.memory_bound = t.memory_bound;
+  return eff.to_line();
 }
 
 void print_timing(std::ostream& out, const TimingReport& t) {
@@ -359,20 +411,119 @@ void print_timing(std::ostream& out, const TimingReport& t) {
         << t.pct_of_peak << "% of peak)\n";
   }
   if (t.attainable_gops > 0.0) {
-    // Achieved-vs-model roofline efficiency (obs::EfficiencySummary);
-    // peak recovered from pct_of_peak = achieved / peak * 100.
-    obs::EfficiencySummary eff;
-    eff.achieved_gops = t.kernel_gops;
-    eff.attainable_gops = t.attainable_gops;
-    eff.peak_gops = t.pct_of_peak > 0.0
-                        ? t.kernel_gops * 100.0 / t.pct_of_peak
-                        : 0.0;
-    eff.memory_bound = t.memory_bound;
-    out << "roofline:    " << eff.to_line() << "\n";
+    out << "roofline:    " << roofline(t) << "\n";
   }
 }
 
-int cmd_devices(std::ostream& out) {
+/// A comparison verb's timing block, then its telemetry outputs.
+void finish_compare(Call& c, std::ostream& out, const TimingReport& t) {
+  print_timing(out, t);
+  c.tele.finish(out, nullptr, t.chunk_events, t.device, t.trace_anchor_us);
+}
+
+/// VCF by --format, or by a ".vcf" extension under --format auto.
+bool is_vcf(const std::string& path, const std::string& format) {
+  return format == "vcf" ||
+         (format == "auto" && path.size() > 4 && path.ends_with(".vcf"));
+}
+
+io::PlinkLiteDataset load_dataset(const std::string& path,
+                                  const std::string& format) {
+  return is_vcf(path, format)
+             ? io::load_vcf_lite(std::filesystem::path(path))
+             : io::load_plink_lite(std::filesystem::path(path));
+}
+
+/// The cohort named by --in and --format.
+io::PlinkLiteDataset input(const Options& opt) {
+  return load_dataset(opt.text("in"), opt.text("format", "auto"));
+}
+
+/// The .sbm bit matrix named by option `key`.
+bits::BitMatrix matrix(const Options& opt, std::string_view key) {
+  return io::load_bitmatrix(std::filesystem::path(opt.text(key)));
+}
+
+void save_dataset(const io::PlinkLiteDataset& ds, const std::string& path,
+                  const std::string& format) {
+  if (is_vcf(path, format)) {
+    io::save_vcf_lite(ds, std::filesystem::path(path));
+  } else {
+    io::save_plink_lite(ds, std::filesystem::path(path));
+  }
+}
+
+/// Loci per QC flag, plus the MAF and heterozygosity sums.
+struct QcTally {
+  std::size_t pass = 0, low_maf = 0, missing = 0, hwe = 0;
+  double maf_sum = 0.0, het_sum = 0.0;
+};
+
+QcTally tally(const std::vector<stats::LocusQc>& report) {
+  QcTally t;
+  for (const auto& q : report) {
+    t.pass += q.pass() ? 1u : 0u;
+    t.low_maf += (q.flags & stats::kQcLowMaf) ? 1u : 0u;
+    t.missing += (q.flags & stats::kQcHighMissing) ? 1u : 0u;
+    t.hwe += (q.flags & stats::kQcHweViolation) ? 1u : 0u;
+    t.maf_sum += q.maf;
+    t.het_sum += q.het_observed;
+  }
+  return t;
+}
+
+/// --cases: a comma-separated list of sample names or column indices.
+std::vector<bool> case_mask(const std::string& spec,
+                            const std::vector<std::string>& samples) {
+  std::vector<bool> is_case(samples.size(), false);
+  std::istringstream cs(spec);
+  for (std::string token; std::getline(cs, token, ',');) {
+    const auto it = std::find(samples.begin(), samples.end(), token);
+    const auto idx = it != samples.end()
+                         ? std::optional<std::uint64_t>(it - samples.begin())
+                         : parse_uint(token);
+    if (!idx || *idx >= samples.size()) {
+      throw std::invalid_argument("--cases entry '" + token +
+                                  "' is neither a sample name nor index");
+    }
+    is_case[*idx] = true;
+  }
+  return is_case;
+}
+
+/// Locus indices by ascending trend-test p-value.
+std::vector<std::size_t> by_p_value(
+    const std::vector<stats::AssocResult>& results) {
+  std::vector<std::size_t> order(results.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return results[a].p_trend < results[b].p_trend;
+  });
+  return order;
+}
+
+/// The Table II kernel that --device/--workload/--op/--pre-negate name.
+struct Kernel {
+  std::string workload;
+  bits::Comparison op;
+  model::GpuSpec dev;
+  model::KernelConfig cfg;
+};
+
+Kernel kernel_of(const Options& opt) {
+  const std::string workload = opt.text("workload", "ld");
+  const auto op = parse_op(opt.text("op", workload == "ld" ? "and" : "xor"));
+  const auto dev = model::gpu_by_name(opt.text("device", "titanv"));
+  auto cfg = model::paper_preset(dev, workload == "ld"
+                                          ? model::WorkloadKind::kLd
+                                          : model::WorkloadKind::kFastId);
+  cfg.pre_negated = opt.yes("pre-negate") && op == bits::Comparison::kAndNot;
+  return {workload, op, dev, cfg};
+}
+
+// ---- verb handlers ------------------------------------------------------
+
+int cmd_devices(Call& /*c*/, std::ostream& out) {
   out << "cpu        native BLIS-like engine (host)\n";
   for (const auto& dev : model::all_gpus()) {
     out << dev.name << "  [" << dev.microarch << ", " << dev.vendor
@@ -389,67 +540,56 @@ int cmd_devices(std::ostream& out) {
 /// cores, governor, compiler, git sha) plus perf-counter availability —
 /// the header tools/run_bench.sh embeds in every aggregated BENCH json
 /// so regressions can be told apart from hardware changes.
-int cmd_env(Options& opt, std::ostream& out) {
-  const std::string format = opt.str("format", "text");
-  opt.reject_unknown();
+int cmd_env(Call& c, std::ostream& out) {
   const obs::EnvInfo env = obs::collect_env_info();
-  const bool perf_ok = obs::HwCounters::available();
-  if (format == "json") {
+  if (c.opt.text("format", "text") == "json") {
     obs::write_env_json(env, out);
     out << "\n";
-  } else if (format == "text") {
-    out << "cpu:        " << env.cpu_model << "\n"
-        << "cores:      " << env.logical_cores << "\n"
-        << "governor:   " << env.governor << "\n"
-        << "compiler:   " << env.compiler << "\n"
-        << "git_sha:    " << env.git_sha << "\n"
-        << "hostname:   " << env.hostname << "\n"
-        << "kernel:     " << env.kernel << "\n"
-        << "perf:       "
-        << (perf_ok ? "hardware counters available"
-                    : "perf counters unavailable")
-        << "\n";
-  } else {
-    throw std::invalid_argument("--format must be json or text");
+    return 0;
   }
+  out << "cpu:        " << env.cpu_model << "\n"
+      << "cores:      " << env.logical_cores << "\n"
+      << "governor:   " << env.governor << "\n"
+      << "compiler:   " << env.compiler << "\n"
+      << "git_sha:    " << env.git_sha << "\n"
+      << "hostname:   " << env.hostname << "\n"
+      << "kernel:     " << env.kernel << "\n"
+      << "perf:       "
+      << (obs::HwCounters::available() ? "hardware counters available"
+                                       : "perf counters unavailable")
+      << "\n";
   return 0;
 }
 
-int cmd_gen(Options& opt, std::ostream& out) {
-  const std::size_t loci = opt.num("loci", 1000);
-  const std::size_t samples = opt.num("samples", 512);
+int cmd_gen(Call& c, std::ostream& out) {
+  const std::size_t loci = c.opt.num("loci", 1000);
+  const std::size_t samples = c.opt.num("samples", 512);
   io::PopulationParams p;
-  p.seed = opt.num("seed", 1);
-  p.ld_block_len = opt.num("ld-block", 1);
-  p.maf_min = opt.real("maf-min", 0.01);
-  p.maf_max = opt.real("maf-max", 0.5);
-  const std::string path = opt.require("out");
-  const std::string format = opt.str("format", "plink");
-  opt.reject_unknown();
+  p.seed = c.opt.num("seed", 1);
+  p.ld_block_len = c.opt.num("ld-block", 1);
+  p.maf_min = c.opt.real("maf-min", 0.01);
+  p.maf_max = c.opt.real("maf-max", 0.5);
+  const std::string path = c.opt.text("out");
+  const std::string format = c.opt.text("format", "plink");
   auto g = io::generate_genotypes(loci, samples, p);
-  if (format == "plink") {
-    io::save_plink_lite(io::with_synthetic_metadata(std::move(g)), path);
-  } else if (format == "vcf") {
-    io::save_vcf_lite(io::with_synthetic_metadata(std::move(g)), path);
-  } else if (format == "tsv") {
+  if (format == "tsv") {
     io::save_genotypes_tsv(g, std::filesystem::path(path));
   } else {
-    throw std::invalid_argument("--format must be plink, vcf or tsv");
+    save_dataset(io::with_synthetic_metadata(std::move(g)), path, format);
   }
   out << "wrote " << loci << " loci x " << samples << " samples to "
       << path << " (" << format << ")\n";
   return 0;
 }
 
-int cmd_gendb(Options& opt, std::ostream& out) {
-  const std::size_t profiles = opt.num("profiles", 100000);
-  const std::size_t snps = opt.num("snps", 512);
+int cmd_gendb(Call& c, std::ostream& out) {
+  const std::size_t profiles = c.opt.num("profiles", 100000);
+  const std::size_t snps = c.opt.num("snps", 512);
   io::ProfileDbParams p;
-  p.seed = opt.num("seed", 2);
-  p.maf_min = opt.real("maf-min", 0.05);
-  p.maf_max = opt.real("maf-max", 0.5);
-  const std::string path = opt.require("out");
-  opt.reject_unknown();
+  p.seed = c.opt.num("seed", 2);
+  p.maf_min = c.opt.real("maf-min", 0.05);
+  p.maf_max = c.opt.real("maf-max", 0.5);
+  const std::string path = c.opt.text("out");
   const auto db = io::generate_profile_db(profiles, snps, p);
   io::save_bitmatrix(db, std::filesystem::path(path));
   out << "wrote profile database " << profiles << " x " << snps
@@ -458,57 +598,32 @@ int cmd_gendb(Options& opt, std::ostream& out) {
   return 0;
 }
 
-/// Loads a genotype dataset, auto-detecting VCF by extension unless the
-/// caller forces a format.
-io::PlinkLiteDataset load_dataset(const std::string& path,
-                                  const std::string& format) {
-  const bool vcf =
-      format == "vcf" ||
-      (format == "auto" && path.size() > 4 &&
-       path.compare(path.size() - 4, 4, ".vcf") == 0);
-  return vcf ? io::load_vcf_lite(std::filesystem::path(path))
-             : io::load_plink_lite(std::filesystem::path(path));
-}
-
-int cmd_encode(Options& opt, std::ostream& out) {
-  const std::string in = opt.require("in");
-  const std::string out_path = opt.require("out");
-  const std::string plane = opt.str("plane", "presence");
-  const std::string format = opt.str("format", "auto");
-  opt.reject_unknown();
-  const auto ds = load_dataset(in, format);
-  const auto enc = plane == "presence" ? bits::EncodingPlane::kPresence
-                  : plane == "hom"     ? bits::EncodingPlane::kHomozygous
-                                       : throw std::invalid_argument(
-                                             "--plane must be presence "
-                                             "or hom");
-  const auto m = bits::encode(ds.genotypes, enc);
+int cmd_encode(Call& c, std::ostream& out) {
+  const std::string out_path = c.opt.text("out");
+  const std::string plane = c.opt.text("plane", "presence");
+  const auto m = bits::encode(input(c.opt).genotypes,
+                              plane == "presence"
+                                  ? bits::EncodingPlane::kPresence
+                                  : bits::EncodingPlane::kHomozygous);
   io::save_bitmatrix(m, std::filesystem::path(out_path));
   out << "encoded " << m.rows() << " loci x " << m.bit_cols()
       << " samples (" << plane << " plane) to " << out_path << "\n";
   return 0;
 }
 
-int cmd_ld(Options& opt, std::ostream& out) {
-  const std::string in = opt.require("in");
-  const std::string device = opt.str("device", "titanv");
-  const std::string gamma_out = opt.str("out", "");
-  const std::size_t top = opt.num("top", 10);
-  const Telemetry tele(opt);
-  FaultControl faults(opt);
-  opt.reject_unknown();
-  tele.begin();
-  const auto m = io::load_bitmatrix(std::filesystem::path(in));
-  Context ctx = make_context(device);
+int cmd_ld(Call& c, std::ostream& out) {
+  const std::string gamma_out = c.opt.text("out");
+  const std::size_t top = c.opt.num("top", 10);
+  c.tele.begin();
+  const auto m = matrix(c.opt, "in");
+  Context ctx = make_context(c.opt.text("device", "titanv"));
   ComputeOptions copts;
-  faults.apply(copts);
+  c.faults.apply(copts);
   const auto res = ctx.ld(m, copts);
   if (!gamma_out.empty()) {
     io::save_countmatrix(res.counts, std::filesystem::path(gamma_out));
   }
-  print_timing(out, res.timing);
-  tele.finish(out, nullptr, res.timing.chunk_events, res.timing.device,
-              res.timing.trace_anchor_us);
+  finish_compare(c, out, res.timing);
   const auto r2 =
       stats::r2_matrix(res.counts, stats::row_counts(m), m.bit_cols());
   // The `top` strongest pairs, r^2 descending and then (i, j) ascending,
@@ -543,46 +658,35 @@ int cmd_ld(Options& opt, std::ostream& out) {
   return 0;
 }
 
-int cmd_search(Options& opt, std::ostream& out) {
-  const std::string qpath = opt.require("queries");
-  const std::string dbpath = opt.require("db");
-  const std::string device = opt.str("device", "titanv");
-  const std::size_t top = opt.num("top", 3);
-  const std::string host_trace = opt.str("host-trace", "");
-  const auto lds_words = static_cast<int>(opt.num("lds-words", 0));
-  const Telemetry tele(opt);
-  FaultControl faults(opt);
-  opt.reject_unknown();
-  tele.begin();
-  const auto queries = io::load_bitmatrix(std::filesystem::path(qpath));
-  const auto db = io::load_bitmatrix(std::filesystem::path(dbpath));
+int cmd_search(Call& c, std::ostream& out) {
+  const std::string device = c.opt.text("device", "titanv");
+  const std::size_t top = c.opt.num("top", 3);
+  const std::string host_trace = c.opt.text("host-trace");
+  c.tele.begin();
+  const auto queries = matrix(c.opt, "queries");
+  const auto db = matrix(c.opt, "db");
   Context ctx = make_context(device);
   ComputeOptions copts;
-  copts.lds_words = lds_words;
-  faults.apply(copts);
+  copts.lds_words = c.opt.int_num("lds-words", 0);
+  c.faults.apply(copts);
   const auto res = ctx.identity_search(queries, db, copts);
-  print_timing(out, res.comparison.timing);
-  tele.finish(out, nullptr, res.comparison.timing.chunk_events,
-              res.comparison.timing.device,
-              res.comparison.timing.trace_anchor_us);
+  const TimingReport& t = res.comparison.timing;
+  finish_compare(c, out, t);
   if (!host_trace.empty()) {
-    std::ofstream os(host_trace);
-    if (!os) {
-      throw std::runtime_error("cannot open trace file " + host_trace);
-    }
-    sim::write_host_chrome_trace(res.comparison.timing.chunk_events, os,
-                                 device + " host pipeline");
-    out << "wrote host-pipeline timeline ("
-        << res.comparison.timing.chunk_events.size() << " chunks) to "
-        << host_trace << "\n";
+    io::write_file(host_trace, [&](std::ostream& os) {
+      sim::write_host_chrome_trace(t.chunk_events, os,
+                                   device + " host pipeline");
+    });
+    out << "wrote host-pipeline timeline (" << t.chunk_events.size()
+        << " chunks) to " << host_trace << "\n";
   }
   for (std::size_t q = 0; q < queries.rows(); ++q) {
     const auto row = res.comparison.counts.raw().subspan(q * db.rows(),
                                                          db.rows());
     const auto ranked = stats::rank_matches(row, db.bit_cols(), 1.0, top);
     out << "query " << q << ":";
-    for (const auto& c : ranked) {
-      out << "  #" << c.reference_index << " (" << c.mismatches
+    for (const auto& hit : ranked) {
+      out << "  #" << hit.reference_index << " (" << hit.mismatches
           << " mismatches)";
     }
     out << "\n";
@@ -590,29 +694,19 @@ int cmd_search(Options& opt, std::ostream& out) {
   return 0;
 }
 
-int cmd_mixture(Options& opt, std::ostream& out) {
-  const std::string ppath = opt.require("profiles");
-  const std::string mpath = opt.require("mixtures");
-  const std::string device = opt.str("device", "vega64");
-  const auto tolerance = static_cast<std::uint32_t>(opt.num("tolerance",
-                                                            0));
-  const bool pre_negate = opt.str("pre-negate", "no") == "yes";
-  const Telemetry tele(opt);
-  FaultControl faults(opt);
-  opt.reject_unknown();
-  tele.begin();
-  const auto profiles = io::load_bitmatrix(std::filesystem::path(ppath));
-  const auto mixtures = io::load_bitmatrix(std::filesystem::path(mpath));
-  Context ctx = make_context(device);
+int cmd_mixture(Call& c, std::ostream& out) {
+  const auto tolerance =
+      static_cast<std::uint32_t>(c.opt.int_num("tolerance", 0));
+  c.tele.begin();
+  const auto profiles = matrix(c.opt, "profiles");
+  const auto mixtures = matrix(c.opt, "mixtures");
+  Context ctx = make_context(c.opt.text("device", "vega64"));
   ComputeOptions copts;
-  copts.pre_negate = pre_negate;
-  faults.apply(copts);
+  copts.pre_negate = c.opt.yes("pre-negate");
+  c.faults.apply(copts);
   const auto res =
       ctx.mixture_analysis(profiles, mixtures, tolerance, copts);
-  print_timing(out, res.comparison.timing);
-  tele.finish(out, nullptr, res.comparison.timing.chunk_events,
-              res.comparison.timing.device,
-              res.comparison.timing.trace_anchor_us);
+  finish_compare(c, out, res.comparison.timing);
   for (std::size_t m = 0; m < mixtures.rows(); ++m) {
     out << "mixture " << m << ": " << res.included[m].size()
         << " consistent profiles:";
@@ -624,12 +718,9 @@ int cmd_mixture(Options& opt, std::ostream& out) {
   return 0;
 }
 
-int cmd_kinship(Options& opt, std::ostream& out) {
-  const std::string in = opt.require("in");
-  const std::string format = opt.str("format", "auto");
-  const std::size_t top = opt.num("top", 10);
-  opt.reject_unknown();
-  const auto ds = load_dataset(in, format);
+int cmd_kinship(Call& c, std::ostream& out) {
+  const std::size_t top = c.opt.num("top", 10);
+  const auto ds = input(c.opt);
   const auto phi = stats::kinship_matrix(ds.genotypes);
   const std::size_t n = ds.samples.size();
   out << "KING-robust kinship over " << ds.loci.size() << " loci, " << n
@@ -659,67 +750,55 @@ int cmd_kinship(Options& opt, std::ostream& out) {
   return 0;
 }
 
-int cmd_qc(Options& opt, std::ostream& out) {
-  const std::string in = opt.require("in");
-  const std::string format = opt.str("format", "auto");
-  const std::string out_path = opt.str("out", "");
+int cmd_qc(Call& c, std::ostream& out) {
+  const std::string out_path = c.opt.text("out");
   stats::QcThresholds t;
-  t.min_maf = opt.real("min-maf", t.min_maf);
-  t.max_missing_rate = opt.real("max-missing", t.max_missing_rate);
-  t.min_hwe_p = opt.real("min-hwe-p", t.min_hwe_p);
-  const double prune_r2 = opt.real("ld-prune-r2", 0.0);
-  const std::size_t prune_window = opt.num("ld-prune-window", 50);
-  opt.reject_unknown();
-  const auto ds = load_dataset(in, format);
+  t.min_maf = c.opt.real("min-maf", t.min_maf);
+  t.max_missing_rate = c.opt.real("max-missing", t.max_missing_rate);
+  t.min_hwe_p = c.opt.real("min-hwe-p", t.min_hwe_p);
+  const double prune_r2 = c.opt.real("ld-prune-r2", 0.0);
+  const std::size_t prune_window = c.opt.num("ld-prune-window", 50);
+  const auto ds = input(c.opt);
   const auto report =
       stats::qc_report(ds.genotypes, ds.missing_per_locus, t);
-  std::size_t pass = 0, low_maf = 0, missing = 0, hwe = 0;
-  for (const auto& qc : report) {
-    pass += qc.pass() ? 1u : 0u;
-    low_maf += (qc.flags & stats::kQcLowMaf) ? 1u : 0u;
-    missing += (qc.flags & stats::kQcHighMissing) ? 1u : 0u;
-    hwe += (qc.flags & stats::kQcHweViolation) ? 1u : 0u;
-  }
+  const QcTally q = tally(report);
   out << "QC over " << report.size() << " loci x " << ds.samples.size()
-      << " samples: " << pass << " pass, " << low_maf << " low-MAF, "
-      << missing << " high-missing, " << hwe << " HWE-violating\n";
-  if (!out_path.empty()) {
-    auto filtered = stats::filter_loci(ds, report);
-    if (prune_r2 > 0.0) {
-      const auto kept = stats::ld_prune(
-          filtered.genotypes,
-          stats::LdPruneParams{prune_window, prune_r2});
-      std::vector<stats::LocusQc> keep_mask(filtered.loci.size());
-      for (auto& qc : keep_mask) {
-        qc.flags = stats::kQcLowMaf;  // default: drop
-      }
-      for (const std::size_t k : kept) {
-        keep_mask[k].flags = stats::kQcPass;
-      }
-      filtered = stats::filter_loci(filtered, keep_mask);
-      out << "LD pruning (r2 > " << prune_r2 << " within "
-          << prune_window << "): " << kept.size() << " loci kept\n";
-    }
-    io::save_plink_lite(filtered, std::filesystem::path(out_path));
-    out << "wrote " << filtered.loci.size() << " passing loci to "
-        << out_path << "\n";
+      << " samples: " << q.pass << " pass, " << q.low_maf << " low-MAF, "
+      << q.missing << " high-missing, " << q.hwe << " HWE-violating\n";
+  if (out_path.empty()) {
+    return 0;
   }
+  auto filtered = stats::filter_loci(ds, report);
+  if (prune_r2 > 0.0) {
+    const auto kept = stats::ld_prune(
+        filtered.genotypes, stats::LdPruneParams{prune_window, prune_r2});
+    std::vector<stats::LocusQc> keep_mask(filtered.loci.size());
+    for (auto& locus : keep_mask) {
+      locus.flags = stats::kQcLowMaf;  // default: drop
+    }
+    for (const std::size_t k : kept) {
+      keep_mask[k].flags = stats::kQcPass;
+    }
+    filtered = stats::filter_loci(filtered, keep_mask);
+    out << "LD pruning (r2 > " << prune_r2 << " within " << prune_window
+        << "): " << kept.size() << " loci kept\n";
+  }
+  io::save_plink_lite(filtered, std::filesystem::path(out_path));
+  out << "wrote " << filtered.loci.size() << " passing loci to "
+      << out_path << "\n";
   return 0;
 }
 
-int cmd_assoc(Options& opt, std::ostream& out) {
-  const std::string in = opt.require("in");
-  const std::string format = opt.str("format", "auto");
-  const std::string cases_spec = opt.str("cases", "");
-  const std::string pheno_path = opt.str("pheno", "");
-  const std::size_t top = opt.num("top", 10);
-  opt.reject_unknown();
-  if (cases_spec.empty() == pheno_path.empty()) {
+int cmd_assoc(Call& c, std::ostream& out) {
+  const std::string cases = c.opt.text("cases");
+  const std::string pheno_path = c.opt.text("pheno");
+  const std::size_t top = c.opt.num("top", 10);
+  if (cases.empty() == pheno_path.empty()) {
     throw std::invalid_argument(
         "assoc: give exactly one of --cases or --pheno");
   }
-  const auto ds = load_dataset(in, format);
-  std::vector<bool> is_case(ds.samples.size(), false);
+  const auto ds = input(c.opt);
+  std::vector<bool> is_case = case_mask(cases, ds.samples);
   if (!pheno_path.empty()) {
     // Phenotype file: one "sample<TAB>status" line per sample; status in
     // {0, 1, case, control}. Unlisted samples default to control.
@@ -742,34 +821,8 @@ int cmd_assoc(Options& opt, std::ostream& out) {
       is_case[static_cast<std::size_t>(it - ds.samples.begin())] = value;
     }
   }
-  // --cases is a comma-separated list of sample names or indices.
-  std::istringstream cs(cases_spec);
-  std::string token;
-  while (std::getline(cs, token, ',')) {
-    auto it = std::find(ds.samples.begin(), ds.samples.end(), token);
-    if (it != ds.samples.end()) {
-      is_case[static_cast<std::size_t>(it - ds.samples.begin())] = true;
-      continue;
-    }
-    try {
-      const std::size_t idx = std::stoul(token);
-      if (idx >= is_case.size()) {
-        throw std::out_of_range("");
-      }
-      is_case[idx] = true;
-    } catch (const std::exception&) {
-      throw std::invalid_argument("--cases entry '" + token +
-                                  "' is neither a sample name nor index");
-    }
-  }
   const auto results = stats::gwas_scan(ds.genotypes, is_case);
-  std::vector<std::size_t> order(results.size());
-  for (std::size_t l = 0; l < order.size(); ++l) {
-    order[l] = l;
-  }
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return results[a].p_trend < results[b].p_trend;
-  });
+  const auto order = by_p_value(results);
   out << "association scan over " << results.size() << " loci ("
       << std::count(is_case.begin(), is_case.end(), true) << " cases / "
       << ds.samples.size() << " samples)\n";
@@ -785,16 +838,12 @@ int cmd_assoc(Options& opt, std::ostream& out) {
   return 0;
 }
 
-int cmd_cluster(Options& opt, std::ostream& out) {
-  const std::string in = opt.require("in");
-  const std::string format = opt.str("format", "auto");
-  const std::string device = opt.str("device", "gtx980");
-  const std::size_t k = opt.num("k", 2);
-  opt.reject_unknown();
-  const auto ds = load_dataset(in, format);
+int cmd_cluster(Call& c, std::ostream& out) {
+  const std::size_t k = c.opt.num("k", 2);
+  const auto ds = input(c.opt);
   const auto profiles = stats::encode_individual_major(
       ds.genotypes, bits::EncodingPlane::kPresence);
-  Context ctx = make_context(device);
+  Context ctx = make_context(c.opt.text("device", "gtx980"));
   const auto gamma =
       ctx.compare(profiles, profiles, bits::Comparison::kXor);
   const auto tree = stats::upgma(gamma.counts);
@@ -806,9 +855,9 @@ int cmd_cluster(Options& opt, std::ostream& out) {
   for (std::size_t s = 0; s < labels.size(); ++s) {
     members[labels[s]].push_back(ds.samples[s]);
   }
-  for (std::size_t c = 0; c < k; ++c) {
-    out << "cluster " << c << " (" << members[c].size() << "):";
-    for (const auto& name : members[c]) {
+  for (std::size_t cl = 0; cl < k; ++cl) {
+    out << "cluster " << cl << " (" << members[cl].size() << "):";
+    for (const auto& name : members[cl]) {
       out << " " << name;
     }
     out << "\n";
@@ -824,68 +873,53 @@ int cmd_cluster(Options& opt, std::ostream& out) {
   return 0;
 }
 
-void save_dataset(const io::PlinkLiteDataset& ds, const std::string& path,
-                  const std::string& format) {
-  const bool vcf =
-      format == "vcf" ||
-      (format == "auto" && path.size() > 4 &&
-       path.compare(path.size() - 4, 4, ".vcf") == 0);
-  if (vcf) {
-    io::save_vcf_lite(ds, std::filesystem::path(path));
-  } else {
-    io::save_plink_lite(ds, std::filesystem::path(path));
-  }
-}
-
-int cmd_merge(Options& opt, std::ostream& out) {
-  const std::string a_path = opt.require("a");
-  const std::string b_path = opt.require("b");
-  const std::string out_path = opt.require("out");
-  const std::string axis = opt.str("axis", "samples");
-  const std::string format = opt.str("format", "auto");
-  opt.reject_unknown();
-  const auto a = load_dataset(a_path, format);
-  const auto b = load_dataset(b_path, format);
-  const auto merged = axis == "samples" ? io::merge_samples(a, b)
-                      : axis == "loci"  ? io::merge_loci(a, b)
-                                        : throw std::invalid_argument(
-                                              "--axis must be samples or "
-                                              "loci");
+int cmd_merge(Call& c, std::ostream& out) {
+  const std::string out_path = c.opt.text("out");
+  const std::string axis = c.opt.text("axis", "samples");
+  const std::string format = c.opt.text("format", "auto");
+  const auto a = load_dataset(c.opt.text("a"), format);
+  const auto b = load_dataset(c.opt.text("b"), format);
+  const auto merged =
+      axis == "samples" ? io::merge_samples(a, b) : io::merge_loci(a, b);
   save_dataset(merged, out_path, format);
   out << "merged " << axis << ": " << merged.loci.size() << " loci x "
       << merged.samples.size() << " samples -> " << out_path << "\n";
   return 0;
 }
 
-int cmd_subset(Options& opt, std::ostream& out) {
-  const std::string in = opt.require("in");
-  const std::string out_path = opt.require("out");
-  const std::string samples_spec = opt.str("samples", "");
-  const std::string loci_spec = opt.str("loci", "");
-  const std::string format = opt.str("format", "auto");
-  opt.reject_unknown();
+int cmd_subset(Call& c, std::ostream& out) {
+  const std::string out_path = c.opt.text("out");
+  const std::string samples_spec = c.opt.text("samples");
+  const std::string loci_spec = c.opt.text("loci");
+  const std::string format = c.opt.text("format", "auto");
   if (samples_spec.empty() && loci_spec.empty()) {
     throw std::invalid_argument("subset: give --samples and/or --loci");
   }
-  auto ds = load_dataset(in, format);
+  auto ds = input(c.opt);
   if (!loci_spec.empty()) {
     // "--loci a-b" keeps the inclusive index range; or a comma list.
+    const auto index = [&](const std::string& token) {
+      const auto l = parse_uint(token);
+      if (!l || *l >= ds.loci.size()) {
+        throw std::invalid_argument("subset: --loci entry '" + token +
+                                    "' is not a locus index below " +
+                                    std::to_string(ds.loci.size()));
+      }
+      return *l;
+    };
     std::vector<std::size_t> keep;
-    const auto dash = loci_spec.find('-');
-    if (dash != std::string::npos) {
-      const std::size_t lo = std::stoul(loci_spec.substr(0, dash));
-      const std::size_t hi = std::stoul(loci_spec.substr(dash + 1));
+    if (const auto dash = loci_spec.find('-'); dash != std::string::npos) {
+      const std::size_t lo = index(loci_spec.substr(0, dash));
+      const std::size_t hi = index(loci_spec.substr(dash + 1));
       if (hi < lo) {
         throw std::invalid_argument("subset: bad --loci range");
       }
-      for (std::size_t l = lo; l <= hi; ++l) {
-        keep.push_back(l);
-      }
+      keep.resize(hi - lo + 1);
+      std::iota(keep.begin(), keep.end(), lo);
     } else {
       std::istringstream ls(loci_spec);
-      std::string token;
-      while (std::getline(ls, token, ',')) {
-        keep.push_back(std::stoul(token));
+      for (std::string token; std::getline(ls, token, ',');) {
+        keep.push_back(index(token));
       }
     }
     ds = io::subset_loci(ds, keep);
@@ -893,8 +927,7 @@ int cmd_subset(Options& opt, std::ostream& out) {
   if (!samples_spec.empty()) {
     std::vector<std::string> names;
     std::istringstream ss(samples_spec);
-    std::string token;
-    while (std::getline(ss, token, ',')) {
+    for (std::string token; std::getline(ss, token, ',');) {
       names.push_back(token);
     }
     ds = io::subset_samples(ds, names);
@@ -909,92 +942,58 @@ int cmd_subset(Options& opt, std::ostream& out) {
 /// bottleneck analysis over the artifacts a run already wrote (see
 /// obs::analyze_pipeline / docs/observability.md). Deterministic: same
 /// input files, same report bytes.
-int cmd_report_pipeline(Options& opt, std::ostream& out) {
-  const std::string trace_path = opt.require("trace");
-  const std::string metrics_path = opt.require("metrics");
-  const std::string cost_path = opt.str("cost", "");
-  const std::string out_path = opt.str("out", "");
+int cmd_report_pipeline(Call& c, std::ostream& out) {
+  const std::string out_path = c.opt.text("out");
   obs::ReportOptions ropts;
-  ropts.top_n = opt.num("top", 5);
-  ropts.littles_tolerance = opt.real("littles-tol", 0.10);
-  opt.reject_unknown();
-
-  const auto slurp = [](const std::string& path) {
+  ropts.top_n = c.opt.num("top", 5);
+  ropts.littles_tolerance = c.opt.real("littles-tol", 0.10);
+  const auto load = [](const std::string& path) {
     std::ifstream is(path);
     if (!is) {
       throw std::runtime_error("report: cannot open " + path);
     }
     std::ostringstream ss;
     ss << is.rdbuf();
-    return ss.str();
+    return obs::jsonlite::parse(ss.str());
   };
-  const obs::jsonlite::Value trace = obs::jsonlite::parse(slurp(trace_path));
-  const obs::jsonlite::Value metrics =
-      obs::jsonlite::parse(slurp(metrics_path));
+  const obs::jsonlite::Value trace = load(c.opt.text("trace"));
+  const obs::jsonlite::Value metrics = load(c.opt.text("metrics"));
   std::optional<obs::jsonlite::Value> cost;
-  if (!cost_path.empty()) {
-    cost = obs::jsonlite::parse(slurp(cost_path));
+  if (!c.opt.text("cost").empty()) {
+    cost = load(c.opt.text("cost"));
   }
   const obs::PipelineReport rep = obs::analyze_pipeline(
       trace, metrics, cost ? &*cost : nullptr, ropts);
   if (out_path.empty()) {
     obs::write_pipeline_report(rep, out);
-  } else {
-    std::ofstream os(out_path);
-    if (!os) {
-      throw std::runtime_error("report: cannot open " + out_path);
-    }
-    obs::write_pipeline_report(rep, os);
-    out << "wrote pipeline report to " << out_path << "\n";
+    return 0;
   }
+  io::write_file(out_path, [&](std::ostream& os) {
+    obs::write_pipeline_report(rep, os);
+  });
+  out << "wrote pipeline report to " << out_path << "\n";
   return 0;
 }
 
-int cmd_report(Options& opt, std::ostream& out) {
-  // --trace selects the pipeline-bottleneck mode; the original cohort
-  // report (--in/--out) is unchanged.
-  if (!opt.str("trace", "").empty()) {
-    return cmd_report_pipeline(opt, out);
-  }
-  const std::string in = opt.require("in");
-  const std::string out_path = opt.require("out");
-  const std::string format = opt.str("format", "auto");
-  const std::string device = opt.str("device", "titanv");
-  const std::string cases_spec = opt.str("cases", "");
-  opt.reject_unknown();
-  const auto ds = load_dataset(in, format);
-
-  std::ofstream os(out_path);
-  if (!os) {
-    throw std::runtime_error("report: cannot open " + out_path);
-  }
+void write_cohort_report(std::ostream& os, const Options& opt,
+                         const io::PlinkLiteDataset& ds) {
   os << "# snpcmp cohort report\n\n"
-     << "Input: `" << in << "` — " << ds.loci.size() << " loci x "
+     << "Input: `" << opt.text("in") << "` — " << ds.loci.size() << " loci x "
      << ds.samples.size() << " samples";
   if (ds.missing_calls > 0) {
     os << " (" << ds.missing_calls << " missing calls)";
   }
   os << "\n\n## Quality control\n\n";
   const auto qc = stats::qc_report(ds.genotypes, ds.missing_per_locus);
-  std::size_t pass = 0, low_maf = 0, missing = 0, hwe = 0;
-  double mean_maf = 0.0, mean_het = 0.0;
-  for (const auto& q : qc) {
-    pass += q.pass() ? 1u : 0u;
-    low_maf += (q.flags & stats::kQcLowMaf) ? 1u : 0u;
-    missing += (q.flags & stats::kQcHighMissing) ? 1u : 0u;
-    hwe += (q.flags & stats::kQcHweViolation) ? 1u : 0u;
-    mean_maf += q.maf;
-    mean_het += q.het_observed;
-  }
+  const QcTally q = tally(qc);
+  const auto loci = static_cast<double>(qc.size());
   os << "| metric | value |\n|---|---|\n"
-     << "| passing loci | " << pass << " / " << qc.size() << " |\n"
-     << "| low MAF | " << low_maf << " |\n"
-     << "| high missingness | " << missing << " |\n"
-     << "| HWE violations | " << hwe << " |\n"
-     << "| mean MAF | " << mean_maf / static_cast<double>(qc.size())
-     << " |\n"
-     << "| mean heterozygosity | "
-     << mean_het / static_cast<double>(qc.size()) << " |\n";
+     << "| passing loci | " << q.pass << " / " << qc.size() << " |\n"
+     << "| low MAF | " << q.low_maf << " |\n"
+     << "| high missingness | " << q.missing << " |\n"
+     << "| HWE violations | " << q.hwe << " |\n"
+     << "| mean MAF | " << q.maf_sum / loci << " |\n"
+     << "| mean heterozygosity | " << q.het_sum / loci << " |\n";
 
   os << "\n## Relatedness (KING-robust)\n\n";
   const auto kin = stats::kinship_matrix(ds.genotypes);
@@ -1005,8 +1004,7 @@ int cmd_report(Options& opt, std::ostream& out) {
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
       const auto& r = kin[i * n + j];
-      related +=
-          r.relationship != stats::Relationship::kUnrelated ? 1u : 0u;
+      related += r.relationship != stats::Relationship::kUnrelated ? 1u : 0u;
       if (r.phi > max_phi) {
         max_phi = r.phi;
         max_i = i;
@@ -1018,29 +1016,11 @@ int cmd_report(Options& opt, std::ostream& out) {
      << " x " << ds.samples[max_j] << " (phi=" << max_phi << ", "
      << stats::to_string(stats::classify_kinship(max_phi)) << ")\n";
 
-  if (!cases_spec.empty()) {
+  if (const std::string cases = opt.text("cases"); !cases.empty()) {
     os << "\n## Association (Cochran-Armitage trend)\n\n";
-    std::vector<bool> is_case(n, false);
-    std::istringstream cs(cases_spec);
-    std::string token;
-    while (std::getline(cs, token, ',')) {
-      const auto it =
-          std::find(ds.samples.begin(), ds.samples.end(), token);
-      if (it == ds.samples.end()) {
-        throw std::invalid_argument("report: unknown case '" + token +
-                                    "'");
-      }
-      is_case[static_cast<std::size_t>(it - ds.samples.begin())] = true;
-    }
-    const auto assoc = stats::gwas_scan(ds.genotypes, is_case);
-    std::vector<std::size_t> order(assoc.size());
-    for (std::size_t l = 0; l < order.size(); ++l) {
-      order[l] = l;
-    }
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) {
-                return assoc[a].p_trend < assoc[b].p_trend;
-              });
+    const auto assoc =
+        stats::gwas_scan(ds.genotypes, case_mask(cases, ds.samples));
+    const auto order = by_p_value(assoc);
     os << "| locus | p (trend) | OR |\n|---|---|---|\n";
     for (std::size_t k = 0; k < std::min<std::size_t>(5, order.size());
          ++k) {
@@ -1051,26 +1031,19 @@ int cmd_report(Options& opt, std::ostream& out) {
   }
 
   os << "\n## Projected device performance\n\n";
-  Context ctx = make_context(device);
+  Context ctx = make_context(opt.text("device", "titanv"));
   if (ctx.is_gpu()) {
     ComputeOptions copts;
     copts.functional = false;
     const auto t = ctx.estimate(ds.loci.size(), ds.loci.size(),
-                                ds.samples.size(),
-                                bits::Comparison::kAnd, copts);
+                                ds.samples.size(), bits::Comparison::kAnd,
+                                copts);
     os << "All-pairs LD on " << t.device << ": kernel "
        << t.kernel_s * 1e3 << " ms, end-to-end " << t.end_to_end_s * 1e3
        << " ms (" << t.kernel_gops << " Gword-ops/s, " << t.pct_of_peak
        << "% of peak)\n";
     if (t.attainable_gops > 0.0) {
-      obs::EfficiencySummary eff;
-      eff.achieved_gops = t.kernel_gops;
-      eff.attainable_gops = t.attainable_gops;
-      eff.peak_gops = t.pct_of_peak > 0.0
-                          ? t.kernel_gops * 100.0 / t.pct_of_peak
-                          : 0.0;
-      eff.memory_bound = t.memory_bound;
-      os << "\nRoofline: " << eff.to_line() << "\n";
+      os << "\nRoofline: " << roofline(t) << "\n";
     }
   }
 
@@ -1088,108 +1061,66 @@ int cmd_report(Options& opt, std::ostream& out) {
       os << "| " << name << " (gauge) | " << value << " |\n";
     }
   }
+}
+
+int cmd_report(Call& c, std::ostream& out) {
+  const std::string out_path = c.opt.text("out");
+  const auto ds = input(c.opt);
+  io::write_file(out_path, [&](std::ostream& os) {
+    write_cohort_report(os, c.opt, ds);
+  });
   out << "wrote report to " << out_path << "\n";
   return 0;
 }
 
-int cmd_kernel_src(Options& opt, std::ostream& out) {
-  const std::string device = opt.str("device", "titanv");
-  const std::string workload = opt.str("workload", "ld");
-  const auto op = parse_op(opt.str("op", workload == "ld" ? "and" : "xor"));
-  const bool pre_negate = opt.str("pre-negate", "no") == "yes";
-  const std::string out_path = opt.str("out", "");
-  opt.reject_unknown();
-  const auto dev = model::gpu_by_name(device);
-  auto cfg = model::paper_preset(
-      dev, workload == "ld" ? model::WorkloadKind::kLd
-                            : model::WorkloadKind::kFastId);
-  cfg.pre_negated = pre_negate && op == bits::Comparison::kAndNot;
-  const std::string program = kern::render_program(dev, cfg, op);
+int cmd_kernel_src(Call& c, std::ostream& out) {
+  const Kernel k = kernel_of(c.opt);
+  const std::string out_path = c.opt.text("out");
+  const std::string program = kern::render_program(k.dev, k.cfg, k.op);
   if (out_path.empty()) {
     out << program;
-  } else {
-    std::ofstream os(out_path);
-    if (!os) {
-      throw std::runtime_error("cannot open " + out_path);
-    }
-    os << program;
-    out << "wrote OpenCL program (" << program.size() << " bytes) to "
-        << out_path << "\n";
+    return 0;
   }
+  io::write_file(out_path, [&](std::ostream& os) { os << program; });
+  out << "wrote OpenCL program (" << program.size() << " bytes) to "
+      << out_path << "\n";
   return 0;
 }
 
-/// `snpcmp lint`: the src/analyze static analyzer as a CLI verb. With no
-/// overrides it checks the Table II preset for --device/--workload; the
-/// --m-r/--m-c/--k-c/--n-r/--grid-m/--grid-n overrides let CI and tests
-/// probe deliberately corrupted configs, --lds-words/--k-iters probe a
-/// specific launch shape (allocation and trip count) against the dataflow
-/// proofs, and --soak N runs the analyzer's own mutation soundness soak
-/// (N seeds per corpus cell). Exit 0 = clean (warn/info allowed), 3 = at
-/// least one error-severity diagnostic (or any soak failure); 1/2 keep
-/// their usual usage/runtime meanings.
-int cmd_lint(Options& opt, std::ostream& out) {
-  const auto soak_seeds = static_cast<int>(opt.num("soak", 0));
-  if (soak_seeds > 0) {
-    opt.reject_unknown();
-    const auto stats = analyze::mutation_soak(soak_seeds);
-    out << "soak: " << stats.programs << " corpus program(s), "
-        << stats.mutants << " mutant(s), " << stats.skipped
-        << " inapplicable, " << stats.failures.size() << " failure(s)\n";
-    for (const auto& f : stats.failures) {
-      out << "soak failure: " << f << "\n";
-    }
-    return stats.failures.empty() ? 0 : 3;
-  }
-  const std::string device = opt.str("device", "titanv");
-  const std::string workload = opt.str("workload", "ld");
-  if (workload != "ld" && workload != "fastid") {
-    throw std::invalid_argument("--workload must be ld or fastid");
-  }
-  const auto kind = workload == "ld" ? model::WorkloadKind::kLd
-                                     : model::WorkloadKind::kFastId;
-  const auto op = parse_op(opt.str("op", workload == "ld" ? "and" : "xor"));
-  const bool pre_negate = opt.str("pre-negate", "no") == "yes";
-  const std::string format = opt.str("format", "text");
-  if (format != "text" && format != "json") {
-    throw std::invalid_argument("--format must be text or json");
-  }
-  const auto dev = model::gpu_by_name(device);
-  auto cfg = model::paper_preset(dev, kind);
-  cfg.pre_negated = pre_negate && op == bits::Comparison::kAndNot;
-  cfg.m_r = static_cast<int>(
-      opt.num("m-r", static_cast<std::uint64_t>(cfg.m_r)));
-  cfg.m_c = static_cast<int>(
-      opt.num("m-c", static_cast<std::uint64_t>(cfg.m_c)));
-  cfg.k_c = static_cast<int>(
-      opt.num("k-c", static_cast<std::uint64_t>(cfg.k_c)));
-  cfg.n_r = static_cast<int>(
-      opt.num("n-r", static_cast<std::uint64_t>(cfg.n_r)));
-  cfg.grid.grid_m = static_cast<int>(
-      opt.num("grid-m", static_cast<std::uint64_t>(cfg.grid.grid_m)));
-  cfg.grid.grid_n = static_cast<int>(
-      opt.num("grid-n", static_cast<std::uint64_t>(cfg.grid.grid_n)));
+/// `snpcmp lint`: the src/analyze static analyzer over the Table II
+/// preset, with blocking overrides to probe corrupted configs and
+/// --lds-words/--k-iters to probe a launch shape. Exit 3 on any
+/// error-severity diagnostic (warn/info allowed).
+int cmd_lint(Call& c, std::ostream& out) {
+  const Options& opt = c.opt;
+  Kernel k = kernel_of(opt);
+  model::KernelConfig& cfg = k.cfg;
+  cfg.m_r = opt.int_num("m-r", cfg.m_r);
+  cfg.m_c = opt.int_num("m-c", cfg.m_c);
+  cfg.k_c = opt.int_num("k-c", cfg.k_c);
+  cfg.n_r = opt.int_num("n-r", cfg.n_r);
+  cfg.grid.grid_m = opt.int_num("grid-m", cfg.grid.grid_m);
+  cfg.grid.grid_n = opt.int_num("grid-n", cfg.grid.grid_n);
   analyze::AnalyzeOptions aopts;
   aopts.k_iterations = opt.num("k-iters", aopts.k_iterations);
-  aopts.lds_words = static_cast<int>(opt.num("lds-words", 0));
-  opt.reject_unknown();
+  aopts.lds_words = opt.int_num("lds-words", 0);
 
-  const analyze::Report report = analyze::analyze(dev, cfg, op, aopts);
+  const analyze::Report report = analyze::analyze(k.dev, cfg, k.op, aopts);
   const auto errors = report.count(analyze::Severity::kError);
   const auto warns = report.count(analyze::Severity::kWarn);
   const auto infos = report.count(analyze::Severity::kInfo);
-  if (format == "json") {
-    out << "{\"device\": \"" << obs::json_escape(dev.name)
-        << "\", \"workload\": \"" << workload << "\", \"op\": \""
-        << to_string(op) << "\", \"config\": \""
+  if (opt.text("format", "text") == "json") {
+    out << "{\"device\": \"" << obs::json_escape(k.dev.name)
+        << "\", \"workload\": \"" << k.workload << "\", \"op\": \""
+        << to_string(k.op) << "\", \"config\": \""
         << obs::json_escape(cfg.to_string()) << "\", \"errors\": "
         << errors << ", \"warnings\": " << warns << ", \"infos\": "
         << infos << ", \"diagnostics\": ";
     report.write_json(out);
     out << "}\n";
   } else {
-    out << "lint: " << dev.name << " " << workload << " " << to_string(op)
-        << " " << cfg.to_string() << "\n";
+    out << "lint: " << k.dev.name << " " << k.workload << " "
+        << to_string(k.op) << " " << cfg.to_string() << "\n";
     report.write_text(out);
     out << errors << " error(s), " << warns << " warning(s), " << infos
         << " info(s)\n";
@@ -1197,23 +1128,32 @@ int cmd_lint(Options& opt, std::ostream& out) {
   return report.has_errors() ? 3 : 0;
 }
 
-int cmd_estimate(Options& opt, std::ostream& out) {
-  const std::size_t m = opt.num("m", 32);
-  const std::size_t n = opt.num("n", 20'000'000);
-  const std::size_t k_bits = opt.num("kbits", 1024);
-  const auto op = parse_op(opt.str("op", "xor"));
-  const std::string device = opt.str("device", "titanv");
-  const bool no_init = opt.str("no-init", "no") == "yes";
-  const std::string trace_path = opt.str("trace", "");
-  const Telemetry tele(opt);
-  opt.reject_unknown();
-  tele.begin();
-  Context ctx = make_context(device);
+/// `snpcmp lint --soak N`: the analyzer's own mutation soundness soak,
+/// N seeds per corpus cell. Exit 3 on any soak failure.
+int cmd_lint_soak(Call& c, std::ostream& out) {
+  const auto stats = analyze::mutation_soak(c.opt.int_num("soak", 0));
+  out << "soak: " << stats.programs << " corpus program(s), "
+      << stats.mutants << " mutant(s), " << stats.skipped
+      << " inapplicable, " << stats.failures.size() << " failure(s)\n";
+  for (const auto& f : stats.failures) {
+    out << "soak failure: " << f << "\n";
+  }
+  return stats.failures.empty() ? 0 : 3;
+}
+
+int cmd_estimate(Call& c, std::ostream& out) {
+  const std::size_t m = c.opt.num("m", 32);
+  const std::size_t n = c.opt.num("n", 20'000'000);
+  const std::size_t k_bits = c.opt.num("kbits", 1024);
+  const auto op = parse_op(c.opt.text("op", "xor"));
+  const std::string trace_path = c.opt.text("trace");
+  c.tele.begin();
+  Context ctx = make_context(c.opt.text("device", "titanv"));
   ComputeOptions copts;
   copts.functional = false;
-  copts.include_init = !no_init;
+  copts.include_init = !c.opt.yes("no-init");
   sim::Timeline timeline;
-  const bool want_timeline = !trace_path.empty() || tele.wants_trace();
+  const bool want_timeline = !trace_path.empty() || c.tele.wants_trace();
   if (want_timeline) {
     copts.timeline_out = &timeline;
   }
@@ -1222,15 +1162,13 @@ int cmd_estimate(Options& opt, std::ostream& out) {
       << to_string(op) << ")\n";
   print_timing(out, t);
   if (!trace_path.empty()) {
-    std::ofstream os(trace_path);
-    if (!os) {
-      throw std::runtime_error("cannot open trace file " + trace_path);
-    }
-    sim::write_chrome_trace(timeline, os, t.device);
+    io::write_file(trace_path, [&](std::ostream& os) {
+      sim::write_chrome_trace(timeline, os, t.device);
+    });
     out << "wrote chrome://tracing timeline to " << trace_path << "\n";
   }
-  tele.finish(out, want_timeline && ctx.is_gpu() ? &timeline : nullptr, {},
-              t.device, t.trace_anchor_us);
+  c.tele.finish(out, want_timeline && ctx.is_gpu() ? &timeline : nullptr, {},
+                t.device, t.trace_anchor_us);
   return 0;
 }
 
@@ -1252,94 +1190,6 @@ std::string row_digest(std::span<const std::uint32_t> row) {
   return buf;
 }
 
-/// Minimal field extractors for the request-script JSONL lines — the
-/// grammar is three fixed keys, not general JSON (docs/service.md).
-std::optional<std::string> json_field(const std::string& line,
-                                      const std::string& key) {
-  const std::string needle = "\"" + key + "\"";
-  auto pos = line.find(needle);
-  if (pos == std::string::npos) return std::nullopt;
-  pos = line.find(':', pos + needle.size());
-  if (pos == std::string::npos) return std::nullopt;
-  ++pos;
-  while (pos < line.size() && (line[pos] == ' ' || line[pos] == '\t')) ++pos;
-  if (pos >= line.size()) return std::nullopt;
-  if (line[pos] == '"') {
-    const auto end = line.find('"', pos + 1);
-    if (end == std::string::npos) return std::nullopt;
-    return line.substr(pos + 1, end - pos - 1);
-  }
-  std::size_t end = pos;
-  while (end < line.size() && line[end] != ',' && line[end] != '}' &&
-         line[end] != ' ') {
-    ++end;
-  }
-  return line.substr(pos, end - pos);
-}
-
-std::optional<std::uint64_t> json_num(const std::string& line,
-                                      const std::string& key) {
-  const auto text = json_field(line, key);
-  if (!text) return std::nullopt;
-  std::uint64_t v = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text->data(), text->data() + text->size(), v);
-  if (ec != std::errc{} || ptr != text->data() + text->size()) {
-    throw std::invalid_argument("script: '" + key +
-                                "' expects an integer, got '" + *text + "'");
-  }
-  return v;
-}
-
-/// Signed-double variant for keys like "deadline_ms", where a negative
-/// value means "already expired at submission" (docs/service.md).
-std::optional<double> json_real(const std::string& line,
-                                const std::string& key) {
-  const auto text = json_field(line, key);
-  if (!text) return std::nullopt;
-  try {
-    std::size_t consumed = 0;
-    const double v = std::stod(*text, &consumed);
-    if (consumed != text->size()) throw std::invalid_argument("trailing");
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("script: '" + key +
-                                "' expects a number, got '" + *text + "'");
-  }
-}
-
-svc::ServiceConfig parse_service_config(Options& opt) {
-  svc::ServiceConfig cfg;
-  cfg.device = opt.str("device", "titanv");
-  cfg.op = parse_op(opt.str("op", "xor"));
-  cfg.pre_negate = opt.str("pre-negate", "no") == "yes";
-  cfg.max_batch_rows = opt.num("max-batch", 32);
-  cfg.coalesce_window_s = opt.real("window-ms", 0.0) / 1e3;
-  cfg.max_queue = opt.num("max-queue", 256);
-  cfg.cache_capacity = opt.num("cache", 1024);
-  const std::string admission = opt.str("admission", "reject");
-  const auto policy = svc::parse_admission_policy(admission);
-  if (!policy) {
-    throw std::invalid_argument("--admission must be reject or block");
-  }
-  cfg.admission = *policy;
-  // Latency SLO: --slo-ms arms the burn-rate monitor (docs/observability
-  // .md); a breach dumps the flight recorder to the --flight-out /
-  // $SNPCMP_FLIGHT_OUT destination.
-  cfg.slo.objective_s = opt.real("slo-ms", 0.0) / 1e3;
-  // Request-lifecycle robustness knobs (docs/robustness.md): a per-device
-  // circuit breaker ahead of the recovery ladder, a per-class retry token
-  // bucket, and the brown-out shed ceiling used when the SLO trips.
-  cfg.breaker.failure_threshold = static_cast<int>(opt.num("breaker", 0));
-  cfg.retry_budget = opt.real("retry-budget", 0.0);
-  cfg.brownout_class_max =
-      static_cast<int>(opt.num("brownout-class", 0));
-  // Script-driven runs gate batch formation on barriers, so batch ids and
-  // widths are a pure function of the script — CI-golden by construction.
-  cfg.start_paused = true;
-  return cfg;
-}
-
 /// One scripted request's outcome slot, resolved after the final barrier.
 struct ScriptedRequest {
   std::future<svc::QueryResult> fut;
@@ -1347,8 +1197,35 @@ struct ScriptedRequest {
   std::uint64_t trace_id = 0;   ///< allocated by submit() even for sheds
 };
 
-/// The deterministic "service:" report block (golden in test_service_cli)
-/// plus the wall-clock "slo:" line, which goldens must not match on.
+svc::ServiceConfig service_config(const Options& opt) {
+  svc::ServiceConfig cfg;
+  cfg.device = opt.text("device", "titanv");
+  cfg.op = parse_op(opt.text("op", "xor"));
+  cfg.pre_negate = opt.yes("pre-negate");
+  cfg.max_batch_rows = opt.num("max-batch", 32);
+  cfg.coalesce_window_s = opt.real("window-ms", 0.0) / 1e3;
+  cfg.max_queue = opt.num("max-queue", 256);
+  cfg.cache_capacity = opt.num("cache", 1024);
+  cfg.admission = *svc::parse_admission_policy(opt.text("admission", "reject"));
+  // Latency SLO: --slo-ms arms the burn-rate monitor (docs/observability
+  // .md); a breach dumps the flight recorder to the --flight-out /
+  // $SNPCMP_FLIGHT_OUT destination.
+  cfg.slo.objective_s = opt.real("slo-ms", 0.0) / 1e3;
+  // Request-lifecycle robustness knobs (docs/robustness.md): a per-device
+  // circuit breaker ahead of the recovery ladder, a per-class retry token
+  // bucket, and the brown-out shed ceiling used when the SLO trips.
+  cfg.breaker.failure_threshold = opt.int_num("breaker", 0);
+  cfg.retry_budget = opt.real("retry-budget", 0.0);
+  cfg.brownout_class_max = opt.int_num("brownout-class", 0);
+  // Script-driven runs gate batch formation on barriers, so batch ids and
+  // widths are a pure function of the script — CI-golden by construction.
+  cfg.start_paused = true;
+  return cfg;
+}
+
+/// The deterministic "service:" and "cost:" report blocks (golden in
+/// test_service_cli) plus the wall-clock "slo:" lines, which goldens must
+/// not match on.
 void print_service_report(std::ostream& out, const svc::ServiceEngine& eng) {
   const svc::ServiceStats s = eng.stats();
   const svc::ServiceConfig& cfg = eng.config();
@@ -1399,14 +1276,10 @@ void print_service_report(std::ostream& out, const svc::ServiceEngine& eng) {
           << " latency=" << slo.worst->latency_s * 1e3 << " ms\n";
     }
   }
-}
-
-/// The deterministic "cost:" report block: ledger totals over the run.
-/// Counts and bytes/word-ops are pure functions of a scripted workload
-/// (CI-golden); attributed times are kept off these lines because the
-/// degrade rung adds measured wall clock to them. Silent when the ledger
-/// is empty (SNPCMP_OBS=OFF or attribution disabled).
-void print_cost_report(std::ostream& out, const svc::ServiceEngine& eng) {
+  // Ledger totals: counts and bytes/word-ops are pure functions of a
+  // scripted workload; attributed times stay off these lines because the
+  // degrade rung adds measured wall clock to them. Silent when the ledger
+  // is empty (SNPCMP_OBS=OFF or attribution disabled).
   const obs::CostSnapshot cs = eng.cost();
   if (cs.total_requests == 0) {
     return;
@@ -1421,22 +1294,6 @@ void print_cost_report(std::ostream& out, const svc::ServiceEngine& eng) {
         << cs.failovers << " degraded-batches=" << cs.degraded_batches
         << "\n";
   }
-}
-
-/// Shared `--cost-out F.json` handling for serve/submit: writes the
-/// engine ledger's deterministic JSON document after the report blocks.
-void write_cost_out(std::ostream& out, const svc::ServiceEngine& eng,
-                    const std::string& path) {
-  if (path.empty()) {
-    return;
-  }
-  std::ofstream os(path);
-  if (!os) {
-    throw std::runtime_error("cannot open cost file " + path);
-  }
-  eng.write_cost_json(os);
-  out << "wrote cost ledger (" << eng.cost().total_requests
-      << " requests) to " << path << "\n";
 }
 
 /// Resolves every scripted request in submission order, prints its stable
@@ -1501,265 +1358,423 @@ void submit_one(svc::ServiceEngine& engine, const bits::BitMatrix& queries,
   reqs.push_back(std::move(slot));
 }
 
-/// `snpcmp serve`: drive a ServiceEngine from a JSONL request script.
-/// Lines: {"submit": Q [, "policy": "...", "count": N, "deadline_ms": X,
-/// "class": C]} enqueues query row Q; {"barrier": true} releases the
-/// backlog and waits for it (resume -> drain -> pause), closing the
-/// current coalescing generation; {"epoch": "FILE.sbm"} swaps the
-/// resident database. '#' and blank lines are skipped; a final barrier
-/// is implicit.
-int cmd_serve(Options& opt, std::ostream& out) {
-  const std::string dbpath = opt.require("db");
-  const std::string qpath = opt.require("queries");
-  const std::string script_path = opt.require("script");
-  const std::string cost_path = opt.str("cost-out", "");
-  svc::ServiceConfig cfg = parse_service_config(opt);
-  const Telemetry tele(opt);
-  FaultControl faults(opt);
-  opt.reject_unknown();
-  tele.begin();
-  // Reuse the shared fault flags: the armed plan spans the engine's whole
-  // lifetime, and the recovery policy becomes the engine default.
+/// Feeds requests to a paused engine: a script's lines, or every row.
+using Feed = std::function<void(svc::ServiceEngine&, const bits::BitMatrix&,
+                                std::vector<ScriptedRequest>&)>;
+
+/// serve and submit: a ServiceEngine over --db fed by `feed`, drained,
+/// then the per-request lines, the report blocks and the cost ledger.
+int run_service(Call& c, std::ostream& out, const Feed& feed) {
+  svc::ServiceConfig cfg = service_config(c.opt);
+  c.tele.begin();
+  // The armed fault plan spans the engine's whole lifetime, and the
+  // recovery policy becomes the engine default.
   ComputeOptions proto;
-  faults.apply(proto);
+  c.faults.apply(proto);
   cfg.recovery = proto.recovery;
 
-  const auto queries = io::load_bitmatrix(std::filesystem::path(qpath));
-  svc::ServiceEngine engine(
-      io::load_bitmatrix(std::filesystem::path(dbpath)), cfg);
-
-  std::ifstream script(script_path);
-  if (!script) {
-    throw std::invalid_argument("serve: cannot open --script " +
-                                script_path);
-  }
+  const auto queries = matrix(c.opt, "queries");
+  svc::ServiceEngine engine(matrix(c.opt, "db"), cfg);
   std::vector<ScriptedRequest> reqs;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(script, line)) {
-    ++lineno;
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') continue;
-    try {
-      if (json_field(line, "barrier")) {
-        engine.resume();
-        engine.drain();
-        engine.pause();
-      } else if (const auto path = json_field(line, "epoch")) {
-        engine.update_database(
-            io::load_bitmatrix(std::filesystem::path(*path)));
-      } else if (const auto q = json_num(line, "submit")) {
-        if (*q >= queries.rows()) {
-          throw std::invalid_argument("query row out of range");
-        }
-        svc::SubmitOptions options;
-        if (const auto policy_text = json_field(line, "policy")) {
-          const auto policy = rt::parse_fail_policy(*policy_text);
-          if (!policy) {
-            throw std::invalid_argument("bad policy '" + *policy_text +
-                                        "'");
-          }
-          options.recovery = cfg.recovery;
-          options.recovery->policy = *policy;
-        }
-        options.deadline_ms = json_real(line, "deadline_ms").value_or(0.0);
-        options.request_class = static_cast<int>(
-            json_num(line, "class").value_or(1));
-        const std::uint64_t count = json_num(line, "count").value_or(1);
-        for (std::uint64_t c = 0; c < count; ++c) {
-          submit_one(engine, queries, *q, options, reqs);
-        }
-      } else {
-        throw std::invalid_argument(
-            "expected \"submit\", \"barrier\" or \"epoch\"");
-      }
-    } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument("serve: " + script_path + ":" +
-                                  std::to_string(lineno) + ": " + e.what());
-    }
-  }
+  feed(engine, queries, reqs);
   engine.resume();
   engine.drain();
 
   const std::exception_ptr first_error = print_request_lines(out, reqs);
   print_service_report(out, engine);
-  print_cost_report(out, engine);
-  write_cost_out(out, engine, cost_path);
-  tele.finish(out, nullptr, {}, cfg.device);
+  if (const std::string cost_path = c.opt.text("cost-out");
+      !cost_path.empty()) {
+    io::write_file(cost_path,
+                   [&](std::ostream& os) { engine.write_cost_json(os); });
+    out << "wrote cost ledger (" << engine.cost().total_requests
+        << " requests) to " << cost_path << "\n";
+  }
+  c.tele.finish(out, nullptr, {}, cfg.device);
   if (first_error) std::rethrow_exception(first_error);
   return 0;
+}
+
+/// Runs one serve-script line (docs/service.md): a JSON object with
+/// exactly one of "submit", "barrier" or "epoch"; "count", "class",
+/// "deadline_ms" and "policy" go with "submit" only.
+void run_script_line(std::string_view json, svc::ServiceEngine& engine,
+                     const bits::BitMatrix& queries,
+                     std::vector<ScriptedRequest>& reqs) {
+  obs::jsonlite::Value line;
+  try {
+    line = obs::jsonlite::parse(json);
+  } catch (const std::runtime_error& e) {
+    throw std::invalid_argument(e.what());
+  }
+  const auto* submit = line.find("submit");
+  const auto* barrier = line.find("barrier");
+  const auto* epoch = line.find("epoch");
+  for (const auto& [key, value] : line.members) {
+    const bool field = key == "count" || key == "class" ||
+                       key == "deadline_ms" || key == "policy";
+    if (line.find(key) != &value ||
+        (field ? submit == nullptr
+               : &value != submit && &value != barrier && &value != epoch)) {
+      throw std::invalid_argument("unexpected key '" + key + "'");
+    }
+  }
+  if ((submit != nullptr) + (barrier != nullptr) + (epoch != nullptr) != 1) {
+    throw std::invalid_argument(
+        "expected exactly one of \"submit\", \"barrier\" or \"epoch\"");
+  }
+  if (barrier != nullptr) {
+    if (barrier->kind != obs::jsonlite::Value::Kind::kBool ||
+        !barrier->boolean) {
+      throw std::invalid_argument("'barrier' must be true");
+    }
+    engine.resume();
+    engine.drain();
+    engine.pause();
+    return;
+  }
+  if (epoch != nullptr) {
+    if (!epoch->is_string()) {
+      throw std::invalid_argument("'epoch' expects a file name");
+    }
+    engine.update_database(
+        io::load_bitmatrix(std::filesystem::path(epoch->text)));
+    return;
+  }
+  // An exact integer token of at most `max`, or `fallback` when absent.
+  const auto integer = [&](std::string_view key, std::uint64_t fallback,
+                           std::uint64_t max) {
+    const auto* v = line.find(key);
+    const auto n = v == nullptr     ? std::optional(fallback)
+                   : v->is_number() ? parse_uint(v->text)
+                                    : std::nullopt;
+    if (!n || *n > max) {
+      throw std::invalid_argument("'" + std::string(key) +
+                                  "' expects an integer up to " +
+                                  std::to_string(max) + ", got '" + v->text +
+                                  "'");
+    }
+    return *n;
+  };
+  const std::uint64_t q = integer("submit", 0, UINT64_MAX);
+  if (q >= queries.rows()) {
+    throw std::invalid_argument("query row out of range");
+  }
+  svc::SubmitOptions options;
+  options.request_class = static_cast<int>(integer("class", 1, INT_MAX));
+  if (const auto* p = line.find("policy")) {
+    const auto policy =
+        p->is_string() ? rt::parse_fail_policy(p->text) : std::nullopt;
+    if (!policy) {
+      throw std::invalid_argument("bad policy '" + p->text + "'");
+    }
+    options.recovery = engine.config().recovery;
+    options.recovery->policy = *policy;
+  }
+  if (const auto* d = line.find("deadline_ms")) {
+    if (!d->is_number()) {
+      throw std::invalid_argument("'deadline_ms' expects a number, got '" +
+                                  d->text + "'");
+    }
+    options.deadline_ms = d->number;
+  }
+  for (auto n = integer("count", 1, UINT64_MAX); n > 0; --n) {
+    submit_one(engine, queries, q, options, reqs);
+  }
+}
+
+/// `snpcmp serve`: drive a ServiceEngine from a JSONL request script. A
+/// barrier releases the backlog and waits for it (resume -> drain ->
+/// pause), closing the current coalescing generation; an epoch swaps the
+/// resident database. Blank lines and `#` comments are skipped, and a
+/// final barrier is implicit.
+int cmd_serve(Call& c, std::ostream& out) {
+  const std::string path = c.opt.text("script");
+  return run_service(c, out, [&](svc::ServiceEngine& engine,
+                                 const bits::BitMatrix& queries,
+                                 std::vector<ScriptedRequest>& reqs) {
+    std::ifstream script(path);
+    if (!script) {
+      throw std::invalid_argument("serve: cannot open --script " + path);
+    }
+    std::string text;
+    for (std::size_t lineno = 1; std::getline(script, text); ++lineno) {
+      std::size_t end = 0;  // the line ends at a '#' outside any string
+      for (bool quoted = false;
+           end < text.size() && (quoted || text[end] != '#'); ++end) {
+        if (text[end] == '"') {
+          quoted = !quoted;
+        } else if (quoted && text[end] == '\\') {
+          ++end;
+        }
+      }
+      const std::string_view json = std::string_view(text).substr(0, end);
+      if (json.find_first_not_of(" \t\r") == std::string_view::npos) {
+        continue;
+      }
+      try {
+        run_script_line(json, engine, queries, reqs);
+      } catch (const std::invalid_argument& e) {
+        throw std::invalid_argument("serve: " + path + ":" +
+                                    std::to_string(lineno) + ": " + e.what());
+      }
+    }
+  });
 }
 
 /// `snpcmp submit`: one-shot convenience — every row of --queries becomes
 /// one request, coalesced under --max-batch. Equivalent to a script of N
 /// submit lines and one barrier.
-int cmd_submit(Options& opt, std::ostream& out) {
-  const std::string dbpath = opt.require("db");
-  const std::string qpath = opt.require("queries");
-  const std::string cost_path = opt.str("cost-out", "");
-  svc::ServiceConfig cfg = parse_service_config(opt);
+int cmd_submit(Call& c, std::ostream& out) {
   svc::SubmitOptions options;
-  options.deadline_ms = opt.real("deadline-ms", 0.0);
-  options.request_class = static_cast<int>(opt.num("class", 1));
-  const Telemetry tele(opt);
-  FaultControl faults(opt);
-  opt.reject_unknown();
-  tele.begin();
-  ComputeOptions proto;
-  faults.apply(proto);
-  cfg.recovery = proto.recovery;
+  options.deadline_ms = c.opt.real("deadline-ms", 0.0);
+  options.request_class = c.opt.int_num("class", 1);
+  return run_service(c, out, [&](svc::ServiceEngine& engine,
+                                 const bits::BitMatrix& queries,
+                                 std::vector<ScriptedRequest>& reqs) {
+    for (std::size_t q = 0; q < queries.rows(); ++q) {
+      submit_one(engine, queries, q, options, reqs);
+    }
+  });
+}
 
-  const auto queries = io::load_bitmatrix(std::filesystem::path(qpath));
-  svc::ServiceEngine engine(
-      io::load_bitmatrix(std::filesystem::path(dbpath)), cfg);
-  std::vector<ScriptedRequest> reqs;
-  for (std::size_t q = 0; q < queries.rows(); ++q) {
-    submit_one(engine, queries, q, options, reqs);
+// ---- the verb table -----------------------------------------------------
+
+const std::vector<Verb>& verbs() {
+  using enum Kind;
+  static const Group kKernel{
+      "kernel flags",
+      {{"device", kText, "D"}, {"workload", kChoice, "ld|fastid"},
+       {"op", kText, "and|xor|andnot"}, {"pre-negate", kChoice, "yes|no"}}};
+  static const Group kService{
+      "service flags",
+      {{"device", kText, "D"}, {"op", kText, "and|xor|andnot"},
+       {"pre-negate", kChoice, "yes|no"}, {"max-batch", kUint, "N"},
+       {"window-ms", kReal, "X"}, {"max-queue", kUint, "N"},
+       {"admission", kChoice, "reject|block"},
+       {"cache", kUint, "N", false, "result-cache entries (0: no cache)"},
+       {"slo-ms", kReal, "X", false,
+        "latency objective; a breach dumps the flight\n"
+        "recorder and starts brown-out shedding"},
+       {"breaker", kInt, "N", false,
+        "open a device's circuit breaker after N\n"
+        "consecutive failures (docs/robustness.md)"},
+       {"retry-budget", kReal, "X", false, "per-class retry token bucket"},
+       {"brownout-class", kInt, "C", false,
+        "in a brown-out, shed classes <= C"},
+       {"cost-out", kText, "F.json", false,
+        "per-request cost ledger (docs/observability.md)"}}};
+  static const Group kTelemetry{
+      "telemetry flags",
+      {{"metrics-out", kText, "F.json", false, "dump the metrics registry"},
+       {"metrics-format", kChoice, "json|prom", false,
+        "metrics dump format (default json)"},
+       {"trace-out", kText, "F.json", false,
+        "merged Perfetto trace: host spans, chunk\n"
+        "pipeline, device timeline, request flows"},
+       {"flight-out", kText, "F.json", false,
+        "flight-recorder dump at exit, on an exit-4\n"
+        "fault or an SLO breach ($SNPCMP_FLIGHT_OUT)"},
+       {"perf", kFlag, "", false,
+        "IPC and cache/branch miss rates from Linux\n"
+        "perf counters, or a note where there are none"}}};
+  static const Group kFaults{
+      "fault-tolerance flags",
+      {{"fail-policy", kChoice, "abort|retry|failover|degrade", false,
+        "recovery policy for device faults (default\n"
+        "retry; docs/robustness.md)"},
+       {"inject-faults", kText, "SPEC", false,
+        "fault plan, e.g. launch:p=0.05:seed=7 (or\n"
+        "$SNPCMP_FAULTS); an unrecovered fault exits 4\n"
+        "with its SNPRT-* code first on stderr"}}};
+  constexpr Opt in{"in", kText, "F", kRequired};
+  constexpr Opt out{"out", kText, "F", kRequired};
+  constexpr Opt format{"format", kChoice, "auto|plink|vcf"};
+  static const std::vector<Verb> table{
+      {"devices", "list available (simulated) devices", {}, {}, cmd_devices},
+      {"env", "benchmark environment fingerprint (CPU, compiler, git sha)",
+       {{"format", kChoice, "text|json"}}, {}, cmd_env},
+      {"gen", "generate a genotype cohort",
+       {out, {"loci", kUint, "N"}, {"samples", kUint, "N"},
+        {"seed", kUint, "S"}, {"ld-block", kUint, "N"},
+        {"maf-min", kReal, "X"}, {"maf-max", kReal, "X"},
+        {"format", kChoice, "plink|vcf|tsv"}},
+       {}, cmd_gen},
+      {"gendb", "generate a forensic profile database (.sbm)",
+       {out, {"profiles", kUint, "N"}, {"snps", kUint, "N"},
+        {"seed", kUint, "S"}, {"maf-min", kReal, "X"},
+        {"maf-max", kReal, "X"}},
+       {}, cmd_gendb},
+      {"encode", "pack genotypes into bit vectors",
+       {in, out, {"plane", kChoice, "presence|hom"}, format}, {}, cmd_encode},
+      {"kinship", "KING-robust relatedness over a cohort",
+       {in, {"top", kUint, "K"}, format}, {}, cmd_kinship},
+      {"qc", "per-locus QC (MAF, missingness, HWE); --out writes passing loci",
+       {in, {"min-maf", kReal, "X"}, {"max-missing", kReal, "X"},
+        {"min-hwe-p", kReal, "X"}, {"ld-prune-r2", kReal, "X"},
+        {"ld-prune-window", kUint, "N"}, {"out", kText, "F"}, format},
+       {}, cmd_qc},
+      {"assoc",
+       "case-control GWAS scan; give --cases (names or indices)\n"
+       "or --pheno (\"sample<TAB>0|1|case|control\" lines)",
+       {in, {"cases", kText, "L"}, {"pheno", kText, "F"},
+        {"top", kUint, "K"}, format},
+       {}, cmd_assoc},
+      {"cluster", "UPGMA population structure (+ Fst at k=2)",
+       {in, {"k", kUint, "N"}, {"device", kText, "D"}, format}, {},
+       cmd_cluster},
+      {"ld", "linkage disequilibrium (Eq. 1)",
+       {{"in", kText, "F.sbm", kRequired}, {"device", kText, "D"},
+        {"out", kText, "gamma.scm"}, {"top", kUint, "K"}},
+       {&kTelemetry, &kFaults}, cmd_ld},
+      {"search",
+       "FastID identity search (Eq. 2); --lds-words sets the LDS\n"
+       "allocation the pre-launch verifier proves (exit 3 if short)",
+       {{"queries", kText, "F", kRequired}, {"db", kText, "F", kRequired},
+        {"device", kText, "D"}, {"top", kUint, "K"},
+        {"host-trace", kText, "F.json"}, {"lds-words", kInt, "N"}},
+       {&kTelemetry, &kFaults}, cmd_search},
+      {"mixture", "FastID mixture analysis (Eq. 3)",
+       {{"profiles", kText, "F", kRequired},
+        {"mixtures", kText, "F", kRequired}, {"device", kText, "D"},
+        {"tolerance", kInt, "T"}, {"pre-negate", kChoice, "yes|no"}},
+       {&kTelemetry, &kFaults}, cmd_mixture},
+      {"merge", "combine genotyping batches (samples) or panels (loci)",
+       {{"a", kText, "F", kRequired}, {"b", kText, "F", kRequired}, out,
+        {"axis", kChoice, "samples|loci"}, format},
+       {}, cmd_merge},
+      {"subset", "extract samples and/or loci (a range a-b or a list)",
+       {in, out, {"samples", kText, "n1,n2,..."},
+        {"loci", kText, "a-b|i,j,..."}, format},
+       {}, cmd_subset},
+      {"kernel-src", "render the parameterized OpenCL kernel for a device",
+       {{"out", kText, "F.cl"}}, {&kKernel}, cmd_kernel_src},
+      {"lint", "mutation soundness soak, N seeds per corpus cell",
+       {{"soak", kInt, "N", kRequired}}, {}, cmd_lint_soak, "soak"},
+      {"lint",
+       "static analysis of a kernel config, its IR and OpenCL\n"
+       "source (docs/static-analysis.md); exit 3 on errors",
+       {{"format", kChoice, "text|json"}, {"m-r", kInt, "N"},
+        {"m-c", kInt, "N"}, {"k-c", kInt, "N"}, {"n-r", kInt, "N"},
+        {"grid-m", kInt, "N"}, {"grid-n", kInt, "N"},
+        {"lds-words", kInt, "N"}, {"k-iters", kUint, "N"}},
+       {&kKernel}, cmd_lint},
+      {"report",
+       "pipeline bottleneck analysis of a run's trace, metrics and\n"
+       "cost ledger (docs/observability.md)",
+       {{"trace", kText, "T.json", kRequired},
+        {"metrics", kText, "M.json", kRequired}, {"cost", kText, "C.json"},
+        {"top", kUint, "N"}, {"littles-tol", kReal, "X"},
+        {"out", kText, "R.txt"}},
+       {}, cmd_report_pipeline, "trace"},
+      {"report", "markdown cohort report (QC, kinship, association, timing)",
+       {in, {"out", kText, "R.md", kRequired}, {"cases", kText, "L"},
+        {"device", kText, "D"}, format},
+       {}, cmd_report},
+      {"estimate", "paper-scale projection (+ chrome://tracing timeline)",
+       {{"m", kUint, "N"}, {"n", kUint, "N"}, {"kbits", kUint, "N"},
+        {"op", kText, "and|xor|andnot"}, {"device", kText, "D"},
+        {"no-init", kChoice, "yes|no"}, {"trace", kText, "F.json"}},
+       {&kTelemetry}, cmd_estimate},
+      {"serve",
+       "script-driven resident-DB query service (docs/service.md);\n"
+       "a script line is {\"submit\": Q[, \"policy\": P, \"count\": N,\n"
+       "\"deadline_ms\": X, \"class\": C]}, {\"barrier\": true} or\n"
+       "{\"epoch\": \"F.sbm\"}, and may end in a # comment",
+       {{"db", kText, "F.sbm", kRequired},
+        {"queries", kText, "F.sbm", kRequired},
+        {"script", kText, "R.jsonl", kRequired}},
+       {&kService, &kTelemetry, &kFaults}, cmd_serve},
+      {"submit", "one request per query row, like a script with a barrier",
+       {{"db", kText, "F.sbm", kRequired},
+        {"queries", kText, "F.sbm", kRequired},
+        {"deadline-ms", kReal, "X"}, {"class", kInt, "C"}},
+       {&kService, &kTelemetry, &kFaults}, cmd_submit},
+  };
+  return table;
+}
+
+/// The first row for `args` whose mode option, if any, is given; null
+/// for an unknown verb.
+const Verb* find_verb(const std::vector<std::string>& args) {
+  for (const Verb& v : verbs()) {
+    if (v.name == args[0] &&
+        (v.mode.empty() || std::find(args.begin() + 1, args.end(),
+                                     "--" + std::string(v.mode)) !=
+                               args.end())) {
+      return &v;
+    }
   }
-  engine.resume();
-  engine.drain();
+  return nullptr;
+}
 
-  const std::exception_ptr first_error = print_request_lines(out, reqs);
-  print_service_report(out, engine);
-  print_cost_report(out, engine);
-  write_cost_out(out, engine, cost_path);
-  tele.finish(out, nullptr, {}, cfg.device);
-  if (first_error) std::rethrow_exception(first_error);
-  return 0;
+/// Writes `text` and a newline; its later lines start `indent` spaces in.
+void put_lines(std::ostream& os, std::string_view text, std::size_t indent) {
+  for (auto nl = text.find('\n'); nl != std::string_view::npos;
+       nl = text.find('\n')) {
+    os << text.substr(0, nl) << "\n" << std::string(indent, ' ');
+    text.remove_prefix(nl + 1);
+  }
+  os << text << "\n";
 }
 
 }  // namespace
 
 std::string usage() {
-  return R"(usage: snpcmp <command> [--option value ...]
-
-commands:
-  devices                       list available (simulated) devices
-  env       [--format text|json]
-                                benchmark environment fingerprint (CPU,
-                                governor, compiler, git sha, perf-counter
-                                availability)
-  gen       --out F             generate a genotype cohort
-            [--loci N] [--samples N] [--seed S] [--ld-block N]
-            [--maf-min X] [--maf-max X] [--format plink|vcf|tsv]
-  gendb     --out F             generate a forensic profile database (.sbm)
-            [--profiles N] [--snps N] [--seed S] [--maf-min X] [--maf-max X]
-  encode    --in F --out F      pack genotypes into bit vectors
-            [--plane presence|hom] [--format auto|plink|vcf]
-  kinship   --in F              KING-robust relatedness over a cohort
-            [--top K] [--format auto|plink|vcf]
-  qc        --in F              per-locus QC (MAF, missingness, HWE)
-            [--min-maf X] [--max-missing X] [--min-hwe-p X]
-            [--ld-prune-r2 X [--ld-prune-window N]]
-            [--out F: write passing loci] [--format auto|plink|vcf]
-  assoc     --in F               case-control GWAS scan (trend + allelic)
-            --cases L | --pheno F  (L = comma-separated names/indices;
-            pheno file = "sample<TAB>0|1|case|control" lines)
-            [--top K] [--format auto|plink|vcf]
-  cluster   --in F               UPGMA population structure (+ Fst at k=2)
-            [--k N] [--device D] [--format auto|plink|vcf]
-  ld        --in F.sbm          linkage disequilibrium (Eq. 1)
-            [--device D] [--out gamma.scm] [--top K] [telemetry flags]
-  search    --queries F --db F  FastID identity search (Eq. 2)
-            [--device D] [--top K] [--host-trace F.json]
-            [--lds-words N: launch-time LDS allocation the pre-launch
-            verifier proves the kernel against; blocked with exit 3 if
-            too small] [telemetry flags]
-  mixture   --profiles F --mixtures F   FastID mixture analysis (Eq. 3)
-            [--device D] [--tolerance T] [--pre-negate yes|no]
-            [telemetry flags]
-  merge     --a F --b F --out F [--axis samples|loci]
-            combine genotyping batches (samples) or marker panels (loci)
-  subset    --in F --out F [--samples n1,n2,...] [--loci a-b | i,j,...]
-            extract a sample/locus subset
-  kernel-src [--device D] [--workload ld|fastid] [--op and|xor|andnot]
-            [--pre-negate yes|no] [--out F.cl]
-            render the parameterized OpenCL kernel for a device
-  lint      [--device D] [--workload ld|fastid] [--op and|xor|andnot]
-            [--pre-negate yes|no] [--format text|json]
-            [--m-r N] [--m-c N] [--k-c N] [--n-r N] [--grid-m N] [--grid-n N]
-            [--lds-words N] [--k-iters N] [--soak N]
-            static analysis of the kernel config, instruction IR
-            (dataflow race/bounds/overflow proofs), and rendered OpenCL
-            source (docs/static-analysis.md); --lds-words/--k-iters probe
-            an explicit launch shape, --soak N runs the mutation
-            soundness soak with N seeds per corpus cell; exit 3 when
-            error-severity diagnostics (or soak failures) are present
-  report    --in F --out R.md   markdown cohort report (QC + kinship +
-            optional association + projected device performance)
-            [--cases L] [--device D] [--format auto|plink|vcf]
-  report    --trace T.json --metrics M.json
-            pipeline bottleneck analysis over a run's telemetry
-            artifacts: per-stage utilization, overlap and coalescing
-            efficiency, queue-wait decomposition, Little's-law
-            consistency check, top-N most expensive requests
-            [--cost C.json: cost ledger for the top-N section]
-            [--top N] [--littles-tol X] [--out R.txt]
-  estimate  [--m N] [--n N] [--kbits N] [--op and|xor|andnot]
-            [--device D] [--no-init yes|no] [--trace F.json]
-            [telemetry flags]
-            paper-scale projection (+ chrome://tracing timeline)
-  serve     --db F.sbm --queries F.sbm --script R.jsonl
-            script-driven resident-DB query service (docs/service.md);
-            script lines: {"submit": Q[, "policy": P, "count": N,
-            "deadline_ms": X, "class": C]}, {"barrier": true},
-            {"epoch": "F.sbm"}; deadline_ms sets the request's
-            end-to-end deadline (negative = already expired; shed at
-            admission with SNPRT-DEADLINE), class its brown-out shed
-            priority (lowest sheds first)
-            [--device D] [--op and|xor|andnot] [--pre-negate yes|no]
-            [--max-batch N] [--window-ms X] [--max-queue N]
-            [--admission reject|block] [--cache N]
-            [--slo-ms X: latency objective for the burn-rate monitor;
-            a breach dumps the flight recorder and, with
-            --brownout-class, starts shedding low classes]
-            [--breaker N: open the per-device circuit breaker after N
-            consecutive device failures (docs/robustness.md)]
-            [--retry-budget X: per-class retry token bucket capacity;
-            an empty bucket fast-fails instead of retrying]
-            [--brownout-class C: during brown-out, shed classes <= C]
-            [--cost-out F.json: per-request cost ledger (exact batch-
-            cost shares by gamma-row ownership; docs/observability.md)]
-            [fault-tolerance flags] [telemetry flags]
-  submit    --db F.sbm --queries F.sbm
-            one-shot service submission: every query row becomes one
-            request, coalesced under --max-batch (same options as
-            serve, plus [--deadline-ms X] [--class C] applied to every
-            request)
-
-fault-tolerance flags (ld, search, mixture, serve, submit;
-docs/robustness.md):
-  --fail-policy abort|retry|failover|degrade
-                                recovery policy for device faults
-                                (default retry; degrade falls back to the
-                                host engine with bit-identical results)
-  --inject-faults SPEC          deterministic fault plan, e.g.
-                                "launch:p=0.05:seed=7" or "h2d:after=3"
-                                (sites: alloc h2d launch readback pool io
-                                shard timeout; also via SNPCMP_FAULTS);
-                                unrecovered faults exit 4 with the stable
-                                SNPRT-* code on stderr
-
-telemetry flags (ld, search, mixture, estimate, serve, submit):
-  --metrics-out F.json          dump the process metrics registry
-  --metrics-format json|prom    metrics dump format (default json)
-  --trace-out F.json            merged Perfetto/chrome://tracing trace:
-                                host spans + chunk pipeline + simulated
-                                device timeline in one file, with flow
-                                arrows linking each service request's
-                                submit -> batch -> chunks -> resolution
-  --flight-out F.json           dump the always-on flight recorder (ring
-                                of enqueue/batch/chunk/fault events) at
-                                exit; also the destination for automatic
-                                dumps on exit-4 faults and SLO breaches
-                                (env fallback: SNPCMP_FLIGHT_OUT)
-  --perf                        wrap the run in hardware perf counters
-                                (Linux perf_event_open) and print IPC and
-                                cache/branch miss rates; degrades to a
-                                note where counters are unavailable
-
-devices: cpu, gtx980, titanv, vega64
-)";
+  constexpr std::size_t kCol = 14;       // a verb's text and options
+  constexpr std::size_t kHelpCol = 30;   // a group option's help
+  std::ostringstream os;
+  os << "usage: snpcmp <command> [--option value ...]\n\ncommands:\n";
+  std::vector<const Group*> groups;
+  for (const Verb& v : verbs()) {
+    os << "  " << v.name << std::string(kCol - 2 - v.name.size(), ' ');
+    put_lines(os, v.usage, kCol);
+    std::string line;  // the options, packed into 78 columns
+    const auto pack = [&](const std::string& token) {
+      if (!line.empty() && kCol + line.size() + 1 + token.size() > 78) {
+        os << std::string(kCol, ' ') << line << "\n";
+        line.clear();
+      }
+      line.append(line.empty() ? "" : " ").append(token);
+    };
+    for (const Opt& o : v.opts) {
+      std::string token(o.required ? "--" : "[--");
+      token.append(o.name).append(o.arg.empty() ? "" : " ").append(o.arg);
+      pack(token.append(o.required ? "" : "]"));
+    }
+    for (const Group* g : v.groups) {
+      pack(std::string("[").append(g->title).append("]"));
+      if (std::find(groups.begin(), groups.end(), g) == groups.end()) {
+        groups.push_back(g);
+      }
+    }
+    if (!line.empty()) {
+      os << std::string(kCol, ' ') << line << "\n";
+    }
+  }
+  for (const Group* g : groups) {
+    os << "\n" << g->title << " (";
+    std::string_view sep;
+    for (const Verb& v : verbs()) {
+      if (std::find(v.groups.begin(), v.groups.end(), g) != v.groups.end()) {
+        os << sep << v.name;
+        sep = ", ";
+      }
+    }
+    os << "):\n";
+    for (const Opt& o : g->opts) {
+      std::string s("  --");
+      s.append(o.name).append(o.arg.empty() ? "" : " ").append(o.arg);
+      os << s;
+      if (!o.help.empty()) {
+        os << (s.size() < kHelpCol ? "" : "\n")
+           << std::string(kHelpCol - (s.size() < kHelpCol ? s.size() : 0),
+                          ' ');
+      }
+      put_lines(os, o.help, kHelpCol);
+    }
+  }
+  os << "\ndevices: cpu, gtx980, titanv, vega64\n";
+  return os.str();
 }
 
 int run(const std::vector<std::string>& args, std::ostream& out,
@@ -1773,70 +1788,13 @@ int run(const std::vector<std::string>& args, std::ostream& out,
   // this command's automatic fault-dump destination.
   obs::FlightRecorder::global().set_dump_path("");
   try {
-    const std::string& cmd = args[0];
-    if (cmd == "devices") {
-      return cmd_devices(out);
+    const Verb* verb = find_verb(args);
+    if (verb == nullptr) {
+      err << "unknown command '" << args[0] << "'\n" << usage();
+      return 1;
     }
-    Options opt(args, 1);
-    if (cmd == "env") {
-      return cmd_env(opt, out);
-    }
-    if (cmd == "gen") {
-      return cmd_gen(opt, out);
-    }
-    if (cmd == "gendb") {
-      return cmd_gendb(opt, out);
-    }
-    if (cmd == "encode") {
-      return cmd_encode(opt, out);
-    }
-    if (cmd == "ld") {
-      return cmd_ld(opt, out);
-    }
-    if (cmd == "search") {
-      return cmd_search(opt, out);
-    }
-    if (cmd == "mixture") {
-      return cmd_mixture(opt, out);
-    }
-    if (cmd == "kinship") {
-      return cmd_kinship(opt, out);
-    }
-    if (cmd == "qc") {
-      return cmd_qc(opt, out);
-    }
-    if (cmd == "assoc") {
-      return cmd_assoc(opt, out);
-    }
-    if (cmd == "cluster") {
-      return cmd_cluster(opt, out);
-    }
-    if (cmd == "kernel-src") {
-      return cmd_kernel_src(opt, out);
-    }
-    if (cmd == "lint") {
-      return cmd_lint(opt, out);
-    }
-    if (cmd == "merge") {
-      return cmd_merge(opt, out);
-    }
-    if (cmd == "subset") {
-      return cmd_subset(opt, out);
-    }
-    if (cmd == "report") {
-      return cmd_report(opt, out);
-    }
-    if (cmd == "estimate") {
-      return cmd_estimate(opt, out);
-    }
-    if (cmd == "serve") {
-      return cmd_serve(opt, out);
-    }
-    if (cmd == "submit") {
-      return cmd_submit(opt, out);
-    }
-    err << "unknown command '" << cmd << "'\n" << usage();
-    return 1;
+    Call call(*verb, args);
+    return verb->handler(call, out);
   } catch (const std::invalid_argument& e) {
     err << "error: " << e.what() << "\n" << usage();
     return 1;

@@ -75,16 +75,21 @@ std::uint64_t checked_payload_bytes(std::istream& is,
   return expected;
 }
 
-namespace {
-
-std::ofstream open_out(const std::filesystem::path& path) {
+void write_file(const std::filesystem::path& path,
+                const std::function<void(std::ostream&)>& write) {
   std::ofstream os(path, std::ios::binary);
   if (!os) {
     throw std::runtime_error("snp::io: cannot open for writing: " +
                              path.string());
   }
-  return os;
+  write(os);
+  os.close();
+  if (!os) {
+    throw std::runtime_error("snp::io: write failed: " + path.string());
+  }
 }
+
+namespace {
 
 std::ifstream open_in(const std::filesystem::path& path) {
   std::ifstream is(path, std::ios::binary);
@@ -284,8 +289,7 @@ bits::GenotypeMatrix load_genotypes_tsv(std::istream& is) {
 
 void save_bitmatrix(const bits::BitMatrix& m,
                     const std::filesystem::path& path) {
-  auto os = open_out(path);
-  save_bitmatrix(m, os);
+  write_file(path, [&](std::ostream& os) { save_bitmatrix(m, os); });
 }
 
 bits::BitMatrix load_bitmatrix(const std::filesystem::path& path) {
@@ -295,8 +299,7 @@ bits::BitMatrix load_bitmatrix(const std::filesystem::path& path) {
 
 void save_countmatrix(const bits::CountMatrix& m,
                       const std::filesystem::path& path) {
-  auto os = open_out(path);
-  save_countmatrix(m, os);
+  write_file(path, [&](std::ostream& os) { save_countmatrix(m, os); });
 }
 
 bits::CountMatrix load_countmatrix(const std::filesystem::path& path) {
@@ -306,8 +309,7 @@ bits::CountMatrix load_countmatrix(const std::filesystem::path& path) {
 
 void save_genotypes_tsv(const bits::GenotypeMatrix& g,
                         const std::filesystem::path& path) {
-  auto os = open_out(path);
-  save_genotypes_tsv(g, os);
+  write_file(path, [&](std::ostream& os) { save_genotypes_tsv(g, os); });
 }
 
 bits::GenotypeMatrix load_genotypes_tsv(const std::filesystem::path& path) {

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <iosfwd>
 
 #include "bits/bitmatrix.hpp"
@@ -16,6 +17,13 @@
 #include "rt/status.hpp"
 
 namespace snp::io {
+
+/// Opens `path` for writing, hands the stream to `write`, then closes it
+/// and throws std::runtime_error unless every byte reached the file: a
+/// full disk often shows only when the last buffer is flushed. Every
+/// path-taking saver and every file the CLI writes goes through here.
+void write_file(const std::filesystem::path& path,
+                const std::function<void(std::ostream&)>& write);
 
 /// Validates that a binary header's promised payload size matches the
 /// bytes actually present (seekable streams) or a hard sanity cap

@@ -201,12 +201,7 @@ PackedGenotypes load_packed_genotypes(std::istream& is) {
 
 void save_packed_genotypes(const PackedGenotypes& p,
                            const std::filesystem::path& path) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) {
-    throw std::runtime_error("packed genotypes: cannot open " +
-                             path.string());
-  }
-  save_packed_genotypes(p, os);
+  write_file(path, [&](std::ostream& os) { save_packed_genotypes(p, os); });
 }
 
 PackedGenotypes load_packed_genotypes(const std::filesystem::path& path) {

@@ -1,6 +1,7 @@
 #include "io/plink_lite.hpp"
 
 #include "io/checked_load.hpp"
+#include "io/formats.hpp"
 
 #include <fstream>
 #include <istream>
@@ -11,15 +12,6 @@
 namespace snp::io {
 
 namespace {
-
-std::ofstream open_out(const std::filesystem::path& path) {
-  std::ofstream os(path);
-  if (!os) {
-    throw std::runtime_error("plink-lite: cannot open for writing: " +
-                             path.string());
-  }
-  return os;
-}
 
 std::ifstream open_in(const std::filesystem::path& path) {
   std::ifstream is(path);
@@ -152,8 +144,7 @@ PlinkLiteDataset with_synthetic_metadata(bits::GenotypeMatrix genotypes,
 
 void save_plink_lite(const PlinkLiteDataset& ds,
                      const std::filesystem::path& path) {
-  auto os = open_out(path);
-  save_plink_lite(ds, os);
+  write_file(path, [&](std::ostream& os) { save_plink_lite(ds, os); });
 }
 
 rt::Status try_load_plink_lite(std::istream& is, PlinkLiteDataset& out) {

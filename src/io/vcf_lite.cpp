@@ -1,6 +1,7 @@
 #include "io/vcf_lite.hpp"
 
 #include "io/checked_load.hpp"
+#include "io/formats.hpp"
 
 #include <fstream>
 #include <istream>
@@ -159,12 +160,7 @@ PlinkLiteDataset load_vcf_lite_impl(std::istream& is) {
 
 void save_vcf_lite(const PlinkLiteDataset& ds,
                    const std::filesystem::path& path) {
-  std::ofstream os(path);
-  if (!os) {
-    throw std::runtime_error("vcf-lite: cannot open for writing: " +
-                             path.string());
-  }
-  save_vcf_lite(ds, os);
+  write_file(path, [&](std::ostream& os) { save_vcf_lite(ds, os); });
 }
 
 rt::Status try_load_vcf_lite(std::istream& is, PlinkLiteDataset& out) {

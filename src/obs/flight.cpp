@@ -348,7 +348,9 @@ bool FlightRecorder::dump_to_file(const std::string& path,
     return false;
   }
   dump_json(os, reason);
-  return os.good();
+  // A full disk often fails only when close() flushes the last buffer.
+  os.close();
+  return !os.fail();
 }
 
 std::string FlightRecorder::auto_dump(std::string_view reason) const {

@@ -132,7 +132,8 @@ class FlightRecorder {
 
   /// Writes the dump document {"flight":1,"reason":...,"events":[...]}.
   void dump_json(std::ostream& os, std::string_view reason) const;
-  /// dump_json to `path`; returns false if the file cannot be opened.
+  /// dump_json to `path`; returns false if the file cannot be opened or
+  /// written to the end.
   bool dump_to_file(const std::string& path, std::string_view reason) const;
   /// Automatic-dump entry point: writes to the configured dump path
   /// (falling back to $SNPCMP_FLIGHT_OUT) and returns the path written,

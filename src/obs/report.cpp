@@ -70,9 +70,16 @@ class Parser {
     skip_ws();
     switch (peek()) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        // Our own documents nest at most 4 deep; an uncapped descent
+        // overflows the stack on a crafted "[[[[...".
+        if (++depth_ > kMaxDepth) {
+          fail("nesting deeper than 64 levels");
+        }
+        Value v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         Value v;
         v.kind = Value::Kind::kString;
@@ -280,8 +287,11 @@ class Parser {
     return v;
   }
 
+  static constexpr int kMaxDepth = 64;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace
@@ -314,9 +324,11 @@ std::uint64_t Value::u64_or(std::string_view key,
   const char* end = begin + v->text.size();
   const auto [ptr, ec] = std::from_chars(begin, end, out);
   if (ec != std::errc{} || ptr != end) {
-    // Fractional or negative token: round through the double.
+    // Fractional, negative or out-of-range token: round through the
+    // double where the result fits in 64 bits.
     const double d = v->number;
-    return d > 0.0 ? static_cast<std::uint64_t>(d + 0.5) : fallback;
+    return d > 0.0 && d < 0x1p64 ? static_cast<std::uint64_t>(d + 0.5)
+                                 : fallback;
   }
   return out;
 }

@@ -77,7 +77,9 @@ struct Value {
   /// number value, or `fallback` when absent / not a number.
   [[nodiscard]] double num_or(std::string_view key, double fallback) const;
   /// Exact unsigned 64-bit read from the raw number token (doubles lose
-  /// trace ids above 2^53); 0 on absence or non-number.
+  /// trace ids above 2^53); a positive fractional token rounds.
+  /// `fallback` on absence, a non-number, any other non-integer token,
+  /// or a value of 2^64 or more.
   [[nodiscard]] std::uint64_t u64_or(std::string_view key,
                                      std::uint64_t fallback) const;
   /// string value, or `fallback` when absent / not a string.
@@ -86,7 +88,8 @@ struct Value {
 };
 
 /// Parses one JSON document. Throws std::runtime_error with a byte
-/// offset on malformed input or trailing garbage.
+/// offset on malformed input, trailing garbage, or nesting deeper than
+/// 64 arrays and objects.
 [[nodiscard]] Value parse(std::string_view text);
 
 }  // namespace snp::obs::jsonlite

@@ -183,6 +183,9 @@ struct ServiceEngine::Impl {
       throw std::invalid_argument(
           "svc: query must be a single row with the database's bit_cols");
     }
+    if (!std::isfinite(options.deadline_ms)) {
+      throw std::invalid_argument("svc: deadline_ms must be finite");
+    }
     SNP_OBS_FLOW_POINT("req.submit", trace_id, 's');
     // Canonicalize to the base stride so clients with padded strides hash
     // and batch identically (padding words are zero by invariant).
@@ -193,10 +196,14 @@ struct ServiceEngine::Impl {
                                                       base_words));
 
     const bool has_deadline = options.deadline_ms != 0.0;
+    // A budget beyond the clock's range saturates, so that request never
+    // expires. A negative budget is shed below, before this is read.
+    const std::chrono::duration<double> budget(
+        std::max(options.deadline_ms, 0.0) * 1e-3);
     const auto deadline_at =
-        submitted + std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double>(
-                            options.deadline_ms * 1e-3));
+        budget < Clock::time_point::max() - submitted
+            ? submitted + std::chrono::duration_cast<Clock::duration>(budget)
+            : Clock::time_point::max();
 
     std::unique_lock lock(mu);
     // A submit racing the destructor after the dispatcher has drained

@@ -147,6 +147,8 @@ struct SubmitOptions {
   /// End-to-end deadline measured from submit(), in milliseconds.
   /// 0 = no deadline. Negative = already expired at submission: the
   /// submit throws rt::Error(kDeadline) immediately (counted as shed).
+  /// NaN or infinite: submit throws std::invalid_argument. A finite
+  /// budget beyond the steady clock's range never expires.
   /// A positive deadline is never checked at admission — expiry is
   /// enforced at batch formation (expired requests are shed with
   /// kDeadline before any launch), at chunk boundaries inside the

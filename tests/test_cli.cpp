@@ -798,5 +798,140 @@ TEST(Cli, AbortPolicyExitsFourWithStableCode) {
   EXPECT_EQ(r.out.find("faults:"), std::string::npos);
 }
 
+TEST(Cli, OptionValuesMustMatchTheirKinds) {
+  // A yes|no choice takes only yes or no, a workload only ld or fastid, a
+  // real only a finite number, an int option at most INT_MAX, a --loci
+  // entry only a whole index of the cohort, and a verb without options
+  // none. Each error names the option.
+  const std::string db = tmp("db.sbm");
+  const std::string cohort = tmp("c.plink");
+  ASSERT_EQ(run_cli({"gendb", "--profiles", "20", "--snps", "128", "--out",
+                     db})
+                .code,
+            0);
+  ASSERT_EQ(run_cli({"gen", "--loci", "6", "--samples", "4", "--out",
+                     cohort})
+                .code,
+            0);
+  const std::string script = tmp("s.jsonl");
+  std::ofstream(script) << "{\"submit\": 0}\n";
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {{{"mixture", "--profiles", db, "--mixtures", db, "--pre-negate",
+         "true"},
+        "--pre-negate"},
+       {{"serve", "--db", db, "--queries", db, "--script", script,
+         "--pre-negate", "true"},
+        "--pre-negate"},
+       {{"kernel-src", "--pre-negate", "true"}, "--pre-negate"},
+       {{"lint", "--pre-negate", "true"}, "--pre-negate"},
+       {{"estimate", "--no-init", "maybe"}, "--no-init"},
+       {{"kernel-src", "--workload", "banana"}, "--workload"},
+       {{"gen", "--out", tmp("x.plink"), "--maf-min", "nan"}, "--maf-min"},
+       {{"gen", "--out", tmp("x.plink"), "--maf-max", "inf"}, "--maf-max"},
+       {{"lint", "--lds-words", "4294967297"}, "--lds-words"},
+       {{"search", "--queries", db, "--db", db, "--lds-words", "2147483648"},
+        "--lds-words"},
+       {{"subset", "--in", cohort, "--out", tmp("x.plink"), "--loci", "3x"},
+        "--loci"},
+       {{"subset", "--in", cohort, "--out", tmp("x.plink"), "--loci", "2-9"},
+        "--loci"},
+       {{"encode", "--in", cohort, "--out", tmp("x.sbm"), "--format", "bed"},
+        "--format"},
+       {{"submit", "--db", db, "--queries", db, "--deadline-ms", "nan"},
+        "--deadline-ms"},
+       {{"devices", "--bogus", "1"}, "--bogus"}};
+  for (const auto& [args, option] : cases) {
+    const auto r = run_cli(args);
+    EXPECT_EQ(r.code, 1) << args[0] << " " << option << "\n" << r.err;
+    EXPECT_NE(r.err.substr(0, r.err.find('\n')).find(option),
+              std::string::npos)
+        << r.err;
+  }
+}
+
+TEST(Cli, SubsetRangeIsCheckedBeforeItIsExpanded) {
+  // The range's end is checked against the cohort before the range is
+  // expanded, so an end of 2^64 - 1 fails at once.
+  const std::string cohort = tmp("c.plink");
+  ASSERT_EQ(run_cli({"gen", "--loci", "6", "--samples", "4", "--out",
+                     cohort})
+                .code,
+            0);
+  const auto r = run_cli({"subset", "--in", cohort, "--out", tmp("x.plink"),
+                          "--loci", "0-18446744073709551615"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("--loci"), std::string::npos) << r.err;
+}
+
+TEST(Cli, FailedWritesExitTwo) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full here";
+  const std::string db = tmp("db.sbm");
+  const std::string cohort = tmp("c.plink");
+  ASSERT_EQ(run_cli({"gendb", "--profiles", "20", "--snps", "128", "--out",
+                     db})
+                .code,
+            0);
+  ASSERT_EQ(run_cli({"gen", "--loci", "6", "--samples", "4", "--out",
+                     cohort})
+                .code,
+            0);
+  const std::string full = "/dev/full";
+  const std::vector<std::vector<std::string>> calls = {
+      {"kernel-src", "--out", full},
+      {"search", "--queries", db, "--db", db, "--metrics-out", full},
+      {"search", "--queries", db, "--db", db, "--trace-out", full},
+      {"search", "--queries", db, "--db", db, "--host-trace", full},
+      {"submit", "--db", db, "--queries", db, "--cost-out", full},
+      {"report", "--in", cohort, "--out", full},
+      {"gen", "--loci", "6", "--samples", "4", "--out", full},
+      {"gendb", "--profiles", "20", "--snps", "128", "--out", full}};
+  for (const auto& args : calls) {
+    const auto r = run_cli(args);
+    EXPECT_EQ(r.code, 2) << args[0] << " " << args[args.size() - 2];
+    EXPECT_EQ(r.out.find("to /dev/full"), std::string::npos) << r.out;
+  }
+}
+
+TEST(Cli, UsageComesFromTheVerbTable) {
+  const std::string help = run_cli({"help"}).out;
+  for (const std::string verb : {"merge", "subset"}) {
+    const auto at = help.find("\n  " + verb + " ");
+    ASSERT_NE(at, std::string::npos) << verb;
+    auto end = at;  // the next line that starts a verb
+    do {
+      end = help.find("\n  ", end + 1);
+    } while (end != std::string::npos && help[end + 3] == ' ');
+    EXPECT_NE(help.substr(at, end - at).find("[--format auto|plink|vcf]"),
+              std::string::npos)
+        << help.substr(at, end - at);
+  }
+}
+
+TEST(Cli, ModesRejectEachOthersOptions) {
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"lint", "--soak", "1", "--device",
+                                 "titanv"},
+        std::vector<std::string>{"report", "--trace", tmp("t.json"),
+                                 "--metrics", tmp("m.json"), "--device",
+                                 "titanv"}}) {
+    const auto r = run_cli(args);
+    EXPECT_EQ(r.code, 1) << args[0];
+    EXPECT_EQ(r.err.rfind("error: unknown option --device", 0), 0U)
+        << r.err;
+  }
+}
+
+TEST(Cli, EveryVerbRejectsThreads) {
+  for (const std::string verb :
+       {"devices", "env", "gen", "gendb", "encode", "kinship", "qc",
+        "assoc", "cluster", "ld", "search", "mixture", "merge", "subset",
+        "kernel-src", "lint", "report", "estimate", "serve", "submit"}) {
+    const auto r = run_cli({verb, "--threads", "2"});
+    EXPECT_EQ(r.code, 1) << verb;
+    EXPECT_EQ(r.err.rfind("error: unknown option --threads", 0), 0U)
+        << verb << ": " << r.err;
+  }
+}
+
 }  // namespace
 }  // namespace snp::cli

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
 #include <future>
 #include <limits>
 #include <map>
@@ -20,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/cli.hpp"
 #include "io/datagen.hpp"
 #include "obs/cost.hpp"
 #include "obs/metrics.hpp"
@@ -556,6 +558,49 @@ TEST(Jsonlite, MalformedInputThrowsWithOffset) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("at byte"), std::string::npos);
   }
+}
+
+TEST(Jsonlite, NestingBeyondTheCapThrows) {
+  // Unbounded recursion would overflow the stack long before 100,000
+  // levels; our own documents nest at most 4 deep, and 64 still parse.
+  constexpr std::size_t kDeep = 100000;
+  EXPECT_THROW(
+      (void)obs::jsonlite::parse(std::string(kDeep, '[') +
+                                 std::string(kDeep, ']')),
+      std::runtime_error);
+  std::string objects;
+  for (std::size_t i = 0; i < kDeep; ++i) {
+    objects += "{\"a\": ";
+  }
+  objects += "1" + std::string(kDeep, '}');
+  EXPECT_THROW((void)obs::jsonlite::parse(objects), std::runtime_error);
+  EXPECT_NO_THROW(
+      (void)obs::jsonlite::parse(std::string(64, '[') + std::string(64, ']')));
+}
+
+TEST(Jsonlite, U64OrFallsBackWhereNoUint64Fits) {
+  const auto v = obs::jsonlite::parse(
+      R"({"huge": 1e300, "inf": 1e999, "neg": -2.5, "frac": 2.5,
+          "big": 18446744073709551616})");
+  EXPECT_EQ(v.u64_or("huge", 7), 7U);
+  EXPECT_EQ(v.u64_or("inf", 7), 7U);
+  EXPECT_EQ(v.u64_or("neg", 7), 7U);
+  EXPECT_EQ(v.u64_or("big", 7), 7U);
+  EXPECT_EQ(v.u64_or("frac", 7), 3U);
+}
+
+TEST(Jsonlite, ReportOverADeeplyNestedTraceExitsTwo) {
+  const std::string dir = ::testing::TempDir();
+  const std::string trace = dir + "/snpcmp_cost_deep_trace.json";
+  const std::string metrics = dir + "/snpcmp_cost_deep_metrics.json";
+  std::ofstream(trace) << std::string(200000, '[') << std::string(200000, ']');
+  std::ofstream(metrics) << "{}";
+  std::ostringstream out, err;
+  EXPECT_EQ(cli::run({"report", "--trace", trace, "--metrics", metrics}, out,
+                     err),
+            2)
+      << err.str();
+  EXPECT_NE(err.str().find("nesting"), std::string::npos) << err.str();
 }
 
 /// Synthetic documents with hand-computable answers: two device engines

@@ -924,6 +924,49 @@ TEST(ServiceDeadline, NegativeDeadlineShedsAtAdmission) {
   EXPECT_EQ(s.completed, 0u);
 }
 
+TEST(ServiceDeadline, NonFiniteDeadlineIsRejectedAtSubmit) {
+  const BitMatrix db = io::random_bitmatrix(19, 128, 0.5, 761);
+  const BitMatrix query = io::random_bitmatrix(1, 128, 0.4, 762);
+  ServiceEngine engine(db, base_config("cpu", Comparison::kXor, 4));
+  svc::SubmitOptions options;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    options.deadline_ms = bad;
+    EXPECT_THROW((void)engine.submit(query, options), std::invalid_argument)
+        << bad;
+  }
+  const auto s = engine.stats();
+  EXPECT_EQ(s.submitted, 0u);
+  EXPECT_EQ(s.deadline_shed, 0u);
+}
+
+TEST(ServiceDeadline, DeadlinePastTheClockRangeSaturatesAndIsMet) {
+  // 1e300 ms is far past steady_clock's range: the request never expires,
+  // so it is served and counted as met, at formation and at delivery.
+  const BitMatrix db = io::random_bitmatrix(19, 128, 0.5, 763);
+  const BitMatrix queries = io::random_bitmatrix(3, 128, 0.4, 764);
+  const auto expected = serial_rows("cpu", queries, db, Comparison::kXor);
+  ServiceEngine engine(db, base_config("cpu", Comparison::kXor, 4));
+  svc::SubmitOptions options;
+  options.deadline_ms = 1e300;
+  std::vector<std::future<QueryResult>> futs;
+  for (std::size_t q = 0; q < queries.rows(); ++q) {
+    futs.push_back(engine.submit(queries.row_slice(q, q + 1), options));
+  }
+  engine.resume();
+  engine.drain();
+  for (std::size_t q = 0; q < queries.rows(); ++q) {
+    const QueryResult r = futs[q].get();
+    EXPECT_FALSE(r.deadline_expired) << q;
+    EXPECT_EQ(r.row, expected[q]) << q;
+  }
+  const auto s = engine.stats();
+  EXPECT_EQ(s.deadline_met, queries.rows());
+  EXPECT_EQ(s.deadline_expired, 0u);
+  EXPECT_EQ(s.deadline_shed, 0u);
+}
+
 TEST(ServiceDeadline, ExpiredRequestsAreShedAtFormationNeverLaunched) {
   const BitMatrix db = io::random_bitmatrix(19, 128, 0.5, 753);
   const BitMatrix queries = io::random_bitmatrix(4, 128, 0.4, 754);

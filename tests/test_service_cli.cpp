@@ -686,5 +686,73 @@ TEST(ServeCli, MalformedDeadlineAndClassCarryLineNumbers) {
   }
 }
 
+TEST(ServeCli, ScriptLinesAreStrictJsonObjects) {
+  const Fixture f;
+  // A false barrier, a misspelt key, a missing comma, a quoted or
+  // fractional row, a second verb, a repeated key, a field without
+  // "submit", a class past INT_MAX, a non-object line and an infinite
+  // deadline are each an error naming the line.
+  for (const std::string line :
+       {R"({"barrier": false})", R"({"submit": 1, "cuont": 3})",
+        R"({"submit": 2 "count": 2})", R"({"submit": "0"})",
+        R"({"barrier": true, "submit": 0})", R"({"submit": 1.0})",
+        R"({"submit": 0, "count": -1})", R"({"count": 2})",
+        R"({"submit": 0, "submit": 1})", R"({"epoch": 3})",
+        R"({"submit": 0, "class": 2147483648})", R"([{"submit": 0}])",
+        R"({"submit": 0, "deadline_ms": 1e999})"}) {
+    const auto script =
+        write_script(tmp("bad.jsonl"), {R"({"submit": 0})", line});
+    const auto r = run_cli({"serve", "--db", f.db, "--queries", f.queries,
+                            "--script", script, "--device", "cpu"});
+    EXPECT_EQ(r.code, 1) << line << "\n" << r.out;
+    EXPECT_EQ(r.err.rfind("error: serve: " + script + ":2: ", 0), 0U)
+        << line << "\n" << r.err;
+  }
+}
+
+TEST(ServeCli, ScriptLinesMayEndInAComment) {
+  // The annotated style of docs/service.md: a '#' after the object starts
+  // a comment, a '#' inside a string does not.
+  const Fixture f;
+  const std::string db2 = tmp("db#2.sbm");
+  io::save_bitmatrix(io::random_bitmatrix(41, 192, 0.5, 8201),
+                     fs::path(db2));
+  const auto script = write_script(
+      tmp("req.jsonl"),
+      {R"({"submit": 3}                    # enqueue query row 3)",
+       R"({"submit": 1, "count": 2}        # ... twice)",
+       R"({"barrier": true}                # release + drain the backlog,)",
+       R"(                                 # closing one generation)",
+       R"({"epoch": ")" + db2 + R"("}  # swap the database)",
+       R"({"submit": 3})"});
+  const auto r = run_cli({"serve", "--db", f.db, "--queries", f.queries,
+                          "--script", script, "--device", "cpu"});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("service:     requests=4 completed=4"),
+            std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("queue peak=3 epoch=2"), std::string::npos) << r.out;
+  EXPECT_NE(digest_of(r.out, 0), digest_of(r.out, 3));
+}
+
+TEST(ServeCli, SubmitDeadlineBeyondTheClockIsMet) {
+  // Past steady_clock's range the deadline saturates: nothing is shed.
+  const Fixture f;
+  const auto r = run_cli({"submit", "--db", f.db, "--queries", f.queries,
+                          "--device", "cpu", "--deadline-ms", "1e300"});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("deadlines:   met=6 expired=0 shed=0"),
+            std::string::npos)
+      << r.out;
+  for (const char* bad : {"nan", "inf"}) {
+    const auto rejected =
+        run_cli({"submit", "--db", f.db, "--queries", f.queries,
+                 "--deadline-ms", bad});
+    EXPECT_EQ(rejected.code, 1) << bad;
+    EXPECT_NE(rejected.err.find("--deadline-ms"), std::string::npos)
+        << rejected.err;
+  }
+}
+
 }  // namespace
 }  // namespace snp::cli

@@ -12,7 +12,9 @@
 #      presets, validated the same way (zero errors, Eq. 5 note present),
 #      and a dataflow-verifier smoke: fabricated out-of-bounds launches
 #      must be blocked with exit 3 + their SNP-BOUND-*/SNP-OVF-* IDs,
-#      and a reduced-seed mutation soak must be failure-free.
+#      and a reduced-seed mutation soak must be failure-free, and a
+#      strict-input smoke: deeply nested JSON and a write to a full disk
+#      exit 2, and docs/service.md's annotated script runs.
 #   2. ASan/UBSan build + tier-1 tests.
 #   3. TSan build + the concurrency-heavy suites (the exec pool, the
 #      in-place chunk pipeline, the host engines whose loops run on the
@@ -398,6 +400,41 @@ grep -Eq 'littles law: .* PASS' "$smoke/report1.txt" || {
 grep -q 'top requests by device time:' "$smoke/report1.txt" || {
   echo "report lacks the top-requests section"; exit 1; }
 echo "pipeline report ok: deterministic bytes, Little's check PASS"
+
+echo "== strict-input and checked-write smoke =="
+# A deeply nested JSON document is a runtime error (exit 2), not a stack
+# overflow; a write that fails when the last buffer is flushed exits 2
+# instead of reporting success (docs/cli.md); and the annotated script
+# example of docs/service.md, comments and all, runs as written.
+python3 -c 'print("[" * 100000 + "]" * 100000)' > "$smoke/deep.json"
+set +e
+./build/tools/snpcmp report --trace "$smoke/deep.json" \
+  --metrics "$smoke/cost_m.json" > /dev/null 2>&1
+rc=$?
+set -e
+[[ $rc -eq 2 ]] || { echo "report on deeply nested JSON exited $rc, want 2"; exit 1; }
+if [[ -e /dev/full ]]; then
+  set +e
+  ./build/tools/snpcmp kernel-src --out /dev/full > /dev/null 2>&1
+  rc=$?
+  set -e
+  [[ $rc -eq 2 ]] || { echo "kernel-src --out /dev/full exited $rc, want 2"; exit 1; }
+fi
+awk '/^Script grammar/ { grab = 1; next }
+     grab && /^```/ { if (inside) exit; inside = 1; next }
+     inside' docs/service.md > "$smoke/annotated.jsonl"
+./build/tools/snpcmp gendb --out "$smoke/q6.sbm" --profiles 6 --snps 256 \
+  --seed 4 > /dev/null
+./build/tools/snpcmp gendb --out "$smoke/db2.sbm" --profiles 200 --snps 256 \
+  --seed 5 > /dev/null
+snpcmp_bin="$PWD/build/tools/snpcmp"
+(cd "$smoke" && "$snpcmp_bin" serve --db db.sbm --queries q6.sbm \
+  --script annotated.jsonl > annotated.out) || {
+  echo "docs/service.md's annotated script failed"; exit 1; }
+grep -q 'service:     requests=8 ' "$smoke/annotated.out" || {
+  echo "annotated script report wrong:"; cat "$smoke/annotated.out"; exit 1; }
+echo "strict-input smoke ok: deep JSON and a full disk exit 2," \
+  "the annotated script runs"
 
 echo "== bench_compare self-test (regression-gate fixtures) =="
 tools/bench_compare --self-test
