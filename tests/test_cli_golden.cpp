@@ -268,6 +268,35 @@ TEST(CliGolden, ComparisonVerbs) {
   t.check();
 }
 
+TEST(CliGolden, FastIdEdges) {
+  // The FastID verbs at their edges: no candidates, a top past the
+  // database, and the query or mixture side as the streamed operand.
+  Transcript t;
+  t.run({"gendb", "--out", "@TMP@/db.sbm", "--profiles", "300", "--snps",
+         "256", "--seed", "11"});
+  t.run({"gendb", "--out", "@TMP@/q.sbm", "--profiles", "3", "--snps", "256",
+         "--seed", "12"});
+  t.run({"gendb", "--out", "@TMP@/small.sbm", "--profiles", "9", "--snps",
+         "256", "--seed", "13"});
+  t.run({"gendb", "--out", "@TMP@/many.sbm", "--profiles", "40", "--snps",
+         "256", "--seed", "14"});
+  t.run({"search", "--queries", "@TMP@/q.sbm", "--db", "@TMP@/db.sbm",
+         "--device", "titanv", "--top", "0"});
+  t.run({"search", "--queries", "@TMP@/q.sbm", "--db", "@TMP@/small.sbm",
+         "--device", "gtx980", "--top", "4611686018427387904"});
+  t.run({"search", "--queries", "@TMP@/many.sbm", "--db", "@TMP@/small.sbm",
+         "--device", "vega64", "--top", "2"});
+  {
+    const auto profiles = io::generate_profile_db(6, 384, {});
+    io::save_bitmatrix(profiles, fs::path(t.path("few.sbm")));
+    io::save_bitmatrix(io::generate_mixtures(profiles, 24, 2, 15).mixtures,
+                       fs::path(t.path("mixes.sbm")));
+  }
+  t.run({"mixture", "--profiles", "@TMP@/few.sbm", "--mixtures",
+         "@TMP@/mixes.sbm", "--device", "titanv", "--tolerance", "3"});
+  t.check();
+}
+
 TEST(CliGolden, KernelVerbs) {
   Transcript t;
   t.run({"devices"});
