@@ -15,7 +15,6 @@
 #include "core/snpcmp.hpp"
 #include "io/datagen.hpp"
 #include "io/rng.hpp"
-#include "stats/forensic.hpp"
 
 int main(int argc, char** argv) {
   using namespace snp;
@@ -55,23 +54,20 @@ int main(int argc, char** argv) {
 
   Context ctx = Context::gpu(device);
   const IdentitySearchResult result =
-      ctx.identity_search(all_queries, db);
+      ctx.identity_search(all_queries, db, 2);
   std::printf("FastID search: %zu queries vs %zu profiles x %zu SNPs on "
               "%s\n",
               all_queries.rows(), profiles, snps,
               ctx.device_name().c_str());
   std::printf("kernel %.2f ms, end-to-end %.1f ms (%d chunks, %.1f ms of "
               "transfer hidden)\n\n",
-              result.comparison.timing.kernel_s * 1e3,
-              result.comparison.timing.end_to_end_s * 1e3,
-              result.comparison.timing.chunks,
-              result.comparison.timing.overlap_hidden_s * 1e3);
+              result.timing.kernel_s * 1e3,
+              result.timing.end_to_end_s * 1e3, result.timing.chunks,
+              result.timing.overlap_hidden_s * 1e3);
 
   for (std::size_t q = 0; q < all_queries.rows(); ++q) {
     const bool is_degraded = q == all_queries.rows() - 1;
-    const auto row = result.comparison.counts.raw().subspan(
-        q * profiles, profiles);
-    const auto ranked = stats::rank_matches(row, snps, 1.0, 3);
+    const auto& ranked = result.top[q];
     std::printf("query %zu%s: ", q,
                 is_degraded ? " (degraded copy of the planted suspect)"
                             : "");

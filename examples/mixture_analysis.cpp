@@ -35,33 +35,34 @@ int main(int argc, char** argv) {
       io::generate_mixtures(db, kMixtures, 3, 78);
 
   Context ctx = Context::gpu(device);
-  const MixtureAnalysisResult fused =
-      ctx.mixture_analysis(db, mixtures.mixtures);
-
+  // Both lowerings' gamma[profile, mixture] = foreign alleles, for the
+  // agreement check and the evidence below.
+  const CompareResult fused =
+      ctx.compare(db, mixtures.mixtures, bits::Comparison::kAndNot);
   ComputeOptions pre;
   pre.pre_negate = true;
-  const MixtureAnalysisResult negated =
-      ctx.mixture_analysis(db, mixtures.mixtures, 0, pre);
+  const CompareResult negated =
+      ctx.compare(db, mixtures.mixtures, bits::Comparison::kAndNot, pre);
+  const MixtureAnalysisResult calls =
+      ctx.mixture_analysis(db, mixtures.mixtures);
 
   std::printf("mixture analysis: %zu profiles x %zu SNPs, %zu mixtures of "
               "3 contributors, on %s\n\n",
               kProfiles, kSnps, kMixtures, ctx.device_name().c_str());
-  const bool agree = fused.comparison.counts == negated.comparison.counts;
+  const bool agree = fused.counts == negated.counts;
   std::printf("Eq. 3 lowerings agree (fused AND-NOT == pre-negated AND): "
               "%s\n",
               agree ? "yes" : "NO (bug!)");
   std::printf("fused kernel:       %.2f ms (%s)\n",
-              fused.comparison.timing.kernel_s * 1e3,
-              fused.comparison.timing.config.c_str());
+              fused.timing.kernel_s * 1e3, fused.timing.config.c_str());
   std::printf("pre-negated kernel: %.2f ms (%s)\n\n",
-              negated.comparison.timing.kernel_s * 1e3,
-              negated.comparison.timing.config.c_str());
+              negated.timing.kernel_s * 1e3, negated.timing.config.c_str());
 
   for (std::size_t m = 0; m < kMixtures; ++m) {
     auto truth = mixtures.contributors[m];
     std::sort(truth.begin(), truth.end());
     truth.erase(std::unique(truth.begin(), truth.end()), truth.end());
-    const auto& called = fused.included[m];
+    const auto& called = calls.included[m];
     std::size_t recovered = 0;
     for (const std::size_t t : truth) {
       recovered +=
@@ -75,8 +76,8 @@ int main(int argc, char** argv) {
     const std::size_t outsider = (contributor + kProfiles / 2) % kProfiles;
     std::printf("    profile %6zu (contributor): %u foreign alleles | "
                 "profile %6zu (outsider): %u foreign alleles\n",
-                contributor, fused.comparison.counts.at(contributor, m),
-                outsider, fused.comparison.counts.at(outsider, m));
+                contributor, fused.counts.at(contributor, m), outsider,
+                fused.counts.at(outsider, m));
   }
   std::printf("\n(false inclusions are possible when a profile's minor "
               "alleles happen to be\n covered by the mixture; tolerance and "

@@ -8,6 +8,7 @@
 // zero contribution", which tests assert.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -165,6 +166,16 @@ class CountMatrix {
   [[nodiscard]] bool operator==(const CountMatrix& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_ &&
            data_ == other.data_;
+  }
+
+  /// Copies `block` in row by row with its first count at (row0, col0):
+  /// how a chunk's or a shard's part joins the full gamma matrix.
+  void put_block(const CountMatrix& block, std::size_t row0,
+                 std::size_t col0) {
+    for (std::size_t i = 0; i < block.rows_; ++i) {
+      std::copy_n(block.data_.data() + i * block.cols_, block.cols_,
+                  data_.data() + (row0 + i) * cols_ + col0);
+    }
   }
 
  private:

@@ -35,7 +35,6 @@
 #include "sim/trace.hpp"
 #include "stats/assoc.hpp"
 #include "stats/cluster.hpp"
-#include "stats/forensic.hpp"
 #include "stats/fst.hpp"
 #include "stats/kinship.hpp"
 #include "stats/ld.hpp"
@@ -669,8 +668,8 @@ int cmd_search(Call& c, std::ostream& out) {
   ComputeOptions copts;
   copts.lds_words = c.opt.int_num("lds-words", 0);
   c.faults.apply(copts);
-  const auto res = ctx.identity_search(queries, db, copts);
-  const TimingReport& t = res.comparison.timing;
+  const auto res = ctx.identity_search(queries, db, top, copts);
+  const TimingReport& t = res.timing;
   finish_compare(c, out, t);
   if (!host_trace.empty()) {
     io::write_file(host_trace, [&](std::ostream& os) {
@@ -681,11 +680,8 @@ int cmd_search(Call& c, std::ostream& out) {
         << " chunks) to " << host_trace << "\n";
   }
   for (std::size_t q = 0; q < queries.rows(); ++q) {
-    const auto row = res.comparison.counts.raw().subspan(q * db.rows(),
-                                                         db.rows());
-    const auto ranked = stats::rank_matches(row, db.bit_cols(), 1.0, top);
     out << "query " << q << ":";
-    for (const auto& hit : ranked) {
+    for (const auto& hit : res.top[q]) {
       out << "  #" << hit.reference_index << " (" << hit.mismatches
           << " mismatches)";
     }
@@ -706,7 +702,7 @@ int cmd_mixture(Call& c, std::ostream& out) {
   c.faults.apply(copts);
   const auto res =
       ctx.mixture_analysis(profiles, mixtures, tolerance, copts);
-  finish_compare(c, out, res.comparison.timing);
+  finish_compare(c, out, res.timing);
   for (std::size_t m = 0; m < mixtures.rows(); ++m) {
     out << "mixture " << m << ": " << res.included[m].size()
         << " consistent profiles:";

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 
@@ -181,6 +180,47 @@ ChunkPlan plan_chunks(const model::GpuSpec& dev,
   return p;
 }
 
+/// The per-chunk kernel model sums estimate() and compare_gpu() keep:
+/// kernel seconds, and the kernel-time-weighted throughput, share of
+/// peak, roofline and memory-bound time.
+struct ModelSums {
+  double kernel_s = 0.0;
+  double gops_s = 0.0;
+  double pct_s = 0.0;
+  double attainable_s = 0.0;
+  double memory_bound_s = 0.0;
+  int active_cores = 0;
+
+  /// One chunk's kernel, charged `seconds` of kernel time; the weights
+  /// are the model's own kernel time.
+  void add(double seconds, const sim::KernelTiming& kt,
+           const sim::RooflinePoint& rp) {
+    kernel_s += seconds;
+    gops_s += kt.gops * kt.seconds;
+    pct_s += kt.pct_of_peak * kt.seconds;
+    attainable_s += rp.attainable_gops * kt.seconds;
+    if (rp.memory_bound) {
+      memory_bound_s += kt.seconds;
+    }
+    active_cores = std::max(active_cores, kt.active_cores);
+  }
+
+  /// Fills the report's kernel fields, and the transfer time hidden under
+  /// compute from its init, transfer and end-to-end times.
+  void fill(TimingReport& t) const {
+    t.kernel_s = kernel_s;
+    t.active_cores = active_cores;
+    if (kernel_s > 0.0) {
+      t.kernel_gops = gops_s / kernel_s;
+      t.pct_of_peak = pct_s / kernel_s;
+      t.attainable_gops = attainable_s / kernel_s;
+      t.memory_bound = memory_bound_s > kernel_s / 2;
+    }
+    const double serial = t.init_s + t.h2d_s + t.kernel_s + t.d2h_s;
+    t.overlap_hidden_s = std::max(0.0, serial - t.end_to_end_s);
+  }
+};
+
 }  // namespace
 
 TimingReport Context::estimate(std::size_t m, std::size_t n,
@@ -224,15 +264,10 @@ TimingReport Context::estimate(std::size_t m, std::size_t n,
 
   std::vector<sim::Chunk> chunks;
   chunks.push_back({plan.resident_bytes, 0.0, 0});  // resident upload
-  double kernel_gops_weighted = 0.0;
-  double pct_weighted = 0.0;
-  double attainable_weighted = 0.0;
-  double memory_bound_s = 0.0;
-  double total_kernel_s = 0.0;
+  ModelSums model;
   std::uint64_t h2d_bytes = plan.resident_bytes;
   std::uint64_t d2h_bytes = 0;
   std::uint64_t wordops_exact = 0;
-  int active_cores = 0;
   for (std::size_t row0 = 0; row0 < plan.stream_rows;
        row0 += plan.chunk_rows) {
     const std::size_t rows =
@@ -249,14 +284,7 @@ TimingReport Context::estimate(std::size_t m, std::size_t n,
     d2h_bytes += rows * plan.c_row_bytes;
     wordops_exact +=
         static_cast<std::uint64_t>(shape.m) * shape.n * shape.k_words;
-    total_kernel_s += kt.seconds;
-    kernel_gops_weighted += kt.gops * kt.seconds;
-    pct_weighted += kt.pct_of_peak * kt.seconds;
-    attainable_weighted += rp.attainable_gops * kt.seconds;
-    if (rp.memory_bound) {
-      memory_bound_s += kt.seconds;
-    }
-    active_cores = std::max(active_cores, kt.active_cores);
+    model.add(kt.seconds, kt, rp);
   }
 
   sim::TimelineOptions topts;
@@ -277,22 +305,13 @@ TimingReport Context::estimate(std::size_t m, std::size_t n,
   t.config = cfg.to_string();
   t.init_s = tl.init_seconds;
   t.h2d_s = tl.h2d_seconds;
-  t.kernel_s = total_kernel_s;
   t.d2h_s = tl.d2h_seconds;
   t.h2d_bytes = h2d_bytes;
   t.d2h_bytes = d2h_bytes;
   t.wordops = wordops_exact;
   t.end_to_end_s = tl.total_seconds;
   t.chunks = static_cast<int>(chunks.size()) - 1;
-  t.active_cores = active_cores;
-  if (total_kernel_s > 0.0) {
-    t.kernel_gops = kernel_gops_weighted / total_kernel_s;
-    t.pct_of_peak = pct_weighted / total_kernel_s;
-    t.attainable_gops = attainable_weighted / total_kernel_s;
-    t.memory_bound = memory_bound_s > total_kernel_s / 2;
-  }
-  const double serial = t.init_s + t.h2d_s + t.kernel_s + t.d2h_s;
-  t.overlap_hidden_s = std::max(0.0, serial - t.end_to_end_s);
+  model.fill(t);
   return t;
 }
 
@@ -388,15 +407,8 @@ CompareResult Context::compare(const BitMatrix& a, const BitMatrix& b,
               result.counts.cols() != b.rows()) {
             result.counts = CountMatrix(a.rows(), b.rows());
           }
-          for (std::size_t i = 0; i < part.rows(); ++i) {
-            for (std::size_t j = 0; j < part.cols(); ++j) {
-              if (sb) {
-                result.counts.at(i, delivered + j) = part.at(i, j);
-              } else {
-                result.counts.at(delivered + i, j) = part.at(i, j);
-              }
-            }
-          }
+          result.counts.put_block(part, sb ? 0 : delivered,
+                                  sb ? delivered : 0);
         }
       }
     }
@@ -589,13 +601,7 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
     }));
   }
 
-  double kernel_gops_weighted = 0.0;
-  double pct_weighted = 0.0;
-  double attainable_weighted = 0.0;
-  double memory_bound_s = 0.0;
-  double total_kernel_s = 0.0;
-  int active_cores = 0;
-
+  ModelSums model;
   const std::size_t n_chunks =
       bits::ceil_div(streamed.rows(), chunk_rows);
   result.timing.chunk_events.resize(n_chunks);
@@ -753,14 +759,7 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
         rec, "launch", static_cast<std::int64_t>(ci), fault_log, [&] {
           return q.enqueue_kernel(kt.seconds, reads, writes, functional);
         });
-    total_kernel_s += evk.duration();
-    kernel_gops_weighted += kt.gops * kt.seconds;
-    pct_weighted += kt.pct_of_peak * kt.seconds;
-    attainable_weighted += rp.attainable_gops * kt.seconds;
-    if (rp.memory_bound) {
-      memory_bound_s += kt.seconds;
-    }
-    active_cores = std::max(active_cores, kt.active_cores);
+    model.add(evk.duration(), kt, rp);
     cev.kernel_start = evk.start;
     cev.kernel_end = evk.end;
 
@@ -780,20 +779,8 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
   result.timing.init_s = options.include_init ? clctx.init_seconds() : 0.0;
   result.timing.end_to_end_s =
       end - (options.include_init ? 0.0 : clctx.init_seconds());
-  result.timing.kernel_s = total_kernel_s;
-  result.timing.chunks = static_cast<int>(
-      bits::ceil_div(streamed.rows(), chunk_rows));
-  result.timing.active_cores = active_cores;
-  if (total_kernel_s > 0.0) {
-    result.timing.kernel_gops = kernel_gops_weighted / total_kernel_s;
-    result.timing.pct_of_peak = pct_weighted / total_kernel_s;
-    result.timing.attainable_gops = attainable_weighted / total_kernel_s;
-    result.timing.memory_bound = memory_bound_s > total_kernel_s / 2;
-  }
-  const double serial = result.timing.init_s + result.timing.h2d_s +
-                        result.timing.kernel_s + result.timing.d2h_s;
-  result.timing.overlap_hidden_s =
-      std::max(0.0, serial - result.timing.end_to_end_s);
+  result.timing.chunks = static_cast<int>(n_chunks);
+  model.fill(result.timing);
 }
 
 CompareResult Context::ld(const BitMatrix& loci,
@@ -802,90 +789,45 @@ CompareResult Context::ld(const BitMatrix& loci,
 }
 
 IdentitySearchResult Context::identity_search(
-    const BitMatrix& queries, const BitMatrix& database,
-    const ComputeOptions& options) {
-  IdentitySearchResult out;
-  out.comparison = compare(queries, database, Comparison::kXor, options);
-  if (options.functional) {
-    const CountMatrix& gamma = out.comparison.counts;
-    out.best_match.resize(queries.rows());
-    out.best_mismatches.resize(queries.rows());
-    for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
-      const auto row = gamma.raw().subspan(qi * gamma.cols(), gamma.cols());
-      const auto best = std::min_element(row.begin(), row.end());
-      out.best_match[qi] =
-          static_cast<std::size_t>(best - row.begin());
-      out.best_mismatches[qi] = *best;
-    }
-  }
-  return out;
-}
-
-Context::StreamingSearchResult Context::identity_search_streaming(
     const BitMatrix& queries, const BitMatrix& database, std::size_t top_k,
     const ComputeOptions& options) {
-  if (top_k == 0) {
-    throw std::invalid_argument(
-        "identity_search_streaming: top_k must be positive");
-  }
-  StreamingSearchResult out;
+  IdentitySearchResult out;
   out.top.resize(queries.rows());
-
-  ComputeOptions opts = options;
-  opts.functional = true;
-  opts.keep_counts = false;
-  const auto order = [](const stats::MatchCandidate& x,
-                        const stats::MatchCandidate& y) {
-    return x.mismatches != y.mismatches
-               ? x.mismatches < y.mismatches
-               : x.reference_index < y.reference_index;
-  };
-  const double sites = static_cast<double>(database.bit_cols());
-  auto fold = [&](std::size_t query, std::size_t ref,
-                  std::uint32_t mismatches) {
-    auto& best = out.top[query];
-    best.push_back({ref, mismatches,
-                    static_cast<double>(mismatches) / sites});
-    if (best.size() > 4 * top_k) {
-      std::partial_sort(
-          best.begin(), best.begin() + static_cast<std::ptrdiff_t>(top_k),
-          best.end(), order);
-      best.resize(top_k);
-    }
-  };
-  // compare() delivers chunks one at a time, in stream order, so
-  // callbacks never overlap — the mutex makes the fold's thread-safety
-  // independent of that scheduling detail.
-  std::mutex fold_mu;
-  opts.chunk_callback = [&](const ComputeOptions::ChunkView& view) {
-    const std::lock_guard<std::mutex> lock(fold_mu);
-    if (view.streamed_b) {
-      // Usual case: the database streams; this block holds database
-      // columns [row0, row0 + cols) for every query row.
-      for (std::size_t q = 0; q < view.part.rows(); ++q) {
-        for (std::size_t j = 0; j < view.part.cols(); ++j) {
-          fold(q, view.row0 + j, view.part.at(q, j));
-        }
-      }
-    } else {
-      // Tiny database, large query set: the queries stream; this block
-      // holds query rows [row0, row0 + rows) against the full database.
-      for (std::size_t i = 0; i < view.part.rows(); ++i) {
-        for (std::size_t j = 0; j < view.part.cols(); ++j) {
-          fold(view.row0 + i, j, view.part.at(i, j));
-        }
-      }
-    }
-  };
-  const CompareResult r =
-      compare(queries, database, Comparison::kXor, opts);
-  out.timing = r.timing;
-  for (auto& best : out.top) {
+  // No query has more candidates than the database has rows, and the
+  // clamp keeps 4 * top_k below from wrapping.
+  top_k = std::min(top_k, database.rows());
+  const auto keep_best = [top_k](std::vector<stats::MatchCandidate>& best) {
     const std::size_t keep = std::min(top_k, best.size());
     std::partial_sort(best.begin(),
                       best.begin() + static_cast<std::ptrdiff_t>(keep),
-                      best.end(), order);
+                      best.end(), stats::ranks_before);
     best.resize(keep);
+  };
+  const double sites = static_cast<double>(database.bit_cols());
+  ComputeOptions opts = options;
+  opts.functional = true;
+  opts.keep_counts = false;
+  // A block holds database columns [row0, row0 + cols) for every query
+  // when the database streams, else query rows [row0, row0 + rows)
+  // against the whole database.
+  opts.chunk_callback = [&](const ComputeOptions::ChunkView& view) {
+    const std::size_t q0 = view.streamed_b ? 0 : view.row0;
+    const std::size_t r0 = view.streamed_b ? view.row0 : 0;
+    for (std::size_t i = 0; i < view.part.rows(); ++i) {
+      auto& best = out.top[q0 + i];
+      for (std::size_t j = 0; j < view.part.cols(); ++j) {
+        const std::uint32_t mismatches = view.part.at(i, j);
+        best.push_back(
+            {r0 + j, mismatches, static_cast<double>(mismatches) / sites});
+        if (best.size() > 4 * top_k) {
+          keep_best(best);
+        }
+      }
+    }
+  };
+  out.timing = compare(queries, database, Comparison::kXor, opts).timing;
+  for (auto& best : out.top) {
+    keep_best(best);
   }
   return out;
 }
@@ -951,64 +893,27 @@ MixtureAnalysisResult Context::mixture_analysis(
     const BitMatrix& profiles, const BitMatrix& mixtures,
     std::uint32_t tolerance, const ComputeOptions& options) {
   MixtureAnalysisResult out;
-  out.comparison =
-      compare(profiles, mixtures, Comparison::kAndNot, options);
-  if (options.functional) {
-    const CountMatrix& gamma = out.comparison.counts;
-    out.included.resize(mixtures.rows());
-    for (std::size_t m = 0; m < mixtures.rows(); ++m) {
-      for (std::size_t p = 0; p < profiles.rows(); ++p) {
-        if (gamma.at(p, m) <= tolerance) {
-          out.included[m].push_back(p);
-        }
-      }
-    }
-  }
-  return out;
-}
-
-Context::StreamingMixtureResult Context::mixture_analysis_streaming(
-    const BitMatrix& profiles, const BitMatrix& mixtures,
-    std::uint32_t tolerance, const ComputeOptions& options) {
-  StreamingMixtureResult out;
   out.included.resize(mixtures.rows());
-
   ComputeOptions opts = options;
   opts.functional = true;
   opts.keep_counts = false;
-  // See identity_search_streaming: deliveries are already serialized
-  // in stream order; the lock keeps the fold self-contained.
-  std::mutex fold_mu;
+  // A block holds profile rows [row0, row0 + rows) against every mixture
+  // when the profiles stream, else mixture columns [row0, row0 + cols)
+  // for every profile. Chunks drain in stream order, so every list grows
+  // in ascending profile order.
   opts.chunk_callback = [&](const ComputeOptions::ChunkView& view) {
-    const std::lock_guard<std::mutex> lock(fold_mu);
-    if (view.streamed_b) {
-      // Tiny profile set against many mixtures: this block holds mixture
-      // columns [row0, row0 + cols) for every profile row.
-      for (std::size_t i = 0; i < view.part.rows(); ++i) {
-        for (std::size_t j = 0; j < view.part.cols(); ++j) {
-          if (view.part.at(i, j) <= tolerance) {
-            out.included[view.row0 + j].push_back(i);
-          }
-        }
-      }
-    } else {
-      // Usual case: the profile database streams; rows are profiles
-      // [row0, row0 + rows) against every mixture column.
-      for (std::size_t i = 0; i < view.part.rows(); ++i) {
-        for (std::size_t j = 0; j < view.part.cols(); ++j) {
-          if (view.part.at(i, j) <= tolerance) {
-            out.included[j].push_back(view.row0 + i);
-          }
+    const std::size_t p0 = view.streamed_b ? 0 : view.row0;
+    const std::size_t m0 = view.streamed_b ? view.row0 : 0;
+    for (std::size_t i = 0; i < view.part.rows(); ++i) {
+      for (std::size_t j = 0; j < view.part.cols(); ++j) {
+        if (view.part.at(i, j) <= tolerance) {
+          out.included[m0 + j].push_back(p0 + i);
         }
       }
     }
   };
-  const CompareResult r =
-      compare(profiles, mixtures, Comparison::kAndNot, opts);
-  out.timing = r.timing;
-  for (auto& v : out.included) {
-    std::sort(v.begin(), v.end());
-  }
+  out.timing =
+      compare(profiles, mixtures, Comparison::kAndNot, opts).timing;
   return out;
 }
 

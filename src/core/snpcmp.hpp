@@ -7,10 +7,14 @@
 //   // result.counts is the gamma matrix; result.timing the full breakdown
 //
 // plus domain wrappers: ld() (Eq. 1), identity_search() (Eq. 2) and
-// mixture_analysis() (Eq. 3). GPU execution streams the larger operand
-// through device memory in double-buffered chunks, exactly as the paper's
-// host code does (Section VI-A), and every stage is timestamped on the
-// simulated device's virtual clock.
+// mixture_analysis() (Eq. 3). The two FastID wrappers fold each chunk of
+// compare() into their answers (per-query top-k, per-mixture inclusions)
+// as it drains and never hold the gamma matrix, which reaches gigabytes
+// against a 20 M-profile database; a caller that wants gamma calls
+// compare(). GPU execution streams the larger operand through device
+// memory in double-buffered chunks, exactly as the paper's host code does
+// (Section VI-A), and every stage is timestamped on the simulated
+// device's virtual clock.
 #pragma once
 
 #include <atomic>
@@ -185,19 +189,19 @@ struct CompareResult {
   TimingReport timing;
 };
 
-/// Identity-search output: the gamma matrix plus per-query best matches.
+/// Identity-search output (Eq. 2).
 struct IdentitySearchResult {
-  CompareResult comparison;
-  /// matches[q] = index of the best (fewest-mismatch) database row.
-  std::vector<std::size_t> best_match;
-  std::vector<std::uint32_t> best_mismatches;
+  /// top[q] = query q's best candidates, in stats::ranks_before order.
+  std::vector<std::vector<stats::MatchCandidate>> top;
+  TimingReport timing;
 };
 
-/// Mixture-analysis output: gamma[profile, mixture] = foreign alleles.
+/// Mixture-analysis output (Eq. 3).
 struct MixtureAnalysisResult {
-  CompareResult comparison;
-  /// included[m] = profile indices with foreign alleles <= tolerance.
+  /// included[m] = ascending indices of the profiles with at most
+  /// `tolerance` foreign alleles (|profile & ~mixture m|).
   std::vector<std::vector<std::size_t>> included;
+  TimingReport timing;
 };
 
 class Context {
@@ -231,20 +235,9 @@ class Context {
   [[nodiscard]] CompareResult ld(const bits::BitMatrix& loci,
                                  const ComputeOptions& options = {});
 
-  /// FastID identity search (Eq. 2): queries vs database under XOR.
+  /// FastID identity search (Eq. 2): each query's `top_k` best database
+  /// rows under XOR (all of them when `top_k` exceeds the database).
   [[nodiscard]] IdentitySearchResult identity_search(
-      const bits::BitMatrix& queries, const bits::BitMatrix& database,
-      const ComputeOptions& options = {});
-
-  /// Memory-bounded identity search: folds each database chunk into
-  /// per-query top-k candidate lists as it completes, never materializing
-  /// the full gamma matrix (which reaches gigabytes at NDIS scale).
-  struct StreamingSearchResult {
-    /// top[q] = best candidates for query q, ascending mismatches.
-    std::vector<std::vector<stats::MatchCandidate>> top;
-    TimingReport timing;
-  };
-  [[nodiscard]] StreamingSearchResult identity_search_streaming(
       const bits::BitMatrix& queries, const bits::BitMatrix& database,
       std::size_t top_k = 10, const ComputeOptions& options = {});
 
@@ -268,21 +261,10 @@ class Context {
       const bits::GenotypeMatrix& genotypes,
       const ComputeOptions& options = {});
 
-  /// FastID mixture analysis (Eq. 3): for each profile and mixture,
-  /// gamma = |profile & ~mixture|. `tolerance` permits a few foreign
-  /// alleles when calling contributors.
+  /// FastID mixture analysis (Eq. 3): per mixture, the profiles with at
+  /// most `tolerance` foreign alleles |profile & ~mixture|; a tolerance
+  /// above 0 admits genotyping errors when calling contributors.
   [[nodiscard]] MixtureAnalysisResult mixture_analysis(
-      const bits::BitMatrix& profiles, const bits::BitMatrix& mixtures,
-      std::uint32_t tolerance = 0, const ComputeOptions& options = {});
-
-  /// Memory-bounded mixture analysis: streams the profile database in
-  /// chunks and keeps only the consistent profile indices per mixture —
-  /// the NDIS-scale form, where the full gamma matrix would be gigabytes.
-  struct StreamingMixtureResult {
-    std::vector<std::vector<std::size_t>> included;
-    TimingReport timing;
-  };
-  [[nodiscard]] StreamingMixtureResult mixture_analysis_streaming(
       const bits::BitMatrix& profiles, const bits::BitMatrix& mixtures,
       std::uint32_t tolerance = 0, const ComputeOptions& options = {});
 

@@ -342,15 +342,8 @@ MultiCompareResult MultiGpuContext::compare(const BitMatrix& a,
       result.timing.slowest_device = r.timing;
     }
     if (options.per_device.functional) {
-      for (std::size_t i = 0; i < r.counts.rows(); ++i) {
-        for (std::size_t j = 0; j < r.counts.cols(); ++j) {
-          if (shard_b) {
-            result.counts.at(i, s.begin + j) = r.counts.at(i, j);
-          } else {
-            result.counts.at(s.begin + i, j) = r.counts.at(i, j);
-          }
-        }
-      }
+      result.counts.put_block(r.counts, shard_b ? 0 : s.begin,
+                              shard_b ? s.begin : 0);
     }
   }
   for (rt::FaultEvent& ev : fault_log.snapshot()) {

@@ -26,11 +26,7 @@ std::vector<MatchCandidate> rank_matches(
   const std::size_t keep = std::min(top_k, all.size());
   std::partial_sort(all.begin(),
                     all.begin() + static_cast<std::ptrdiff_t>(keep),
-                    all.end(), [](const auto& x, const auto& y) {
-                      return x.mismatches != y.mismatches
-                                 ? x.mismatches < y.mismatches
-                                 : x.reference_index < y.reference_index;
-                    });
+                    all.end(), ranks_before);
   all.resize(keep);
   return all;
 }

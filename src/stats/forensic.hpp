@@ -25,9 +25,17 @@ struct MatchCandidate {
   double mismatch_rate = 0.0;  ///< mismatches / snp_sites
 };
 
+/// Identity search's rank order: ascending mismatches, ties by index.
+[[nodiscard]] inline bool ranks_before(const MatchCandidate& x,
+                                       const MatchCandidate& y) {
+  return x.mismatches != y.mismatches
+             ? x.mismatches < y.mismatches
+             : x.reference_index < y.reference_index;
+}
+
 /// Ranks database entries for one query from its row of the XOR gamma
-/// matrix: ascending mismatches, ties by index; entries above
-/// `max_mismatch_rate` are dropped.
+/// matrix, in ranks_before order; entries above `max_mismatch_rate` are
+/// dropped.
 [[nodiscard]] std::vector<MatchCandidate> rank_matches(
     std::span<const std::uint32_t> gamma_row, std::size_t snp_sites,
     double max_mismatch_rate = 1.0, std::size_t top_k = 10);

@@ -408,10 +408,6 @@ TEST(ChunkPipeline, StreamingMixtureMatchesFullAndReference) {
   EXPECT_EQ(ctx.mixture_analysis(profiles, mixtures, kTolerance, opts)
                 .included,
             expected);
-  EXPECT_EQ(
-      ctx.mixture_analysis_streaming(profiles, mixtures, kTolerance, opts)
-          .included,
-      expected);
 }
 
 TEST(ChunkPipeline, ExceptionInChunkCallbackPropagates) {
@@ -609,11 +605,8 @@ TEST_P(ChunkShapes, IdentitySearchFullAndStreamingMatchReference) {
   Context ctx = Context::gpu("titanv");
   ComputeOptions opts;
   opts.chunk_rows = c.chunk_rows;
-  const auto full = ctx.identity_search(queries, db, opts);
-  EXPECT_TRUE(full.comparison.counts == expected);
   constexpr std::size_t kTop = 3;
-  const auto streamed =
-      ctx.identity_search_streaming(queries, db, kTop, opts);
+  const auto streamed = ctx.identity_search(queries, db, kTop, opts);
   ASSERT_EQ(streamed.top.size(), queries.rows());
   for (std::size_t q = 0; q < queries.rows(); ++q) {
     // The reference ranking: ascending mismatches, ties by index.
@@ -622,8 +615,6 @@ TEST_P(ChunkShapes, IdentitySearchFullAndStreamingMatchReference) {
       ranked.emplace_back(expected.at(q, j), j);
     }
     std::sort(ranked.begin(), ranked.end());
-    EXPECT_EQ(full.best_match[q], ranked.front().second);
-    EXPECT_EQ(full.best_mismatches[q], ranked.front().first);
     const auto& top = streamed.top[q];
     ASSERT_EQ(top.size(), std::min(kTop, db.rows()));
     for (std::size_t k = 0; k < top.size(); ++k) {

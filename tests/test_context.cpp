@@ -196,11 +196,12 @@ TEST(Context, IdentitySearchFindsPlantedMatches) {
   const auto db = io::generate_profile_db(800, 512, params);
   const std::vector<std::size_t> planted = {17, 437, 799};
   const auto queries = io::extract_queries(db, planted);
-  const auto result = ctx.identity_search(queries, db);
-  ASSERT_EQ(result.best_match.size(), 3u);
+  const auto result = ctx.identity_search(queries, db, 1);
+  ASSERT_EQ(result.top.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(result.best_match[i], planted[i]);
-    EXPECT_EQ(result.best_mismatches[i], 0u);
+    ASSERT_EQ(result.top[i].size(), 1u);
+    EXPECT_EQ(result.top[i][0].reference_index, planted[i]);
+    EXPECT_EQ(result.top[i][0].mismatches, 0u);
   }
 }
 

@@ -1,6 +1,6 @@
 // Host-memory pins for the simulated GPU path: device buffers hold no
-// bytes, a GPU-context compare allocates its result once, and r^2 keeps
-// each locus pair once.
+// bytes, a GPU-context compare allocates its result once, the FastID
+// answers never hold the gamma matrix, and r^2 keeps each locus pair once.
 //
 // Live bytes are counted by replacing the global operator new/delete for
 // this binary (live_heap.hpp), which is why the test has an executable of
@@ -77,6 +77,36 @@ TEST(DeviceMemory, GpuLdPeaksAtItsCountMatrix) {
   EXPECT_LE(peak, count_bytes + (1 << 20))
       << "ld() peaked " << peak << " B above its start, count matrix "
       << count_bytes << " B";
+}
+
+TEST(DeviceMemory, FastIdAnswersHoldNoGammaMatrix) {
+  // 8 queries (or mixtures) against 65,536 profiles: gamma is 2 MiB, one
+  // 4,096-row chunk's block 128 KiB. Each answer folds the blocks as they
+  // drain, so its peak stays below the matrix it never builds.
+  const bits::BitMatrix db = io::random_bitmatrix(65536, 1024, 0.3, 31);
+  const bits::BitMatrix few = io::random_bitmatrix(8, 1024, 0.6, 32);
+  constexpr std::int64_t kGammaBytes = 8 * 65536 * 4;
+  Context ctx = Context::gpu("titanv");
+  ComputeOptions opts;
+  opts.chunk_rows = 4096;
+
+  std::int64_t before = live_heap::live();
+  live_heap::reset_peak();
+  const IdentitySearchResult ids = ctx.identity_search(few, db, 10, opts);
+  std::int64_t peak = live_heap::peak() - before;
+  ASSERT_EQ(ids.timing.chunks, 16);
+  ASSERT_EQ(ids.top[0].size(), 10u);
+  EXPECT_LT(peak, kGammaBytes)
+      << "identity_search peaked " << peak << " B above its start";
+
+  before = live_heap::live();
+  live_heap::reset_peak();
+  const MixtureAnalysisResult mix =
+      ctx.mixture_analysis(db, few, 100, opts);
+  peak = live_heap::peak() - before;
+  ASSERT_EQ(mix.timing.chunks, 16);
+  EXPECT_LT(peak, kGammaBytes)
+      << "mixture_analysis peaked " << peak << " B above its start";
 }
 
 TEST(DeviceMemory, R2MatrixPeaksAtItsPackedTriangle) {

@@ -177,6 +177,44 @@ TEST(FaultSoak, DegradedStreamingDeliversEveryRowExactlyOnce) {
   EXPECT_TRUE(assembled == expected);
 }
 
+TEST(FaultSoak, DegradeWhileAStreamsKeepsCountsAndDeliversRowsOnce) {
+  // The transposed workload: A outnumbers B, so A streams (the FastID
+  // mixture orientation) and the CPU rung's remainder is a block of rows.
+  const Workload w;
+  const CountMatrix expected =
+      Context::gpu("titanv")
+          .compare(w.b, w.a, Comparison::kXor,
+                   soak_options(rt::FailPolicy::kAbort))
+          .counts;
+  int mid_run_degrades = 0;
+  for (int seed = 0; seed < 20; ++seed) {
+    rt::ScopedFaultPlan plan(rt::FaultPlan::parse(
+        "launch:p=0.5:seed=" + std::to_string(seed)));
+    ComputeOptions opts = soak_options(rt::FailPolicy::kDegrade);
+    std::vector<int> seen(w.b.rows(), 0);
+    std::size_t deliveries = 0;
+    std::size_t last_row0 = 0;
+    opts.chunk_callback = [&](const ComputeOptions::ChunkView& v) {
+      EXPECT_FALSE(v.streamed_b);
+      for (std::size_t r = v.row0; r < v.row0 + v.part.rows(); ++r) {
+        ++seen[r];
+      }
+      ++deliveries;
+      last_row0 = v.row0;
+    };
+    Context ctx = Context::gpu("titanv");
+    const auto r = ctx.compare(w.b, w.a, Comparison::kXor, opts);
+    ASSERT_TRUE(r.counts == expected) << "seed=" << seed;
+    EXPECT_EQ(seen, std::vector<int>(w.b.rows(), 1)) << "seed=" << seed;
+    // Fewer deliveries than chunks: the last was the rung's remainder,
+    // and past row 0 it lands below the rows the device delivered.
+    const bool rung_block = r.timing.degraded && last_row0 > 0 &&
+                            deliveries < bits::ceil_div(w.b.rows(), 16);
+    mid_run_degrades += rung_block ? 1 : 0;
+  }
+  EXPECT_GT(mid_run_degrades, 0) << "want runs that degrade mid-stream";
+}
+
 TEST(FaultSoak, CliSearchRecoversAndReportsFaults) {
   // End-to-end through the CLI: inject heavily, require the recovered
   // ranking to match the clean run and the report to say what happened.

@@ -1,8 +1,10 @@
 // Streaming results: chunk callbacks, keep_counts=false memory bounding,
-// and the memory-bounded top-k identity search.
+// and the FastID folds over them (top-k identity search, mixture
+// inclusions), checked against bits::compare_reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "core/snpcmp.hpp"
 #include "io/datagen.hpp"
@@ -12,6 +14,24 @@ namespace snp {
 namespace {
 
 using bits::Comparison;
+
+/// Per mixture, the profiles with at most `tolerance` foreign alleles in
+/// the reference gamma, ascending.
+std::vector<std::vector<std::size_t>> reference_inclusions(
+    const bits::BitMatrix& profiles, const bits::BitMatrix& mixtures,
+    std::uint32_t tolerance) {
+  const auto gamma =
+      bits::compare_reference(profiles, mixtures, Comparison::kAndNot);
+  std::vector<std::vector<std::size_t>> included(mixtures.rows());
+  for (std::size_t p = 0; p < profiles.rows(); ++p) {
+    for (std::size_t m = 0; m < mixtures.rows(); ++m) {
+      if (gamma.at(p, m) <= tolerance) {
+        included[m].push_back(p);
+      }
+    }
+  }
+  return included;
+}
 
 TEST(Streaming, CallbackSeesEveryChunkInOrder) {
   Context ctx = Context::gpu("gtx980");
@@ -86,15 +106,14 @@ TEST(Streaming, TopKSearchMatchesFullSearch) {
   const auto queries = io::extract_queries(db, {42, 2048});
   ComputeOptions opts;
   opts.chunk_rows = 700;  // force several chunks with ragged tail
-  const auto streamed =
-      ctx.identity_search_streaming(queries, db, 5, opts);
-  // Reference: full gamma + rank_matches.
-  const auto full = ctx.compare(queries, db, Comparison::kXor);
+  const auto streamed = ctx.identity_search(queries, db, 5, opts);
+  // Reference: rank_matches over the reference gamma.
+  const auto gamma = bits::compare_reference(queries, db, Comparison::kXor);
   ASSERT_EQ(streamed.top.size(), 2u);
   for (std::size_t q = 0; q < 2; ++q) {
     const auto expected = stats::rank_matches(
-        full.counts.raw().subspan(q * db.rows(), db.rows()),
-        db.bit_cols(), 1.0, 5);
+        gamma.raw().subspan(q * db.rows(), db.rows()), db.bit_cols(), 1.0,
+        5);
     ASSERT_EQ(streamed.top[q].size(), 5u);
     for (std::size_t k = 0; k < 5; ++k) {
       EXPECT_EQ(streamed.top[q][k].reference_index,
@@ -113,14 +132,30 @@ TEST(Streaming, TopKLargerThanDatabase) {
   Context ctx = Context::gpu("gtx980");
   const auto db = io::random_bitmatrix(7, 128, 0.5, 978);
   const auto queries = io::random_bitmatrix(2, 128, 0.5, 979);
-  const auto r = ctx.identity_search_streaming(queries, db, 100);
-  ASSERT_EQ(r.top.size(), 2u);
-  EXPECT_EQ(r.top[0].size(), 7u);  // everything, ranked
-  for (std::size_t k = 1; k < 7; ++k) {
-    EXPECT_GE(r.top[0][k].mismatches, r.top[0][k - 1].mismatches);
+  const auto gamma = bits::compare_reference(queries, db, Comparison::kXor);
+  // A top_k past the database keeps every row, ranked, and must not
+  // overflow the fold's trim bound (4 * top_k).
+  for (const std::size_t top_k :
+       {std::size_t{100}, std::size_t{1} << 62, SIZE_MAX}) {
+    const auto r = ctx.identity_search(queries, db, top_k);
+    ASSERT_EQ(r.top.size(), 2u);
+    for (std::size_t q = 0; q < 2; ++q) {
+      const auto expected = stats::rank_matches(
+          gamma.raw().subspan(q * 7, 7), db.bit_cols(), 1.0, 7);
+      ASSERT_EQ(r.top[q].size(), 7u) << "top_k=" << top_k;
+      for (std::size_t k = 0; k < 7; ++k) {
+        EXPECT_EQ(r.top[q][k].reference_index, expected[k].reference_index)
+            << "top_k=" << top_k << " q=" << q << " k=" << k;
+        EXPECT_EQ(r.top[q][k].mismatches, expected[k].mismatches);
+      }
+    }
   }
-  EXPECT_THROW((void)ctx.identity_search_streaming(queries, db, 0),
-               std::invalid_argument);
+  // top_k = 0 asks for no candidates: an empty list per query.
+  const auto none = ctx.identity_search(queries, db, 0);
+  ASSERT_EQ(none.top.size(), 2u);
+  EXPECT_TRUE(none.top[0].empty());
+  EXPECT_TRUE(none.top[1].empty());
+  EXPECT_EQ(none.timing.chunks, 1);
 }
 
 TEST(Streaming, QueriesLargerThanDatabaseStreamsQueries) {
@@ -131,13 +166,12 @@ TEST(Streaming, QueriesLargerThanDatabaseStreamsQueries) {
   const auto queries = io::random_bitmatrix(900, 96, 0.5, 981);
   ComputeOptions opts;
   opts.chunk_rows = 256;
-  const auto streamed =
-      ctx.identity_search_streaming(queries, db, 2, opts);
-  const auto full = ctx.compare(queries, db, Comparison::kXor);
+  const auto streamed = ctx.identity_search(queries, db, 2, opts);
+  const auto gamma = bits::compare_reference(queries, db, Comparison::kXor);
   ASSERT_EQ(streamed.top.size(), 900u);
   for (const std::size_t q : {0u, 255u, 256u, 899u}) {
     const auto expected = stats::rank_matches(
-        full.counts.raw().subspan(q * 5, 5), db.bit_cols(), 1.0, 2);
+        gamma.raw().subspan(q * 5, 5), db.bit_cols(), 1.0, 2);
     EXPECT_EQ(streamed.top[q][0].reference_index,
               expected[0].reference_index)
         << q;
@@ -156,14 +190,11 @@ TEST(Streaming, MixtureStreamingMatchesFull) {
   const auto set = io::generate_mixtures(db, 3, 3, 983);
   ComputeOptions opts;
   opts.chunk_rows = 512;
-  const auto streamed =
-      ctx.mixture_analysis_streaming(db, set.mixtures, 0, opts);
-  const auto full = ctx.mixture_analysis(db, set.mixtures, 0);
+  const auto streamed = ctx.mixture_analysis(db, set.mixtures, 0, opts);
+  const auto expected = reference_inclusions(db, set.mixtures, 0);
   ASSERT_EQ(streamed.included.size(), 3u);
   for (std::size_t m = 0; m < 3; ++m) {
-    auto expected = full.included[m];
-    std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(streamed.included[m], expected) << "mixture " << m;
+    EXPECT_EQ(streamed.included[m], expected[m]) << "mixture " << m;
     // Every planted contributor is found.
     for (const std::size_t c : set.contributors[m]) {
       EXPECT_TRUE(std::binary_search(streamed.included[m].begin(),
@@ -171,6 +202,24 @@ TEST(Streaming, MixtureStreamingMatchesFull) {
     }
   }
   EXPECT_GT(streamed.timing.chunks, 1);
+}
+
+TEST(Streaming, MixturesLargerThanProfilesStreamMixtures) {
+  // More mixtures than profiles: the mixtures stream, so each block holds
+  // a run of mixture columns for every profile.
+  Context ctx = Context::gpu("titanv");
+  const auto profiles = io::random_bitmatrix(6, 160, 0.1, 984);
+  const auto mixtures = io::random_bitmatrix(300, 160, 0.9, 985);
+  ComputeOptions opts;
+  opts.chunk_rows = 64;
+  const auto r = ctx.mixture_analysis(profiles, mixtures, 3, opts);
+  EXPECT_EQ(r.included, reference_inclusions(profiles, mixtures, 3));
+  EXPECT_EQ(r.timing.chunks, 5);
+  std::size_t calls = 0;
+  for (const auto& v : r.included) {
+    calls += v.size();
+  }
+  EXPECT_GT(calls, 0u) << "want some profiles called";
 }
 
 TEST(Streaming, MixtureToleranceAdmitsNearMisses) {
@@ -185,11 +234,9 @@ TEST(Streaming, MixtureToleranceAdmitsNearMisses) {
   profiles.set(1, 5, true);
   profiles.set(1, 20, true);
   profiles.set(1, 21, true);
-  const auto strict =
-      ctx.mixture_analysis_streaming(profiles, mixtures, 0);
+  const auto strict = ctx.mixture_analysis(profiles, mixtures, 0);
   EXPECT_EQ(strict.included[0], (std::vector<std::size_t>{0}));
-  const auto loose =
-      ctx.mixture_analysis_streaming(profiles, mixtures, 2);
+  const auto loose = ctx.mixture_analysis(profiles, mixtures, 2);
   EXPECT_EQ(loose.included[0], (std::vector<std::size_t>{0, 1}));
 }
 

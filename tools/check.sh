@@ -488,7 +488,7 @@ ASAN_OPTIONS=detect_leaks=1 \
 echo "== TSan build + exec/pipeline/engine/obs/fault/service tests =="
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$jobs" \
-  --target test_exec test_chunk_pipeline \
+  --target test_exec test_chunk_pipeline test_streaming \
            test_cpu_engine test_gpu_kernel test_ld_stats test_sparse \
            test_obs test_fault_injection test_service test_chaos \
            test_flight test_tracing
@@ -497,6 +497,9 @@ TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_exec
 # threads write disjoint parts of one result matrix; the engine's tile
 # loop also runs here on a 3-worker pool.
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_chunk_pipeline
+# The FastID folds run on the calling thread while each chunk's kernel
+# spreads its tiles over the pool.
+TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_streaming
 # The engine's tiles, r2_matrix's tile rows and the sparse engines' rows
 # run on the host pool (hardware_threads() - 1 workers); a
 # self-comparison's mirrored adds cross macro-tile boundaries, and the
