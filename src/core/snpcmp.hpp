@@ -7,14 +7,14 @@
 //   // result.counts is the gamma matrix; result.timing the full breakdown
 //
 // plus domain wrappers: ld() (Eq. 1), identity_search() (Eq. 2) and
-// mixture_analysis() (Eq. 3). The two FastID wrappers fold each chunk of
-// compare() into their answers (per-query top-k, per-mixture inclusions)
-// as it drains and never hold the gamma matrix, which reaches gigabytes
-// against a 20 M-profile database; a caller that wants gamma calls
-// compare(). GPU execution streams the larger operand through device
-// memory in double-buffered chunks, exactly as the paper's host code does
-// (Section VI-A), and every stage is timestamped on the simulated
-// device's virtual clock.
+// mixture_analysis() (Eq. 3). GPU execution streams the larger operand
+// through device memory in double-buffered chunks, exactly as the paper's
+// host code does (Section VI-A), and every stage is timestamped on the
+// simulated device's virtual clock. The two FastID wrappers fold each
+// chunk into their answers (per-query top-k, per-mixture inclusions) as
+// it drains, so a GPU context never holds the gamma matrix, which reaches
+// gigabytes against a 20 M-profile database (a CPU context computes it as
+// one chunk); a caller that wants gamma calls compare().
 #pragma once
 
 #include <atomic>
