@@ -7,8 +7,9 @@
 // the wall clock or the host: the `slo:` and `perf:` lines, and the
 // cohort report's `## Telemetry` table (process-wide counters). Builds
 // with telemetry compiled out compare without the lines the cost ledger
-// prints (`cost:` and `wrote cost ledger`), which such builds leave
-// empty. Usage errors pin the exit code and the first stderr line.
+// prints (`cost:` and `wrote cost ledger`) and without the digest of its
+// document (`file cost.json`), which such builds leave empty. Usage
+// errors pin the exit code and the first stderr line.
 //
 // SNPCMP_UPDATE_GOLDENS=1 rewrites the golden files from the binary.
 #include <gtest/gtest.h>
@@ -75,7 +76,8 @@ std::string scrub(const std::string& text) {
   for (std::string line; std::getline(lines, line);) {
     if (line.rfind("slo:", 0) == 0 || line.rfind("perf:", 0) == 0 ||
         (!obs::kEnabled && (line.rfind("cost:", 0) == 0 ||
-                            line.rfind("wrote cost ledger", 0) == 0))) {
+                            line.rfind("wrote cost ledger", 0) == 0 ||
+                            line.rfind("file cost.json", 0) == 0))) {
       continue;
     }
     kept += line + "\n";
@@ -333,6 +335,7 @@ TEST(CliGolden, ServiceVerbs) {
   t.run({"serve", "--db", "@TMP@/db.sbm", "--queries", "@TMP@/q.sbm",
          "--script", "@TMP@/s.jsonl", "--device", "titanv", "--max-batch",
          "8", "--cost-out", "@TMP@/cost.json"});
+  t.file("cost.json");
   t.run({"submit", "--db", "@TMP@/db.sbm", "--queries", "@TMP@/q.sbm",
          "--device", "gtx980", "--max-batch", "2", "--op", "and",
          "--deadline-ms", "600000", "--class", "2"});
