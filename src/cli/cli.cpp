@@ -1276,7 +1276,7 @@ void print_service_report(std::ostream& out, const svc::ServiceEngine& eng) {
   // scripted workload; attributed times stay off these lines because the
   // degrade rung adds measured wall clock to them. Silent when the ledger
   // is empty (SNPCMP_OBS=OFF or attribution disabled).
-  const obs::CostSnapshot cs = eng.cost();
+  const obs::CostSnapshot cs = eng.cost_totals();
   if (cs.total_requests == 0) {
     return;
   }
@@ -1382,7 +1382,7 @@ int run_service(Call& c, std::ostream& out, const Feed& feed) {
       !cost_path.empty()) {
     io::write_file(cost_path,
                    [&](std::ostream& os) { engine.write_cost_json(os); });
-    out << "wrote cost ledger (" << engine.cost().total_requests
+    out << "wrote cost ledger (" << engine.cost_totals().total_requests
         << " requests) to " << cost_path << "\n";
   }
   c.tele.finish(out, nullptr, {}, cfg.device);

@@ -16,15 +16,51 @@ std::uint64_t quantize_cost_ns(double seconds) {
   return static_cast<std::uint64_t>(std::llround(seconds * 1e9));
 }
 
+namespace {
+
+__extension__ using u128 = unsigned __int128;
+constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+
+/// floor(total * cum / weight_sum), one term of the telescoping split
+/// (0 < weight_sum, cum <= weight_sum). The split and the ledger's
+/// decoder both take it from here, so a rebuilt share is the share.
+u128 scaled_floor(std::uint64_t total, u128 cum, u128 weight_sum) {
+  // total*W fitting in 64 bits covers every realistic batch (ns totals
+  // against row-count weights), and the hardware divide there is several
+  // times cheaper than the library u128 divide — this runs once per
+  // member per cost axis on the batch-completion path.
+  std::uint64_t product = 0;
+  if (weight_sum <= kU64Max &&
+      !__builtin_mul_overflow(total, static_cast<std::uint64_t>(weight_sum),
+                              &product)) {
+    return total * static_cast<std::uint64_t>(cum) /
+           static_cast<std::uint64_t>(weight_sum);
+  }
+  // 128-bit products: total and the cumulative weights are both u64, so
+  // total * cum cannot overflow unsigned __int128.
+  return static_cast<u128>(total) * cum / weight_sum;
+}
+
+/// Member i's share of `total`: floor(total*C[i+1]/W) - floor(total*C[i]/W)
+/// with C[i] = `before`, the weight of the members ahead of it.
+std::uint64_t share_of(std::uint64_t total, u128 before, std::uint64_t weight,
+                       u128 weight_sum) {
+  if (weight_sum == 0) {
+    return 0;
+  }
+  return static_cast<std::uint64_t>(
+      scaled_floor(total, before + weight, weight_sum) -
+      scaled_floor(total, before, weight_sum));
+}
+
+}  // namespace
+
 std::vector<std::uint64_t> split_exact(
     std::uint64_t total, std::span<const std::uint64_t> weights) {
   std::vector<std::uint64_t> shares(weights.size(), 0);
   if (weights.empty()) {
     return shares;
   }
-  // 128-bit products: total and the cumulative weights are both u64, so
-  // total * cum cannot overflow unsigned __int128.
-  __extension__ using u128 = unsigned __int128;
   u128 weight_sum = 0;
   for (const std::uint64_t w : weights) {
     weight_sum += w;
@@ -40,31 +76,11 @@ std::vector<std::uint64_t> split_exact(
   // with C the cumulative weight prefix. Adjacent floors share their
   // inner term, so the sum collapses to floor(total*W/W) = total exactly;
   // each share differs from the real-valued total*w[i]/W by less than 1.
-  //
-  // total*W fitting in 64 bits covers every realistic batch (ns totals
-  // against row-count weights), and the hardware divide there is several
-  // times cheaper than the library u128 divide — this runs once per
-  // member per cost axis on the batch-completion path.
-  constexpr std::uint64_t kU64Max =
-      std::numeric_limits<std::uint64_t>::max();
-  if (weight_sum <= kU64Max &&
-      total <= kU64Max / static_cast<std::uint64_t>(weight_sum)) {
-    const std::uint64_t w = static_cast<std::uint64_t>(weight_sum);
-    std::uint64_t cum = 0;
-    std::uint64_t prev_floor = 0;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-      cum += weights[i];
-      const std::uint64_t next_floor = total * cum / w;
-      shares[i] = next_floor - prev_floor;
-      prev_floor = next_floor;
-    }
-    return shares;
-  }
   u128 cum = 0;
   u128 prev_floor = 0;
   for (std::size_t i = 0; i < weights.size(); ++i) {
     cum += weights[i];
-    const u128 next_floor = (static_cast<u128>(total) * cum) / weight_sum;
+    const u128 next_floor = scaled_floor(total, cum, weight_sum);
     shares[i] = static_cast<std::uint64_t>(next_floor - prev_floor);
     prev_floor = next_floor;
   }
@@ -110,23 +126,254 @@ std::vector<RequestCost> attribute_batch(
   return costs;
 }
 
-void CostLedger::record_batch(const BatchCostTotals& batch,
-                              std::span<const RequestCost> costs) {
+// ---- the encoded logs ----------------------------------------------------
+//
+// Each log is a FIFO of records, and each field of a record is an
+// unsigned LEB128 varint: 7 bits a byte, low bits first, so a value below
+// 2^7 costs 1 B, below 2^14 2 B, below 2^21 3 B, below 2^28 4 B. Ids are
+// stored as the zigzag of their wrapping difference from the record
+// before (the Bases), so ids that count up cost 1 B each.
+//
+//   batch record:   batch id, weight sum, width, rows, epoch, degraded,
+//                   retries, failovers, device_ns, h2d_ns, d2h_ns,
+//                   h2d_bytes, d2h_bytes, wordops
+//   member record:  0, trace id, batches since the previous member's
+//                   (0: the same batch), row weight, weight before it in
+//                   its batch, queue_wait_ns, service_ns
+//   cache hit:      1, trace id, epoch, queue_wait_ns, service_ns
+//
+// Everything else a member's RequestCost holds — its batch id, width,
+// epoch, degraded flag, surcharges and the six shares — is its batch's,
+// and is rebuilt from the batch record: a share is share_of() of the
+// batch total, the same floors split_exact takes.
+
+namespace {
+
+using Log = std::deque<std::uint8_t>;
+
+template <class U>
+void put(Log& log, U value) {
+  while (value >= 0x80U) {
+    log.push_back(static_cast<std::uint8_t>(value | 0x80U));
+    value >>= 7U;
+  }
+  log.push_back(static_cast<std::uint8_t>(value));
+}
+
+template <class U>
+U get(Log::const_iterator& it) {
+  U value = 0;
+  for (unsigned shift = 0;; shift += 7) {
+    const std::uint8_t byte = *it++;
+    value |= static_cast<U>(byte & 0x7FU) << shift;
+    if (byte < 0x80U) {
+      return value;
+    }
+  }
+}
+
+/// Zigzag of the wrapping difference `now - before`: small for ids close
+/// to each other in either direction.
+std::uint64_t delta(std::uint64_t now, std::uint64_t before) {
+  const std::uint64_t d = now - before;
+  return (d << 1U) ^ (std::uint64_t{0} - (d >> 63U));
+}
+
+std::uint64_t undelta(std::uint64_t zigzag, std::uint64_t before) {
+  return before + ((zigzag >> 1U) ^ (std::uint64_t{0} - (zigzag & 1U)));
+}
+
+/// A decoded batch record: the totals and its members' weight sum.
+struct BatchRecord {
+  BatchCostTotals totals;
+  u128 weight_sum = 0;
+};
+
+void put_batch(Log& log, std::uint64_t& prev_id, const BatchCostTotals& b,
+               u128 weight_sum) {
+  put(log, delta(b.batch_id, prev_id));
+  prev_id = b.batch_id;
+  put(log, weight_sum);
+  put(log, b.width);
+  put(log, b.rows);
+  put(log, b.epoch);
+  put(log, static_cast<std::uint8_t>(b.degraded));
+  put(log, b.retries);
+  put(log, b.failovers);
+  for (const std::uint64_t axis : {b.device_ns, b.h2d_ns, b.d2h_ns,
+                                   b.h2d_bytes, b.d2h_bytes, b.wordops}) {
+    put(log, axis);
+  }
+}
+
+BatchRecord get_batch(Log::const_iterator& it, std::uint64_t& prev_id) {
+  BatchRecord r;
+  BatchCostTotals& b = r.totals;
+  b.batch_id = prev_id = undelta(get<std::uint64_t>(it), prev_id);
+  r.weight_sum = get<u128>(it);
+  b.width = get<std::uint32_t>(it);
+  b.rows = get<std::uint64_t>(it);
+  b.epoch = get<std::uint64_t>(it);
+  b.degraded = get<std::uint8_t>(it) != 0;
+  b.retries = get<std::uint32_t>(it);
+  b.failovers = get<std::uint32_t>(it);
+  for (std::uint64_t* axis : {&b.device_ns, &b.h2d_ns, &b.d2h_ns,
+                              &b.h2d_bytes, &b.d2h_bytes, &b.wordops}) {
+    *axis = get<std::uint64_t>(it);
+  }
+  return r;
+}
+
+/// A decoded request record: the fields it keeps, and for a member which
+/// batch it rode and where in it, to rebuild the rest from.
+struct RequestRecord {
+  RequestCost cost;
+  std::uint64_t ordinal = 0;
+  u128 before = 0;
+};
+
+void put_member(Log& log, std::uint64_t& prev_trace,
+                std::uint64_t& prev_ordinal, const RequestCost& c,
+                std::uint64_t ordinal, u128 before) {
+  log.push_back(0);
+  put(log, delta(c.trace_id, prev_trace));
+  prev_trace = c.trace_id;
+  put(log, ordinal - prev_ordinal);
+  prev_ordinal = ordinal;
+  put(log, c.rows);
+  put(log, before);
+  put(log, c.queue_wait_ns);
+  put(log, c.service_ns);
+}
+
+void put_hit(Log& log, std::uint64_t& prev_trace, const RequestCost& c) {
+  log.push_back(1);
+  put(log, delta(c.trace_id, prev_trace));
+  prev_trace = c.trace_id;
+  put(log, c.epoch);
+  put(log, c.queue_wait_ns);
+  put(log, c.service_ns);
+}
+
+RequestRecord get_request(Log::const_iterator& it, std::uint64_t& prev_trace,
+                          std::uint64_t& prev_ordinal) {
+  RequestRecord r;
+  RequestCost& c = r.cost;
+  c.cache_hit = *it++ != 0;
+  c.trace_id = prev_trace = undelta(get<std::uint64_t>(it), prev_trace);
+  if (c.cache_hit) {
+    c.epoch = get<std::uint64_t>(it);
+  } else {
+    r.ordinal = prev_ordinal += get<std::uint64_t>(it);
+    c.rows = get<std::uint64_t>(it);
+    r.before = get<u128>(it);
+  }
+  c.queue_wait_ns = get<std::uint64_t>(it);
+  c.service_ns = get<std::uint64_t>(it);
+  return r;
+}
+
+/// Fills in what a member's record leaves to its batch.
+void rebuild_member(RequestCost& c, const BatchRecord& batch, u128 before) {
+  const BatchCostTotals& b = batch.totals;
+  c.batch_id = b.batch_id;
+  c.batch_width = b.width;
+  c.epoch = b.epoch;
+  c.degraded = b.degraded;
+  c.retries = b.retries;
+  c.failovers = b.failovers;
+  const auto share = [&](std::uint64_t total) {
+    return share_of(total, before, c.rows, batch.weight_sum);
+  };
+  c.device_ns = share(b.device_ns);
+  c.h2d_ns = share(b.h2d_ns);
+  c.d2h_ns = share(b.d2h_ns);
+  c.h2d_bytes = share(b.h2d_bytes);
+  c.d2h_bytes = share(b.d2h_bytes);
+  c.wordops = share(b.wordops);
+}
+
+}  // namespace
+
+struct CostLedger::Reader {
+  CostSnapshot totals;
+  Log batch_log;
+  Log request_log;
+  Bases head;
+
+  /// Calls `f` with every retained batch, oldest first.
+  template <class F>
+  void each_batch(F&& f) const {
+    std::uint64_t prev_id = head.batch_id;
+    for (auto it = batch_log.cbegin(); it != batch_log.cend();) {
+      f(get_batch(it, prev_id).totals);
+    }
+  }
+
+  /// Calls `f` with every retained request, oldest first, each member
+  /// rebuilt from its batch. Members come in the order of their batches,
+  /// so one forward pass over the batch log finds every member's batch.
+  template <class F>
+  void each_request(F&& f) const {
+    auto batch_it = batch_log.cbegin();
+    std::uint64_t batch_prev_id = head.batch_id;
+    std::uint64_t batch_ordinal = totals.dropped_batches;
+    BatchRecord batch;
+    std::uint64_t prev_trace = head.trace_id;
+    std::uint64_t prev_ordinal = head.ordinal;
+    for (auto it = request_log.cbegin(); it != request_log.cend();) {
+      RequestRecord r = get_request(it, prev_trace, prev_ordinal);
+      if (!r.cost.cache_hit) {
+        while (batch_ordinal < r.ordinal && batch_it != batch_log.cend()) {
+          batch = get_batch(batch_it, batch_prev_id);
+          ++batch_ordinal;
+        }
+        if (batch_ordinal == r.ordinal) {
+          rebuild_member(r.cost, batch, r.before);
+        }
+      }
+      f(r.cost);
+    }
+  }
+};
+
+CostLedger::Reader CostLedger::read() const {
   const std::lock_guard lock(mu_);
-  batches_.push_back(batch);
-  if (batches_.size() > kMaxRequests) {
-    batches_.pop_front();
+  return Reader{totals_, batch_log_, request_log_, head_};
+}
+
+void CostLedger::evict_locked() {
+  while (totals_.total_batches - totals_.dropped_batches > kMaxRequests) {
+    auto end = batch_log_.cbegin();
+    (void)get_batch(end, head_.batch_id);
+    batch_log_.erase(batch_log_.cbegin(), end);
     totals_.dropped_batches++;
   }
-  for (const RequestCost& c : costs) {
-    requests_.push_back(c);
-  }
-  while (requests_.size() > kMaxRequests) {
-    requests_.pop_front();
+  while (totals_.total_requests - totals_.dropped_requests > kMaxRequests) {
+    auto end = request_log_.cbegin();
+    (void)get_request(end, head_.trace_id, head_.ordinal);
+    request_log_.erase(request_log_.cbegin(), end);
     totals_.dropped_requests++;
   }
-  totals_.total_batches++;
+}
+
+void CostLedger::record_batch(const BatchCostTotals& batch,
+                              std::span<const RequestCost> costs) {
+  u128 weight_sum = 0;
+  for (const RequestCost& c : costs) {
+    weight_sum += c.rows;
+  }
+  const std::lock_guard lock(mu_);
+  put_batch(batch_log_, tail_.batch_id, batch, weight_sum);
+  totals_.total_batches++;  // the batch's ordinal
+  u128 before = 0;
+  for (const RequestCost& c : costs) {
+    put_member(request_log_, tail_.trace_id, tail_.ordinal, c,
+               totals_.total_batches, before);
+    before += c.rows;
+  }
   totals_.total_requests += costs.size();
+  evict_locked();
   totals_.device_ns += batch.device_ns;
   totals_.h2d_ns += batch.h2d_ns;
   totals_.d2h_ns += batch.d2h_ns;
@@ -142,32 +389,41 @@ void CostLedger::record_batch(const BatchCostTotals& batch,
 
 void CostLedger::record_cache_hit(const RequestCost& cost) {
   const std::lock_guard lock(mu_);
-  requests_.push_back(cost);
-  while (requests_.size() > kMaxRequests) {
-    requests_.pop_front();
-    totals_.dropped_requests++;
-  }
+  put_hit(request_log_, tail_.trace_id, cost);
   totals_.total_requests++;
   totals_.cache_hits++;
+  evict_locked();
 }
 
 CostSnapshot CostLedger::snapshot() const {
-  const std::lock_guard lock(mu_);
-  CostSnapshot snap = totals_;
-  snap.batches.assign(batches_.begin(), batches_.end());
-  snap.requests.assign(requests_.begin(), requests_.end());
+  const Reader reader = read();
+  CostSnapshot snap = reader.totals;
+  snap.batches.reserve(snap.total_batches - snap.dropped_batches);
+  snap.requests.reserve(snap.total_requests - snap.dropped_requests);
+  reader.each_batch(
+      [&](const BatchCostTotals& b) { snap.batches.push_back(b); });
+  reader.each_request(
+      [&](const RequestCost& c) { snap.requests.push_back(c); });
   return snap;
+}
+
+CostSnapshot CostLedger::totals() const {
+  const std::lock_guard lock(mu_);
+  return totals_;
 }
 
 void CostLedger::clear() {
   const std::lock_guard lock(mu_);
-  batches_.clear();
-  requests_.clear();
+  batch_log_.clear();
+  request_log_.clear();
+  head_ = {};
+  tail_ = {};
   totals_ = CostSnapshot{};
 }
 
 void CostLedger::write_json(std::ostream& os) const {
-  const CostSnapshot snap = snapshot();
+  const Reader reader = read();
+  const CostSnapshot& snap = reader.totals;
   os << "{\n  \"cost\": 1,\n  \"totals\": {"
      << "\"requests\": " << snap.total_requests
      << ", \"cache_hits\": " << snap.cache_hits
@@ -183,7 +439,7 @@ void CostLedger::write_json(std::ostream& os) const {
      << ",\n  \"dropped_batches\": " << snap.dropped_batches
      << ",\n  \"batches\": [";
   bool first = true;
-  for (const BatchCostTotals& b : snap.batches) {
+  reader.each_batch([&](const BatchCostTotals& b) {
     os << (first ? "\n" : ",\n") << "    {\"batch\": " << b.batch_id
        << ", \"width\": " << b.width << ", \"rows\": " << b.rows
        << ", \"epoch\": " << b.epoch
@@ -194,10 +450,10 @@ void CostLedger::write_json(std::ostream& os) const {
        << ", \"failovers\": " << b.failovers
        << ", \"degraded\": " << (b.degraded ? "true" : "false") << "}";
     first = false;
-  }
+  });
   os << "\n  ],\n  \"requests\": [";
   first = true;
-  for (const RequestCost& c : snap.requests) {
+  reader.each_request([&](const RequestCost& c) {
     // queue_wait_ns / service_ns are deliberately absent: measured wall
     // clock would break the byte-identical-replay contract.
     os << (first ? "\n" : ",\n") << "    {\"trace\": " << c.trace_id
@@ -212,7 +468,7 @@ void CostLedger::write_json(std::ostream& os) const {
        << ", \"d2h_bytes\": " << c.d2h_bytes
        << ", \"wordops\": " << c.wordops << "}";
     first = false;
-  }
+  });
   os << "\n  ]\n}\n";
 }
 

@@ -136,12 +136,21 @@ struct CostSnapshot {
 /// relative to the kernel (once per batch / once per cache hit), so a
 /// mutex is the right tool; the hot-path question is answered by the
 /// paired A/B arm in bench/abl_obs_overhead.
+///
+/// Records are kept encoded, each fact once (cost.cpp has the format): a
+/// batch record keeps the batch's totals and its members' weight sum, a
+/// member's record only its trace id, row weight, the weight before it in
+/// its batch and its wall fields, and a cache hit's its trace id, epoch
+/// and wall fields. snapshot() and write_json() rebuild every other field
+/// from the batch, so they give back exactly what was recorded.
 class CostLedger {
  public:
   /// Bounded retention: per-request records and per-batch totals beyond
   /// this many each are evicted FIFO (counted in dropped_requests /
-  /// dropped_batches). Every batch holds at least one request, so a
-  /// retained request's batch is always retained too.
+  /// dropped_batches). Every batch the engine records holds at least one
+  /// request, so a retained request's batch is retained too; a member
+  /// whose batch was evicted (possible only after batches recorded with
+  /// no members) reads its batch's fields as 0.
   static constexpr std::size_t kMaxRequests = 1U << 16U;
 
   /// Process-wide runtime kill switch for attribution (the compile-time
@@ -155,13 +164,18 @@ class CostLedger {
   }
 
   /// Records one executed batch and its attributed member costs (spans
-  /// the caller got from attribute_batch, wall fields filled in).
+  /// the caller got from attribute_batch, wall fields filled in; their
+  /// batch-derived fields are re-derived, not stored).
   void record_batch(const BatchCostTotals& batch,
                     std::span<const RequestCost> costs);
-  /// Records one cache-hit shortcut (no batch ridden; all device axes 0).
+  /// Records one cache-hit shortcut: its trace id, epoch and wall fields
+  /// (a hit rides no batch, so every other field reads 0).
   void record_cache_hit(const RequestCost& cost);
 
   [[nodiscard]] CostSnapshot snapshot() const;
+  /// The running totals and dropped counts of snapshot(), without its
+  /// records (batches and requests are empty).
+  [[nodiscard]] CostSnapshot totals() const;
   /// Drops all records and totals (tests / epoch-scoped accounting).
   void clear();
 
@@ -171,11 +185,27 @@ class CostLedger {
   void write_json(std::ostream& os) const;
 
  private:
+  /// What the delta-coded fields of a log's next record are taken from:
+  /// the values of the record before it.
+  struct Bases {
+    std::uint64_t batch_id = 0;  ///< of the batch record before
+    std::uint64_t trace_id = 0;  ///< of the request record before
+    /// Ordinal (1-based, in recording order) of the batch the member
+    /// record before rode; 0 before the first member.
+    std::uint64_t ordinal = 0;
+  };
+  /// A copy of the logs taken under the mutex, decoded outside it.
+  struct Reader;
+  [[nodiscard]] Reader read() const;
+  void evict_locked();
+
   static std::atomic<bool> attribution_enabled_;
 
   mutable std::mutex mu_;
-  std::deque<BatchCostTotals> batches_;
-  std::deque<RequestCost> requests_;
+  std::deque<std::uint8_t> batch_log_;
+  std::deque<std::uint8_t> request_log_;
+  Bases head_;  ///< for the oldest retained records: the last evicted
+  Bases tail_;  ///< for the next records appended: the newest
   CostSnapshot totals_;  ///< only the counter fields are used
 };
 

@@ -1022,6 +1022,10 @@ obs::CostSnapshot ServiceEngine::cost() const {
   return impl_->ledger.snapshot();
 }
 
+obs::CostSnapshot ServiceEngine::cost_totals() const {
+  return impl_->ledger.totals();
+}
+
 void ServiceEngine::write_cost_json(std::ostream& os) const {
   impl_->ledger.write_json(os);
 }

@@ -319,6 +319,8 @@ class ServiceEngine {
   /// per-request shares; see obs::CostLedger). Empty under
   /// SNPCMP_OBS=OFF or when attribution is disabled.
   [[nodiscard]] obs::CostSnapshot cost() const;
+  /// The ledger's running totals and dropped counts, without its records.
+  [[nodiscard]] obs::CostSnapshot cost_totals() const;
   /// Writes the ledger's deterministic JSON document (--cost-out).
   void write_cost_json(std::ostream& os) const;
   /// The burn-rate monitor's current state: approximate percentiles,

@@ -271,6 +271,261 @@ TEST(CostLedger, FifoEvictionCountsDroppedKeepsTotals) {
             std::string::npos);
 }
 
+// ---- CostLedger round trip ---------------------------------------------
+
+/// A seeded stream of batches, attributed by attribute_batch with the wall
+/// fields filled in, and cache hits, recorded into a ledger. `sent` keeps
+/// every record handed over, in order, and the totals they add up to.
+struct CostStream {
+  std::mt19937_64 rng;
+  CostSnapshot sent;
+  std::uint64_t next_id = 1;
+
+  explicit CostStream(std::uint64_t seed) : rng(seed) {}
+
+  bool chance(std::uint64_t one_in) { return rng() % one_in == 0; }
+
+  /// Usually the next id up; now and then anywhere in 64 bits.
+  std::uint64_t id() { return chance(64) ? rng() : next_id++; }
+
+  /// Usually a few million; sometimes 0, sometimes within 2^10 of 2^64
+  /// (so that split_exact takes its 128-bit path).
+  std::uint64_t value() {
+    switch (rng() % 8) {
+      case 0:
+        return 0;
+      case 1:
+        return ~0ULL - rng() % 1024;
+      default:
+        return rng() % 10'000'000;
+    }
+  }
+
+  void batch(obs::CostLedger& ledger, std::size_t width) {
+    BatchCostTotals b;
+    b.batch_id = id();
+    b.width = static_cast<std::uint32_t>(width);
+    b.epoch = chance(32) ? rng() : rng() % 4;
+    b.degraded = chance(4);
+    b.retries = chance(4) ? static_cast<std::uint32_t>(rng() % 5) : 0;
+    b.failovers = chance(4) ? static_cast<std::uint32_t>(rng() % 3) : 0;
+    std::vector<std::uint64_t> traces(width);
+    std::vector<std::uint64_t> weights(width);
+    std::uint64_t weight_sum = 0;
+    for (std::size_t i = 0; i < width; ++i) {
+      traces[i] = id();
+      weights[i] = chance(4)   ? 0
+                   : chance(8) ? rng() % (1ULL << 40)
+                               : 1 + rng() % 3;
+      weight_sum += weights[i];
+    }
+    b.rows = chance(2) ? weight_sum : rng() % 64;
+    // All-zero weights can split only zero totals.
+    for (std::uint64_t* axis : {&b.device_ns, &b.h2d_ns, &b.d2h_ns,
+                                &b.h2d_bytes, &b.d2h_bytes, &b.wordops}) {
+      *axis = weight_sum == 0 ? 0 : value();
+    }
+    auto costs = obs::attribute_batch(b, traces, weights);
+    for (RequestCost& c : costs) {
+      c.queue_wait_ns = value();
+      c.service_ns = value();
+    }
+    ledger.record_batch(b, costs);
+    sent.batches.push_back(b);
+    sent.requests.insert(sent.requests.end(), costs.begin(), costs.end());
+    sent.total_batches++;
+    sent.total_requests += width;
+    sent.device_ns += b.device_ns;
+    sent.h2d_ns += b.h2d_ns;
+    sent.d2h_ns += b.d2h_ns;
+    sent.h2d_bytes += b.h2d_bytes;
+    sent.d2h_bytes += b.d2h_bytes;
+    sent.wordops += b.wordops;
+    sent.retries += b.retries;
+    sent.failovers += b.failovers;
+    sent.degraded_batches += b.degraded ? 1 : 0;
+  }
+
+  void cache_hit(obs::CostLedger& ledger) {
+    RequestCost c;
+    c.trace_id = id();
+    c.epoch = chance(32) ? rng() : rng() % 4;
+    c.cache_hit = true;
+    c.queue_wait_ns = chance(2) ? 0 : value();
+    c.service_ns = value();
+    ledger.record_cache_hit(c);
+    sent.requests.push_back(c);
+    sent.total_requests++;
+    sent.cache_hits++;
+  }
+};
+
+void expect_same_batch(const BatchCostTotals& got, const BatchCostTotals& want,
+                       std::size_t i) {
+  EXPECT_EQ(got.batch_id, want.batch_id) << "batch " << i;
+  EXPECT_EQ(got.width, want.width) << "batch " << i;
+  EXPECT_EQ(got.rows, want.rows) << "batch " << i;
+  EXPECT_EQ(got.epoch, want.epoch) << "batch " << i;
+  EXPECT_EQ(got.degraded, want.degraded) << "batch " << i;
+  EXPECT_EQ(got.retries, want.retries) << "batch " << i;
+  EXPECT_EQ(got.failovers, want.failovers) << "batch " << i;
+  EXPECT_EQ(got.device_ns, want.device_ns) << "batch " << i;
+  EXPECT_EQ(got.h2d_ns, want.h2d_ns) << "batch " << i;
+  EXPECT_EQ(got.d2h_ns, want.d2h_ns) << "batch " << i;
+  EXPECT_EQ(got.h2d_bytes, want.h2d_bytes) << "batch " << i;
+  EXPECT_EQ(got.d2h_bytes, want.d2h_bytes) << "batch " << i;
+  EXPECT_EQ(got.wordops, want.wordops) << "batch " << i;
+}
+
+void expect_same_request(const RequestCost& got, const RequestCost& want,
+                         std::size_t i) {
+  EXPECT_EQ(got.trace_id, want.trace_id) << "request " << i;
+  EXPECT_EQ(got.batch_id, want.batch_id) << "request " << i;
+  EXPECT_EQ(got.batch_width, want.batch_width) << "request " << i;
+  EXPECT_EQ(got.rows, want.rows) << "request " << i;
+  EXPECT_EQ(got.epoch, want.epoch) << "request " << i;
+  EXPECT_EQ(got.cache_hit, want.cache_hit) << "request " << i;
+  EXPECT_EQ(got.degraded, want.degraded) << "request " << i;
+  EXPECT_EQ(got.retries, want.retries) << "request " << i;
+  EXPECT_EQ(got.failovers, want.failovers) << "request " << i;
+  EXPECT_EQ(got.device_ns, want.device_ns) << "request " << i;
+  EXPECT_EQ(got.h2d_ns, want.h2d_ns) << "request " << i;
+  EXPECT_EQ(got.d2h_ns, want.d2h_ns) << "request " << i;
+  EXPECT_EQ(got.h2d_bytes, want.h2d_bytes) << "request " << i;
+  EXPECT_EQ(got.d2h_bytes, want.d2h_bytes) << "request " << i;
+  EXPECT_EQ(got.wordops, want.wordops) << "request " << i;
+  EXPECT_EQ(got.queue_wait_ns, want.queue_wait_ns) << "request " << i;
+  EXPECT_EQ(got.service_ns, want.service_ns) << "request " << i;
+}
+
+/// The cost document rendered from plain records, as the ledger has
+/// always written it.
+std::string reference_json(const CostSnapshot& s) {
+  std::ostringstream os;
+  os << "{\n  \"cost\": 1,\n  \"totals\": {\"requests\": " << s.total_requests
+     << ", \"cache_hits\": " << s.cache_hits
+     << ", \"device_ns\": " << s.device_ns << ", \"h2d_ns\": " << s.h2d_ns
+     << ", \"d2h_ns\": " << s.d2h_ns << ", \"h2d_bytes\": " << s.h2d_bytes
+     << ", \"d2h_bytes\": " << s.d2h_bytes << ", \"wordops\": " << s.wordops
+     << ", \"retries\": " << s.retries << ", \"failovers\": " << s.failovers
+     << ", \"degraded_batches\": " << s.degraded_batches
+     << "},\n  \"dropped_requests\": " << s.dropped_requests
+     << ",\n  \"dropped_batches\": " << s.dropped_batches
+     << ",\n  \"batches\": [";
+  const char* sep = "\n";
+  for (const BatchCostTotals& b : s.batches) {
+    os << sep << "    {\"batch\": " << b.batch_id << ", \"width\": " << b.width
+       << ", \"rows\": " << b.rows << ", \"epoch\": " << b.epoch
+       << ", \"device_ns\": " << b.device_ns << ", \"h2d_ns\": " << b.h2d_ns
+       << ", \"d2h_ns\": " << b.d2h_ns << ", \"h2d_bytes\": " << b.h2d_bytes
+       << ", \"d2h_bytes\": " << b.d2h_bytes << ", \"wordops\": " << b.wordops
+       << ", \"retries\": " << b.retries << ", \"failovers\": " << b.failovers
+       << ", \"degraded\": " << (b.degraded ? "true" : "false") << "}";
+    sep = ",\n";
+  }
+  os << "\n  ],\n  \"requests\": [";
+  sep = "\n";
+  for (const RequestCost& c : s.requests) {
+    os << sep << "    {\"trace\": " << c.trace_id << ", \"batch\": "
+       << c.batch_id << ", \"width\": " << c.batch_width
+       << ", \"rows\": " << c.rows << ", \"epoch\": " << c.epoch
+       << ", \"cache_hit\": " << (c.cache_hit ? "true" : "false")
+       << ", \"degraded\": " << (c.degraded ? "true" : "false")
+       << ", \"retries\": " << c.retries << ", \"failovers\": " << c.failovers
+       << ", \"device_ns\": " << c.device_ns << ", \"h2d_ns\": " << c.h2d_ns
+       << ", \"d2h_ns\": " << c.d2h_ns << ", \"h2d_bytes\": " << c.h2d_bytes
+       << ", \"d2h_bytes\": " << c.d2h_bytes << ", \"wordops\": " << c.wordops
+       << "}";
+    sep = ",\n";
+  }
+  os << "\n  ]\n}\n";
+  return os.str();
+}
+
+/// The ledger must give back the last kMaxRequests batches and requests
+/// it was sent, field by field, with the totals of everything sent, and
+/// write the reference rendering of them.
+void expect_ledger_holds(const obs::CostLedger& ledger,
+                         const CostSnapshot& sent) {
+  constexpr std::size_t kCap = obs::CostLedger::kMaxRequests;
+  CostSnapshot want = sent;
+  const auto keep_last = [](auto& records, std::uint64_t& dropped) {
+    dropped = records.size() > kCap ? records.size() - kCap : 0;
+    records.erase(records.begin(),
+                  records.begin() + static_cast<std::ptrdiff_t>(dropped));
+  };
+  keep_last(want.batches, want.dropped_batches);
+  keep_last(want.requests, want.dropped_requests);
+
+  const CostSnapshot got = ledger.snapshot();
+  EXPECT_EQ(got.dropped_batches, want.dropped_batches);
+  EXPECT_EQ(got.dropped_requests, want.dropped_requests);
+  EXPECT_EQ(got.total_batches, want.total_batches);
+  EXPECT_EQ(got.total_requests, want.total_requests);
+  EXPECT_EQ(got.cache_hits, want.cache_hits);
+  EXPECT_EQ(got.wordops, want.wordops);
+  EXPECT_EQ(got.degraded_batches, want.degraded_batches);
+  const CostSnapshot totals = ledger.totals();
+  EXPECT_TRUE(totals.batches.empty());
+  EXPECT_TRUE(totals.requests.empty());
+  EXPECT_EQ(totals.total_requests, want.total_requests);
+  EXPECT_EQ(totals.dropped_requests, want.dropped_requests);
+  ASSERT_EQ(got.batches.size(), want.batches.size());
+  ASSERT_EQ(got.requests.size(), want.requests.size());
+  for (std::size_t i = 0; i < want.batches.size(); ++i) {
+    expect_same_batch(got.batches[i], want.batches[i], i);
+  }
+  for (std::size_t i = 0; i < want.requests.size(); ++i) {
+    expect_same_request(got.requests[i], want.requests[i], i);
+  }
+  std::ostringstream json;
+  ledger.write_json(json);
+  EXPECT_EQ(json.str(), reference_json(want));
+}
+
+TEST(CostLedger, SnapshotAndJsonRebuildEveryRecordExactly) {
+  obs::CostLedger ledger;
+  CostStream stream(8861);
+  for (int i = 0; i < 3000; ++i) {
+    stream.batch(ledger, 1 + stream.rng() % 9);
+    if (stream.chance(3)) {
+      stream.cache_hit(ledger);
+    }
+  }
+  expect_ledger_holds(ledger, stream.sent);
+}
+
+TEST(CostLedger, EvictionKeepsTheSharesOfABatchCutInTwo) {
+  obs::CostLedger ledger;
+  CostStream stream(8862);
+  // Mostly width-1 batches, so that the batch records overflow the cap
+  // too, not only the request records.
+  while (stream.sent.total_batches <= obs::CostLedger::kMaxRequests + 64) {
+    stream.batch(ledger, stream.chance(8) ? 2 + stream.rng() % 8 : 1);
+    if (stream.chance(8)) {
+      stream.cache_hit(ledger);
+    }
+  }
+  // One width-1 batch at a time moves the eviction point by one request,
+  // until it cuts a batch after members that carry weight.
+  const auto cut_after_weight = [&] {
+    const auto& reqs = stream.sent.requests;
+    const std::size_t front = reqs.size() - obs::CostLedger::kMaxRequests;
+    std::uint64_t evicted_weight = 0;
+    for (std::size_t i = front; i > 0 && !reqs[i].cache_hit &&
+                                !reqs[i - 1].cache_hit &&
+                                reqs[i - 1].batch_id == reqs[front].batch_id;
+         --i) {
+      evicted_weight += reqs[i - 1].rows;
+    }
+    return evicted_weight > 0;
+  };
+  while (!cut_after_weight()) {
+    stream.batch(ledger, 1);
+  }
+  expect_ledger_holds(ledger, stream.sent);
+}
+
 // ---- service-level attribution -----------------------------------------
 
 /// Groups a snapshot's request shares by batch and asserts every integer

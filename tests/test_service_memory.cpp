@@ -1,7 +1,8 @@
 // Memory regression tests for svc::ServiceEngine: a long-running engine's
 // live heap must plateau however many requests it has served, each cached
 // result row must cost what its packed format promises, a query asked once
-// must cost the cache no row, and the flight recorder's per-thread rings
+// must cost the cache no row, a full cost ledger must cost what its
+// encoded records promise, and the flight recorder's per-thread rings
 // must not be heap blocks.
 //
 // Live bytes are counted by replacing the global operator new/delete for
@@ -16,6 +17,7 @@
 
 #include "io/datagen.hpp"
 #include "live_heap.hpp"
+#include "obs/cost.hpp"
 #include "obs/flight.hpp"
 #include "obs/obs.hpp"
 #include "svc/service.hpp"
@@ -151,6 +153,38 @@ TEST(ServiceCache, QueriesSentOnceLeaveTheCacheEmptyAndTheHeapFlat) {
   const auto s = engine.stats();
   EXPECT_EQ(s.cache_misses, static_cast<std::uint64_t>(kQueries + 1));
   EXPECT_EQ(s.cache_hits, 0U);
+}
+
+TEST(ServiceMemory, FullCostLedgerHoldsUnder48BytesPerBatchAndRequest) {
+  // The costs a titanv engine over 65,536 x 1,024 profiles records for a
+  // one-row batch, and queue waits and service times of about 1.3 ms and
+  // 4.3 ms, snpbench's idsearch_large medians.
+  constexpr std::uint64_t kRecords = obs::CostLedger::kMaxRequests;
+  obs::CostLedger ledger;
+  const std::int64_t before = live_heap::live();
+  for (std::uint64_t i = 1; i <= kRecords; ++i) {
+    obs::BatchCostTotals b;
+    b.batch_id = i;
+    b.width = 1;
+    b.rows = 1;
+    b.epoch = 1;
+    b.device_ns = 50'122 + i % 97;
+    b.h2d_ns = 1'398'123 + i % 89;
+    b.d2h_ns = 43'691 + i % 83;
+    b.h2d_bytes = 8'388'736;
+    b.d2h_bytes = 262'144;
+    b.wordops = 2'097'152;
+    const std::uint64_t trace = i;
+    const std::uint64_t weight = 1;
+    auto costs = obs::attribute_batch(b, {&trace, 1}, {&weight, 1});
+    costs[0].queue_wait_ns = 1'300'000 + i * 7'919 % 100'000;
+    costs[0].service_ns = 4'300'000 + i * 104'729 % 1'000'000;
+    ledger.record_batch(b, costs);
+  }
+  const std::int64_t grown = live_heap::live() - before;
+  EXPECT_LE(grown, static_cast<std::int64_t>(48 * kRecords))
+      << "the ledger holds " << grown << " B for " << kRecords
+      << " batches of one request each";
 }
 
 TEST(ServiceMemory, FlightRingsStayOutOfTheHeap) {
