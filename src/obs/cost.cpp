@@ -1,5 +1,7 @@
 #include "obs/cost.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <ostream>
@@ -151,20 +153,31 @@ namespace {
 
 using Log = std::deque<std::uint8_t>;
 
+/// Room for the longest record: a batch record is at most 120 B (ten
+/// 64-bit fields of 10 B, a weight sum below 2^96 of 14 B, three 32-bit
+/// fields of 5 B, a flag), a member's 65 B.
+constexpr std::ptrdiff_t kMaxRecord = 128;
+
+/// Records are encoded into, and decoded from, a window of at least 8 of
+/// them, so a log is copied to or from a KiB at a time rather than a byte
+/// at a time.
+using Window = std::array<std::uint8_t, 8 * kMaxRecord>;
+
 template <class U>
-void put(Log& log, U value) {
+std::uint8_t* put(std::uint8_t* p, U value) {
   while (value >= 0x80U) {
-    log.push_back(static_cast<std::uint8_t>(value | 0x80U));
+    *p++ = static_cast<std::uint8_t>(value | 0x80U);
     value >>= 7U;
   }
-  log.push_back(static_cast<std::uint8_t>(value));
+  *p++ = static_cast<std::uint8_t>(value);
+  return p;
 }
 
 template <class U>
-U get(Log::const_iterator& it) {
+U get(const std::uint8_t*& p) {
   U value = 0;
   for (unsigned shift = 0;; shift += 7) {
-    const std::uint8_t byte = *it++;
+    const std::uint8_t byte = *p++;
     value |= static_cast<U>(byte & 0x7FU) << shift;
     if (byte < 0x80U) {
       return value;
@@ -189,37 +202,38 @@ struct BatchRecord {
   u128 weight_sum = 0;
 };
 
-void put_batch(Log& log, std::uint64_t& prev_id, const BatchCostTotals& b,
-               u128 weight_sum) {
-  put(log, delta(b.batch_id, prev_id));
+std::uint8_t* put_batch(std::uint8_t* p, std::uint64_t& prev_id,
+                        const BatchCostTotals& b, u128 weight_sum) {
+  p = put(p, delta(b.batch_id, prev_id));
   prev_id = b.batch_id;
-  put(log, weight_sum);
-  put(log, b.width);
-  put(log, b.rows);
-  put(log, b.epoch);
-  put(log, static_cast<std::uint8_t>(b.degraded));
-  put(log, b.retries);
-  put(log, b.failovers);
+  p = put(p, weight_sum);
+  p = put(p, b.width);
+  p = put(p, b.rows);
+  p = put(p, b.epoch);
+  p = put(p, std::uint64_t{b.degraded});
+  p = put(p, b.retries);
+  p = put(p, b.failovers);
   for (const std::uint64_t axis : {b.device_ns, b.h2d_ns, b.d2h_ns,
                                    b.h2d_bytes, b.d2h_bytes, b.wordops}) {
-    put(log, axis);
+    p = put(p, axis);
   }
+  return p;
 }
 
-BatchRecord get_batch(Log::const_iterator& it, std::uint64_t& prev_id) {
+BatchRecord get_batch(const std::uint8_t*& p, std::uint64_t& prev_id) {
   BatchRecord r;
   BatchCostTotals& b = r.totals;
-  b.batch_id = prev_id = undelta(get<std::uint64_t>(it), prev_id);
-  r.weight_sum = get<u128>(it);
-  b.width = get<std::uint32_t>(it);
-  b.rows = get<std::uint64_t>(it);
-  b.epoch = get<std::uint64_t>(it);
-  b.degraded = get<std::uint8_t>(it) != 0;
-  b.retries = get<std::uint32_t>(it);
-  b.failovers = get<std::uint32_t>(it);
+  b.batch_id = prev_id = undelta(get<std::uint64_t>(p), prev_id);
+  r.weight_sum = get<u128>(p);
+  b.width = get<std::uint32_t>(p);
+  b.rows = get<std::uint64_t>(p);
+  b.epoch = get<std::uint64_t>(p);
+  b.degraded = get<std::uint64_t>(p) != 0;
+  b.retries = get<std::uint32_t>(p);
+  b.failovers = get<std::uint32_t>(p);
   for (std::uint64_t* axis : {&b.device_ns, &b.h2d_ns, &b.d2h_ns,
                               &b.h2d_bytes, &b.d2h_bytes, &b.wordops}) {
-    *axis = get<std::uint64_t>(it);
+    *axis = get<std::uint64_t>(p);
   }
   return r;
 }
@@ -232,45 +246,67 @@ struct RequestRecord {
   u128 before = 0;
 };
 
-void put_member(Log& log, std::uint64_t& prev_trace,
-                std::uint64_t& prev_ordinal, const RequestCost& c,
-                std::uint64_t ordinal, u128 before) {
-  log.push_back(0);
-  put(log, delta(c.trace_id, prev_trace));
+std::uint8_t* put_member(std::uint8_t* p, std::uint64_t& prev_trace,
+                         std::uint64_t& prev_ordinal, const RequestCost& c,
+                         std::uint64_t ordinal, u128 before) {
+  *p++ = 0;
+  p = put(p, delta(c.trace_id, prev_trace));
   prev_trace = c.trace_id;
-  put(log, ordinal - prev_ordinal);
+  p = put(p, ordinal - prev_ordinal);
   prev_ordinal = ordinal;
-  put(log, c.rows);
-  put(log, before);
-  put(log, c.queue_wait_ns);
-  put(log, c.service_ns);
+  p = put(p, c.rows);
+  p = put(p, before);
+  p = put(p, c.queue_wait_ns);
+  return put(p, c.service_ns);
 }
 
-void put_hit(Log& log, std::uint64_t& prev_trace, const RequestCost& c) {
-  log.push_back(1);
-  put(log, delta(c.trace_id, prev_trace));
+std::uint8_t* put_hit(std::uint8_t* p, std::uint64_t& prev_trace,
+                      const RequestCost& c) {
+  *p++ = 1;
+  p = put(p, delta(c.trace_id, prev_trace));
   prev_trace = c.trace_id;
-  put(log, c.epoch);
-  put(log, c.queue_wait_ns);
-  put(log, c.service_ns);
+  p = put(p, c.epoch);
+  p = put(p, c.queue_wait_ns);
+  return put(p, c.service_ns);
 }
 
-RequestRecord get_request(Log::const_iterator& it, std::uint64_t& prev_trace,
+RequestRecord get_request(const std::uint8_t*& p, std::uint64_t& prev_trace,
                           std::uint64_t& prev_ordinal) {
   RequestRecord r;
   RequestCost& c = r.cost;
-  c.cache_hit = *it++ != 0;
-  c.trace_id = prev_trace = undelta(get<std::uint64_t>(it), prev_trace);
+  c.cache_hit = *p++ != 0;
+  c.trace_id = prev_trace = undelta(get<std::uint64_t>(p), prev_trace);
   if (c.cache_hit) {
-    c.epoch = get<std::uint64_t>(it);
+    c.epoch = get<std::uint64_t>(p);
   } else {
-    r.ordinal = prev_ordinal += get<std::uint64_t>(it);
-    c.rows = get<std::uint64_t>(it);
-    r.before = get<u128>(it);
+    r.ordinal = prev_ordinal += get<std::uint64_t>(p);
+    c.rows = get<std::uint64_t>(p);
+    r.before = get<u128>(p);
   }
-  c.queue_wait_ns = get<std::uint64_t>(it);
-  c.service_ns = get<std::uint64_t>(it);
+  c.queue_wait_ns = get<std::uint64_t>(p);
+  c.service_ns = get<std::uint64_t>(p);
   return r;
+}
+
+/// Removes the `count` oldest records of `log`; `read` decodes each one,
+/// advancing the bases it holds.
+template <class Read>
+void pop_front(Log& log, std::uint64_t count, Read read) {
+  Window window{};
+  while (count > 0) {
+    const auto n = static_cast<std::ptrdiff_t>(
+        std::min({window.size(), log.size(),
+                  static_cast<std::size_t>(count * kMaxRecord)}));
+    std::copy_n(log.begin(), n, window.begin());
+    const bool whole_log = static_cast<std::size_t>(n) == log.size();
+    const std::uint8_t* p = window.data();
+    // Only records that cannot run past the copied bytes.
+    for (; count > 0 && (whole_log || window.data() + n - p >= kMaxRecord);
+         --count) {
+      read(p);
+    }
+    log.erase(log.begin(), log.begin() + (p - window.data()));
+  }
 }
 
 /// Fills in what a member's record leaves to its batch.
@@ -297,16 +333,17 @@ void rebuild_member(RequestCost& c, const BatchRecord& batch, u128 before) {
 
 struct CostLedger::Reader {
   CostSnapshot totals;
-  Log batch_log;
-  Log request_log;
+  std::vector<std::uint8_t> batch_log;
+  std::vector<std::uint8_t> request_log;
   Bases head;
 
   /// Calls `f` with every retained batch, oldest first.
   template <class F>
   void each_batch(F&& f) const {
     std::uint64_t prev_id = head.batch_id;
-    for (auto it = batch_log.cbegin(); it != batch_log.cend();) {
-      f(get_batch(it, prev_id).totals);
+    const std::uint8_t* const end = batch_log.data() + batch_log.size();
+    for (const std::uint8_t* p = batch_log.data(); p != end;) {
+      f(get_batch(p, prev_id).totals);
     }
   }
 
@@ -315,17 +352,19 @@ struct CostLedger::Reader {
   /// so one forward pass over the batch log finds every member's batch.
   template <class F>
   void each_request(F&& f) const {
-    auto batch_it = batch_log.cbegin();
+    const std::uint8_t* batch_p = batch_log.data();
+    const std::uint8_t* const batch_end = batch_p + batch_log.size();
     std::uint64_t batch_prev_id = head.batch_id;
     std::uint64_t batch_ordinal = totals.dropped_batches;
     BatchRecord batch;
     std::uint64_t prev_trace = head.trace_id;
     std::uint64_t prev_ordinal = head.ordinal;
-    for (auto it = request_log.cbegin(); it != request_log.cend();) {
-      RequestRecord r = get_request(it, prev_trace, prev_ordinal);
+    const std::uint8_t* const end = request_log.data() + request_log.size();
+    for (const std::uint8_t* p = request_log.data(); p != end;) {
+      RequestRecord r = get_request(p, prev_trace, prev_ordinal);
       if (!r.cost.cache_hit) {
-        while (batch_ordinal < r.ordinal && batch_it != batch_log.cend()) {
-          batch = get_batch(batch_it, batch_prev_id);
+        while (batch_ordinal < r.ordinal && batch_p != batch_end) {
+          batch = get_batch(batch_p, batch_prev_id);
           ++batch_ordinal;
         }
         if (batch_ordinal == r.ordinal) {
@@ -339,21 +378,29 @@ struct CostLedger::Reader {
 
 CostLedger::Reader CostLedger::read() const {
   const std::lock_guard lock(mu_);
-  return Reader{totals_, batch_log_, request_log_, head_};
+  return Reader{totals_,
+                {batch_log_.begin(), batch_log_.end()},
+                {request_log_.begin(), request_log_.end()},
+                head_};
 }
 
 void CostLedger::evict_locked() {
-  while (totals_.total_batches - totals_.dropped_batches > kMaxRequests) {
-    auto end = batch_log_.cbegin();
-    (void)get_batch(end, head_.batch_id);
-    batch_log_.erase(batch_log_.cbegin(), end);
-    totals_.dropped_batches++;
+  const std::uint64_t batches = totals_.total_batches - totals_.dropped_batches;
+  if (batches > kMaxRequests) {
+    pop_front(batch_log_, batches - kMaxRequests,
+              [&](const std::uint8_t*& p) {
+                (void)get_batch(p, head_.batch_id);
+              });
+    totals_.dropped_batches += batches - kMaxRequests;
   }
-  while (totals_.total_requests - totals_.dropped_requests > kMaxRequests) {
-    auto end = request_log_.cbegin();
-    (void)get_request(end, head_.trace_id, head_.ordinal);
-    request_log_.erase(request_log_.cbegin(), end);
-    totals_.dropped_requests++;
+  const std::uint64_t requests =
+      totals_.total_requests - totals_.dropped_requests;
+  if (requests > kMaxRequests) {
+    pop_front(request_log_, requests - kMaxRequests,
+              [&](const std::uint8_t*& p) {
+                (void)get_request(p, head_.trace_id, head_.ordinal);
+              });
+    totals_.dropped_requests += requests - kMaxRequests;
   }
 }
 
@@ -363,15 +410,24 @@ void CostLedger::record_batch(const BatchCostTotals& batch,
   for (const RequestCost& c : costs) {
     weight_sum += c.rows;
   }
+  Window window{};
   const std::lock_guard lock(mu_);
-  put_batch(batch_log_, tail_.batch_id, batch, weight_sum);
+  batch_log_.insert(batch_log_.end(), window.data(),
+                    put_batch(window.data(), tail_.batch_id, batch,
+                              weight_sum));
   totals_.total_batches++;  // the batch's ordinal
   u128 before = 0;
+  std::uint8_t* p = window.data();
   for (const RequestCost& c : costs) {
-    put_member(request_log_, tail_.trace_id, tail_.ordinal, c,
-               totals_.total_batches, before);
+    if (window.data() + window.size() - p < kMaxRecord) {
+      request_log_.insert(request_log_.end(), window.data(), p);
+      p = window.data();
+    }
+    p = put_member(p, tail_.trace_id, tail_.ordinal, c, totals_.total_batches,
+                   before);
     before += c.rows;
   }
+  request_log_.insert(request_log_.end(), window.data(), p);
   totals_.total_requests += costs.size();
   evict_locked();
   totals_.device_ns += batch.device_ns;
@@ -388,8 +444,10 @@ void CostLedger::record_batch(const BatchCostTotals& batch,
 }
 
 void CostLedger::record_cache_hit(const RequestCost& cost) {
+  std::array<std::uint8_t, kMaxRecord> record{};
   const std::lock_guard lock(mu_);
-  put_hit(request_log_, tail_.trace_id, cost);
+  request_log_.insert(request_log_.end(), record.data(),
+                      put_hit(record.data(), tail_.trace_id, cost));
   totals_.total_requests++;
   totals_.cache_hits++;
   evict_locked();
