@@ -38,8 +38,8 @@ u128 scaled_floor(std::uint64_t total, u128 cum, u128 weight_sum) {
     return total * static_cast<std::uint64_t>(cum) /
            static_cast<std::uint64_t>(weight_sum);
   }
-  // 128-bit products: total and the cumulative weights are both u64, so
-  // total * cum cannot overflow unsigned __int128.
+  // 128-bit products: total * cum fits in unsigned __int128 while the
+  // weight sum fits in 64 bits.
   return static_cast<u128>(total) * cum / weight_sum;
 }
 
@@ -153,9 +153,9 @@ namespace {
 
 using Log = std::deque<std::uint8_t>;
 
-/// Room for the longest record: a batch record is at most 120 B (ten
-/// 64-bit fields of 10 B, a weight sum below 2^96 of 14 B, three 32-bit
-/// fields of 5 B, a flag), a member's 65 B.
+/// Room for the longest record: a batch record is at most 125 B (nine
+/// 64-bit fields of 10 B, three 32-bit ones of 5 B, the degraded flag's
+/// 1 B and a 128-bit weight sum's 19 B), a member's at most 70 B.
 constexpr std::ptrdiff_t kMaxRecord = 128;
 
 /// Records are encoded into, and decoded from, a window of at least 8 of
