@@ -25,6 +25,7 @@ namespace {
 using bits::BitMatrix;
 using bits::Comparison;
 using bits::CountMatrix;
+using Clock = std::chrono::steady_clock;
 
 model::WorkloadKind workload_for(std::size_t m_rows, std::size_t n_rows,
                                  const model::GpuSpec& dev) {
@@ -36,6 +37,18 @@ model::WorkloadKind workload_for(std::size_t m_rows, std::size_t n_rows,
   return (small <= query_like && large > 8 * small)
              ? model::WorkloadKind::kFastId
              : model::WorkloadKind::kLd;
+}
+
+/// The override, or the device's Table II preset for an m x n shape.
+model::KernelConfig config_for(const model::GpuSpec& dev, std::size_t m,
+                               std::size_t n, Comparison op,
+                               const ComputeOptions& options) {
+  if (options.config) {
+    return *options.config;
+  }
+  model::KernelConfig cfg = model::paper_preset(dev, workload_for(m, n, dev));
+  cfg.pre_negated = options.pre_negate && op == Comparison::kAndNot;
+  return cfg;
 }
 
 void check_operands(const BitMatrix& a, const BitMatrix& b, Comparison op,
@@ -57,6 +70,27 @@ void check_operands(const BitMatrix& a, const BitMatrix& b, Comparison op,
         "compare: keep_counts=false without a chunk_callback would "
         "discard all results");
   }
+}
+
+/// The span clock's time now (TimingReport::trace_anchor_us), or 0 when
+/// the collector is off.
+double trace_anchor_us() {
+  if constexpr (obs::kEnabled) {
+    if (obs::TraceCollector::global().enabled()) {
+      return obs::TraceCollector::global().now_us();
+    }
+  }
+  return 0.0;
+}
+
+/// Rows per chunk that keep one chunk's streamed rows and its block of
+/// `per_row` bytes a row within 256 MiB, so transfers pipeline against
+/// compute: "the amount of data to be transferred at each step must be
+/// evenly balanced with the amount of computation ... to sufficiently
+/// overlap execution and data transfer" (paper Section VI-E-2).
+std::size_t pipeline_rows(std::size_t per_row) {
+  constexpr std::size_t kMaxChunkBytes = 256ull << 20;
+  return std::max<std::size_t>(kMaxChunkBytes / per_row, 1);
 }
 
 /// Copies one chunk's block out of the full gamma matrix: columns
@@ -106,14 +140,7 @@ model::KernelConfig Context::effective_config(
   if (!gpu_) {
     throw std::logic_error("effective_config: CPU context");
   }
-  if (options.config) {
-    return *options.config;
-  }
-  const auto& dev = gpu_->spec();
-  model::KernelConfig cfg =
-      model::paper_preset(dev, workload_for(a.rows(), b.rows(), dev));
-  cfg.pre_negated = options.pre_negate && op == Comparison::kAndNot;
-  return cfg;
+  return config_for(gpu_->spec(), a.rows(), b.rows(), op, options);
 }
 
 namespace {
@@ -159,15 +186,8 @@ ChunkPlan plan_chunks(const model::GpuSpec& dev,
     const std::size_t by_alloc_in =
         dev.max_alloc_bytes / p.stream_row_bytes;
     const std::size_t by_alloc_out = dev.max_alloc_bytes / p.c_row_bytes;
-    // Also keep chunks modest so transfers pipeline against compute: "the
-    // amount of data to be transferred at each step must be evenly
-    // balanced with the amount of computation ... to sufficiently overlap
-    // execution and data transfer" (paper Section VI-E-2).
-    constexpr std::size_t kMaxChunkBytes = 256ull << 20;
-    const std::size_t by_pipeline = std::max<std::size_t>(
-        kMaxChunkBytes / per_row, 1);
     p.chunk_rows = std::min({by_global, by_alloc_in, by_alloc_out,
-                             by_pipeline, p.stream_rows});
+                             pipeline_rows(per_row), p.stream_rows});
     const auto tile =
         static_cast<std::size_t>(p.stream_b ? cfg.n_r : cfg.m_c);
     p.chunk_rows = std::max(tile, p.chunk_rows / tile * tile);
@@ -221,6 +241,87 @@ struct ModelSums {
   }
 };
 
+/// The chunk loop's stages, run on the calling thread in stream order:
+/// pack binds the chunk's row window of the streamed operand (B when it
+/// has at least as many rows as A), execute runs the host engine on it in
+/// place (its tiles spread over exec::host_pool()), and drain delivers the
+/// chunk callback. The device path runs a chunk inside each simulated
+/// kernel launch, the host paths (Context::compare_host) back to back.
+struct ChunkStages {
+  const BitMatrix& a;
+  const BitMatrix& b;
+  Comparison op;  ///< what the engine computes (Eq. 3 already lowered)
+  const ComputeOptions& options;
+  CountMatrix& gamma;  ///< a.rows() x b.rows(), written when keep_counts
+  /// The exact prefix of the streamed operand the consumers have seen,
+  /// where the degradation rung resumes.
+  std::size_t& delivered;
+  Clock::time_point wall0;  ///< the chunks' host stamps count from here
+
+  /// Runs streamed rows [row0, row0 + rows) as chunk `ci`, stamping its
+  /// host stages into `cev`. `guard(site, body)` runs each stage's body:
+  /// the device path wraps it in its retry rung.
+  template <typename Guard>
+  void run(std::size_t ci, std::size_t row0, std::size_t rows,
+           sim::HostChunkEvent& cev, const Guard& guard) const {
+    const bool stream_b = b.rows() >= a.rows();
+    const auto now = [this] {
+      return std::chrono::duration<double>(Clock::now() - wall0).count();
+    };
+    [[maybe_unused]] const auto ci_ix = static_cast<std::int64_t>(ci);
+    [[maybe_unused]] const auto trace_id = obs::current_trace().trace_id;
+    bits::RowWindow window;  // this chunk's rows of the streamed operand
+    CountMatrix part;        // its block, when a chunk callback needs one
+    cev.host_pack_start = now();
+    guard("pool.pack", [&] {
+      SNP_OBS_SPAN("core.chunk.pack");
+      window = bits::RowWindow{stream_b ? &b : &a, row0, rows};
+    });
+    SNP_OBS_FLIGHT(obs::FlightKind::kChunkPack, trace_id, 0, ci_ix, rows);
+    cev.host_pack_end = cev.host_exec_start = now();
+    guard("pool.execute", [&] {
+      SNP_OBS_SPAN("core.chunk.execute");
+      const bits::RowWindow resident{stream_b ? &a : &b, 0,
+                                     stream_b ? a.rows() : b.rows()};
+      const bits::RowWindow& ap = stream_b ? resident : window;
+      const bits::RowWindow& bp = stream_b ? window : resident;
+      // Straight into this chunk's block of the gamma matrix, or into a
+      // block of its own when only a callback takes the results.
+      std::uint32_t* block = nullptr;
+      std::size_t ldc = bp.rows;
+      if (options.keep_counts) {
+        ldc = gamma.cols();
+        block = gamma.raw().data() + (stream_b ? row0 : row0 * ldc);
+      } else {
+        part = CountMatrix::for_overwrite(ap.rows, bp.rows);
+        block = part.raw().data();
+      }
+      // The engine overwrites the block (beta = 0), so a retried body
+      // does not count twice.
+      cpu::compare_into(ap, bp, op, block, ldc);
+    });
+    // The block's rows: every row of A when B streams, else the chunk's.
+    SNP_OBS_FLIGHT(obs::FlightKind::kChunkExec, trace_id, 0, ci_ix,
+                   stream_b ? a.rows() : rows);
+    cev.host_exec_end = cev.host_drain_start = now();
+    guard("pool.drain", [&] {
+      SNP_OBS_SPAN("core.chunk.drain");
+      if (options.chunk_callback) {
+        if (options.keep_counts) {
+          part = chunk_block(gamma, row0, rows, stream_b);
+        }
+        options.chunk_callback(
+            ComputeOptions::ChunkView{row0, stream_b, part});
+      }
+    });
+    SNP_OBS_FLIGHT(obs::FlightKind::kChunkDrain, trace_id, 0, ci_ix, rows);
+    // Only after a fully delivered chunk (block computed, callback ran)
+    // does the delivered prefix grow.
+    delivered = row0 + rows;
+    cev.host_drain_end = now();
+  }
+};
+
 }  // namespace
 
 TimingReport Context::estimate(std::size_t m, std::size_t n,
@@ -245,13 +346,7 @@ TimingReport Context::estimate(std::size_t m, std::size_t n,
   }
 
   const model::GpuSpec& dev = gpu_->spec();
-  model::KernelConfig cfg;
-  if (options.config) {
-    cfg = *options.config;
-  } else {
-    cfg = model::paper_preset(dev, workload_for(m, n, dev));
-    cfg.pre_negated = options.pre_negate && op == Comparison::kAndNot;
-  }
+  const model::KernelConfig cfg = config_for(dev, m, n, op, options);
   const auto check = model::validate(cfg, dev);
   if (!check.ok) {
     throw std::invalid_argument("estimate: invalid kernel config: " +
@@ -296,11 +391,7 @@ TimingReport Context::estimate(std::size_t m, std::size_t n,
   }
 
   TimingReport t;
-  if constexpr (obs::kEnabled) {
-    if (obs::TraceCollector::global().enabled()) {
-      t.trace_anchor_us = obs::TraceCollector::global().now_us();
-    }
-  }
+  t.trace_anchor_us = trace_anchor_us();
   t.device = dev.name;
   t.config = cfg.to_string();
   t.init_s = tl.init_seconds;
@@ -320,10 +411,18 @@ CompareResult Context::compare(const BitMatrix& a, const BitMatrix& b,
                                const ComputeOptions& options) {
   check_operands(a, b, op, options);
   if (!gpu_) {
-    return compare_cpu(a, b, op, options);
+    SNP_OBS_SPAN("core.compare_cpu");
+    SNP_OBS_COUNT("core.compare.calls", 1);
+    CompareResult result;
+    result.timing = compare_host(a, b, op, options, 0,
+                                 std::max(a.rows(), b.rows()), result.counts);
+    result.timing.device = device_name();
+    SNP_OBS_COUNT("core.kernel.wordops",
+                  static_cast<double>(result.timing.wordops));
+    return result;
   }
   rt::FaultLog fault_log;
-  GpuProgress progress;
+  std::size_t delivered = 0;  // the streamed rows the device delivered
   CompareResult result;
   rt::CircuitBreaker* breaker = nullptr;
   if (options.breaker.failure_threshold > 0) {
@@ -344,7 +443,7 @@ CompareResult Context::compare(const BitMatrix& a, const BitMatrix& b,
                           "recovery ladder");
     }
     device_attempted = true;
-    compare_gpu(a, b, op, options, &fault_log, &progress, result);
+    compare_gpu(a, b, op, options, &fault_log, delivered, result);
     if (breaker != nullptr) breaker->on_success();
     result.timing.fault_events = fault_log.snapshot();
     return result;
@@ -374,124 +473,85 @@ CompareResult Context::compare(const BitMatrix& a, const BitMatrix& b,
       ev.trace_id = obs::current_trace().trace_id;
       fault_log.record(std::move(ev));
     }
-    // GPU->CPU graceful degradation: chunks drain in stream order, so
-    // the delivered rows form an exact prefix of the streamed operand, and
-    // the host engine recomputes only the remainder — streaming consumers
-    // see each chunk exactly once, and the merged counts are bit-identical
-    // to a clean run (the device's functional kernel is the same host
-    // engine).
-    const std::string gpu_name = gpu_->name();
-    const auto wall0 = std::chrono::steady_clock::now();
+    // GPU->CPU graceful degradation: the host chunk loop resumes at the
+    // first row the device did not deliver, so streaming consumers see
+    // each row exactly once, and the counts are bit-identical to a clean
+    // run (the device's functional kernel is the same host engine).
     if (options.functional) {
-      const bool sb = progress.stream_b;
-      const std::size_t total_rows = sb ? b.rows() : a.rows();
-      const std::size_t delivered =
-          std::min(progress.delivered_rows.load(), total_rows);
-      if (delivered < total_rows) {
-        const BitMatrix remainder = sb ? b.row_slice(delivered, total_rows)
-                                       : a.row_slice(delivered, total_rows);
-        const BitMatrix& cpu_a = sb ? a : remainder;
-        const BitMatrix& cpu_b = sb ? remainder : b;
-        const CountMatrix part = cpu::compare_blocked(cpu_a, cpu_b, op);
-        // The host rung really popcounts the remainder; the cost ledger
-        // should see that work even though no device kernel ran it.
-        result.timing.wordops +=
-            static_cast<std::uint64_t>(cpu_a.rows()) * cpu_b.rows() *
-            bits::ceil_div(a.bit_cols(), bits::kBitsPerWord32);
-        if (options.chunk_callback) {
-          options.chunk_callback(
-              ComputeOptions::ChunkView{delivered, sb, part});
-        }
-        if (options.keep_counts) {
-          if (result.counts.rows() != a.rows() ||
-              result.counts.cols() != b.rows()) {
-            result.counts = CountMatrix(a.rows(), b.rows());
-          }
-          result.counts.put_block(part, sb ? 0 : delivered,
-                                  sb ? delivered : 0);
-        }
-      }
+      const TimingReport rest = compare_host(
+          a, b, op, options, delivered, std::max(a.rows(), b.rows()),
+          result.counts);
+      // The host rung really popcounts the remainder; the cost ledger
+      // should see that work even though no device kernel ran it.
+      result.timing.wordops += rest.wordops;
+      result.timing.kernel_s += rest.end_to_end_s;
+      result.timing.end_to_end_s += rest.end_to_end_s;
     }
-    const double fallback_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall0)
-            .count();
     result.timing.degraded = true;
-    result.timing.device = gpu_name + " -> cpu (degraded)";
-    result.timing.kernel_s += fallback_s;
-    result.timing.end_to_end_s += fallback_s;
+    result.timing.device = gpu_->name() + " -> cpu (degraded)";
     result.timing.fault_events = fault_log.snapshot();
     return result;
   }
 }
 
-CompareResult Context::compare_cpu(const BitMatrix& a, const BitMatrix& b,
+TimingReport Context::compare_host(const BitMatrix& a, const BitMatrix& b,
                                    Comparison op,
-                                   const ComputeOptions& options) {
-  SNP_OBS_SPAN("core.compare_cpu");
-  SNP_OBS_COUNT("core.compare.calls", 1);
-  CompareResult result;
-  if constexpr (obs::kEnabled) {
-    if (obs::TraceCollector::global().enabled()) {
-      result.timing.trace_anchor_us = obs::TraceCollector::global().now_us();
-    }
+                                   const ComputeOptions& options,
+                                   std::size_t first, std::size_t last,
+                                   CountMatrix& gamma) {
+  const bool stream_b = b.rows() >= a.rows();
+  const std::size_t resident_rows = stream_b ? a.rows() : b.rows();
+  std::size_t window = options.keep_counts ? last - first : options.chunk_rows;
+  if (window == 0) {
+    window = pipeline_rows((stream_b ? b : a).words64_per_row() * 8 +
+                           resident_rows * 4);
   }
-  result.timing.device = device_name();
-  result.timing.chunks = 1;
-  const double wordops = static_cast<double>(a.rows()) *
-                         static_cast<double>(b.rows()) *
-                         static_cast<double>(bits::ceil_div(
-                             a.bit_cols(), bits::kBitsPerWord32));
-  SNP_OBS_COUNT("core.kernel.wordops", wordops);
-  result.timing.wordops =
-      static_cast<std::uint64_t>(a.rows()) * b.rows() *
-      bits::ceil_div(a.bit_cols(), bits::kBitsPerWord32);
-  if (options.functional) {
-    const auto t0 = std::chrono::steady_clock::now();
-    bits::CountMatrix counts = cpu::compare_blocked(a, b, op);
-    const auto t1 = std::chrono::steady_clock::now();
-    result.timing.kernel_s =
-        std::chrono::duration<double>(t1 - t0).count();
-    result.timing.end_to_end_s = result.timing.kernel_s;
-    result.timing.kernel_gops =
-        wordops / result.timing.kernel_s / 1e9;
-    sim::HostChunkEvent ev;
-    ev.rows = b.rows();
-    ev.host_exec_end = result.timing.kernel_s;
-    ev.kernel_end = result.timing.kernel_s;
-    result.timing.chunk_events.push_back(ev);
-    if (options.chunk_callback) {
-      options.chunk_callback(
-          ComputeOptions::ChunkView{0, true, counts});
-    }
-    if (options.keep_counts) {
-      result.counts = std::move(counts);
-    }
+  if (options.functional && options.keep_counts &&
+      (gamma.rows() != a.rows() || gamma.cols() != b.rows())) {
+    // The windows' blocks tile it and the engine stores each one.
+    gamma = CountMatrix::for_overwrite(a.rows(), b.rows());
   }
-  return result;
+  TimingReport t;
+  t.trace_anchor_us = trace_anchor_us();
+  t.chunks = static_cast<int>(bits::ceil_div(last - first, window));
+  t.wordops = static_cast<std::uint64_t>(resident_rows) * (last - first) *
+              bits::ceil_div(a.bit_cols(), bits::kBitsPerWord32);
+  std::size_t delivered = first;
+  const ChunkStages stages{a,       b,     op,
+                           options, gamma, delivered,
+                           Clock::now()};
+  for (std::size_t row0 = first; options.functional && row0 < last;
+       row0 += window) {
+    const std::size_t rows = std::min(window, last - row0);
+    sim::HostChunkEvent& cev = t.chunk_events.emplace_back();
+    cev.index = t.chunk_events.size() - 1;
+    cev.row0 = row0;
+    cev.rows = rows;
+    stages.run(cev.index, row0, rows, cev,
+               [](const char*, const auto& body) { body(); });
+    // The host engine is this run's kernel.
+    cev.kernel_start = cev.host_exec_start;
+    cev.kernel_end = cev.host_exec_end;
+    t.kernel_s += cev.host_exec_end - cev.host_exec_start;
+    t.end_to_end_s = cev.host_drain_end;
+  }
+  if (t.kernel_s > 0.0) {
+    t.kernel_gops = static_cast<double>(t.wordops) / t.kernel_s / 1e9;
+  }
+  return t;
 }
 
 void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
                           Comparison op, const ComputeOptions& options,
-                          rt::FaultLog* fault_log, GpuProgress* progress,
+                          rt::FaultLog* fault_log, std::size_t& delivered,
                           CompareResult& result) {
   SNP_OBS_SPAN("core.compare_gpu");
   SNP_OBS_COUNT("core.compare.calls", 1);
   // The chunks' host stage stamps count from here, where the trace
-  // anchor below is sampled.
-  const auto wall0 = std::chrono::steady_clock::now();
-  const auto host_now = [wall0] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         wall0)
-        .count();
-  };
-  if constexpr (obs::kEnabled) {
-    // Session-clock anchor for the merged trace: pid-0/pid-2 events are
-    // relative to this compare, pid-1 spans to the collector session.
-    if (obs::TraceCollector::global().enabled()) {
-      result.timing.trace_anchor_us = obs::TraceCollector::global().now_us();
-    }
-  }
+  // anchor is sampled: pid-0/pid-2 events of the merged trace are
+  // relative to this compare, pid-1 spans to the collector session.
+  const auto wall0 = Clock::now();
+  result.timing.trace_anchor_us = trace_anchor_us();
   const rt::RecoveryOptions rec = options.recovery;
   const model::GpuSpec& dev = gpu_->spec();
   model::KernelConfig cfg = effective_config(a, b, op, options);
@@ -516,18 +576,12 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
   // plan's per-row bytes use the streamed operand's stride.
   const std::size_t k_words =
       bits::ceil_div(a.bit_cols(), bits::kBitsPerWord32);
-  const bool stream_b_pred = b_eff.rows() >= a.rows();
-  const BitMatrix& streamed_ref = stream_b_pred ? b_eff : a;
-  const ChunkPlan plan =
-      plan_chunks(dev, cfg, a.rows(), b_eff.rows(),
-                  streamed_ref.words64_per_row() * 8, options.chunk_rows);
-  const bool stream_b = plan.stream_b;
-  progress->stream_b = stream_b;
+  const bool stream_b = b_eff.rows() >= a.rows();
   const BitMatrix& resident = stream_b ? a : b_eff;
   const BitMatrix& streamed = stream_b ? b_eff : a;
-  const std::size_t resident_bytes = resident.size_bytes();
-  const std::size_t stream_row_bytes = plan.stream_row_bytes;
-  const std::size_t c_row_bytes = plan.c_row_bytes;
+  const ChunkPlan plan =
+      plan_chunks(dev, cfg, a.rows(), b_eff.rows(),
+                  streamed.words64_per_row() * 8, options.chunk_rows);
   const std::size_t chunk_rows = plan.chunk_rows;
 
   cl::Context clctx(*gpu_);
@@ -573,7 +627,7 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
   // mutation, so a retried call replays against bit-identical state and
   // recovered runs stay indistinguishable from clean ones.
   auto resident_buf = rt::with_retry(rec, "alloc", -1, fault_log, [&] {
-    return clctx.create_buffer(resident_bytes);
+    return clctx.create_buffer(resident.size_bytes());
   });
   {
     const auto raw = resident.raw64();
@@ -594,10 +648,10 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
   std::vector<std::shared_ptr<cl::Buffer>> c_bufs;
   for (int i = 0; i < inflight; ++i) {
     stream_bufs.push_back(rt::with_retry(rec, "alloc", i, fault_log, [&] {
-      return clctx.create_buffer(chunk_rows * stream_row_bytes);
+      return clctx.create_buffer(chunk_rows * plan.stream_row_bytes);
     }));
     c_bufs.push_back(rt::with_retry(rec, "alloc", i, fault_log, [&] {
-      return clctx.create_buffer(chunk_rows * c_row_bytes);
+      return clctx.create_buffer(chunk_rows * plan.c_row_bytes);
     }));
   }
 
@@ -606,14 +660,10 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
       bits::ceil_div(streamed.rows(), chunk_rows);
   result.timing.chunk_events.resize(n_chunks);
 
-  // Functional runs compute each chunk inside its kernel enqueue, on the
-  // calling thread and in stream order: a pack stage binds the chunk's
-  // row window of the streamed operand, an execute stage runs the
-  // functional kernel on it in place (the kernel spreads its tiles over
-  // exec::host_pool()), and a drain stage delivers the chunk callback.
-  // With keep_counts the kernel writes its block of the gamma matrix
-  // directly; a chunk-shaped block exists only for a callback.
-  const bits::RowWindow resident_rows{&resident, 0, resident.rows()};
+  // Functional runs compute each chunk inside its kernel enqueue.
+  const ChunkStages stages{a,       b_eff,         kernel.lowered_op(),
+                           options, result.counts, delivered,
+                           wall0};
 
   for (std::size_t ci = 0; ci < n_chunks; ++ci) {
     // Cooperative cancellation boundary: a fired token (explicit cancel
@@ -672,88 +722,23 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
         static_cast<std::uint64_t>(shape.m) * shape.n * shape.k_words;
     cl::Buffer* reads[] = {resident_buf.get(), stream_bufs[slot].get()};
     cl::Buffer* writes[] = {c_bufs[slot].get()};
-    bits::RowWindow window;  // this chunk's rows of the streamed operand
-    CountMatrix part;        // its block, when a chunk callback needs one
-    // Each stage samples the `pool` injection site inside its own retry
-    // scope: a transient stage fault re-runs that body alone, and the
-    // virtual clock moves only in the enqueue calls, so recovery cannot
-    // perturb simulated timing. The injection check precedes any work,
-    // so a retried body is idempotent by construction. Each stage
-    // checkpoints the cancel token first, so a batch whose deadline fired
-    // mid-chunk stops at the next stage.
+    // Each stage checkpoints the cancel token, so a batch whose deadline
+    // fired mid-chunk stops at the next stage, and samples the `pool`
+    // injection site inside its own retry scope, before any work: a
+    // transient stage fault re-runs that body alone, and the virtual
+    // clock moves only in the enqueue calls, so recovery cannot perturb
+    // simulated timing.
     const auto ci_ix = static_cast<std::int64_t>(ci);
-    const auto checkpoint = [&] {
+    const auto guard = [&](const char* site, const auto& body) {
       if (options.cancel != nullptr) options.cancel->checkpoint(ci_ix);
-    };
-    const auto pack = [&] {
-      checkpoint();
-      rt::with_retry(rec, "pool.pack", ci_ix, fault_log, [&] {
+      rt::with_retry(rec, site, ci_ix, fault_log, [&] {
         rt::maybe_inject(rt::FaultSite::kPool, ci_ix);
-        SNP_OBS_SPAN("core.chunk.pack");
-        window = bits::RowWindow{&streamed, row0, rows};
+        body();
       });
-      SNP_OBS_FLIGHT(obs::FlightKind::kChunkPack,
-                     obs::current_trace().trace_id, 0, ci_ix, rows);
-    };
-    const auto execute = [&] {
-      checkpoint();
-      rt::with_retry(rec, "pool.execute", ci_ix, fault_log, [&] {
-        rt::maybe_inject(rt::FaultSite::kPool, ci_ix);
-        SNP_OBS_SPAN("core.chunk.execute");
-        const bits::RowWindow& ap = stream_b ? resident_rows : window;
-        const bits::RowWindow& bp = stream_b ? window : resident_rows;
-        // Straight into this chunk's block of the gamma matrix, or into
-        // a block of its own when only a callback takes the results.
-        std::uint32_t* block = nullptr;
-        std::size_t ldc = bp.rows;
-        if (options.keep_counts) {
-          ldc = result.counts.cols();
-          block = result.counts.raw().data() +
-                  (stream_b ? row0 : row0 * ldc);
-        } else {
-          part = CountMatrix::for_overwrite(ap.rows, bp.rows);
-          block = part.raw().data();
-        }
-        // The kernel overwrites the block (beta = 0), so a retried body
-        // does not count twice.
-        kernel.execute(ap, bp, block, ldc);
-      });
-      // The block's rows: every row of A when B streams, else the chunk's.
-      SNP_OBS_FLIGHT(obs::FlightKind::kChunkExec,
-                     obs::current_trace().trace_id, 0, ci_ix,
-                     stream_b ? a.rows() : rows);
-    };
-    const auto drain = [&] {
-      checkpoint();
-      rt::with_retry(rec, "pool.drain", ci_ix, fault_log, [&] {
-        rt::maybe_inject(rt::FaultSite::kPool, ci_ix);
-        SNP_OBS_SPAN("core.chunk.drain");
-        if (options.chunk_callback) {
-          if (options.keep_counts) {
-            part = chunk_block(result.counts, row0, rows, stream_b);
-          }
-          options.chunk_callback(
-              ComputeOptions::ChunkView{row0, stream_b, part});
-        }
-      });
-      SNP_OBS_FLIGHT(obs::FlightKind::kChunkDrain,
-                     obs::current_trace().trace_id, 0, ci_ix, rows);
-      // Only after a fully delivered chunk (block computed, callback
-      // ran) does the delivered prefix grow — the degradation rung
-      // trusts this to never redeliver or skip rows.
-      progress->delivered_rows.store(row0 + rows);
     };
     std::function<void()> functional;
     if (options.functional) {
-      functional = [&] {
-        cev.host_pack_start = host_now();
-        pack();
-        cev.host_pack_end = cev.host_exec_start = host_now();
-        execute();
-        cev.host_exec_end = cev.host_drain_start = host_now();
-        drain();
-        cev.host_drain_end = host_now();
-      };
+      functional = [&] { stages.run(ci, row0, rows, cev, guard); };
     }
     const cl::Event evk = rt::with_retry(
         rec, "launch", static_cast<std::int64_t>(ci), fault_log, [&] {
@@ -764,7 +749,7 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
     cev.kernel_end = evk.end;
 
     // Read the C chunk back.
-    const std::size_t c_bytes = rows * c_row_bytes;
+    const std::size_t c_bytes = rows * plan.c_row_bytes;
     const cl::Event evr = rt::with_retry(
         rec, "readback", static_cast<std::int64_t>(ci), fault_log,
         [&] { return q.enqueue_read(*c_bufs[slot], c_bytes); });

@@ -13,11 +13,11 @@
 // simulated device's virtual clock. The two FastID wrappers fold each
 // chunk into their answers (per-query top-k, per-mixture inclusions) as
 // it drains, so a GPU context never holds the gamma matrix, which reaches
-// gigabytes against a 20 M-profile database (a CPU context computes it as
-// one chunk); a caller that wants gamma calls compare().
+// gigabytes against a 20 M-profile database. A CPU context runs the same
+// chunk loop with no device (Context::compare_host); a caller that wants
+// gamma calls compare().
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -54,7 +54,8 @@ struct ComputeOptions {
   /// (the Eq. 3 simplification).
   bool pre_negate = false;
   /// Rows of the streamed operand per chunk; 0 = largest that fits the
-  /// device's allocation limits with two in-flight buffers.
+  /// device's allocation limits with two in-flight buffers. Host runs
+  /// take it only when keep_counts is off (Context::compare_host).
   std::size_t chunk_rows = 0;
 
   /// GPU contexts: run the static analyzer (src/analyze) on the effective
@@ -285,27 +286,29 @@ class Context {
                                       const ComputeOptions& options = {})
       const;
 
+  /// The chunk loop with no device, over rows [first, last) of the
+  /// streamed operand (B when it has at least as many rows as A): a CPU
+  /// context's compare, compare()'s degrade rung and a lost multi-GPU
+  /// shard. Windows take options.chunk_rows rows, or as many as fit 256
+  /// MiB. A run that keeps counts in `gamma` (a.rows() x b.rows(), sized
+  /// here if it is not) takes one window: more would save no memory and
+  /// cost a self-comparison its triangle-only path. Nothing is copied.
+  /// Returns the wall-clock timing, one chunk event per window.
+  [[nodiscard]] static TimingReport compare_host(
+      const bits::BitMatrix& a, const bits::BitMatrix& b,
+      bits::Comparison op, const ComputeOptions& options, std::size_t first,
+      std::size_t last, bits::CountMatrix& gamma);
+
  private:
   Context();
 
-  [[nodiscard]] CompareResult compare_cpu(const bits::BitMatrix& a,
-                                          const bits::BitMatrix& b,
-                                          bits::Comparison op,
-                                          const ComputeOptions& options);
-
-  /// How far the device pipeline got before failing: chunks drain in
-  /// stream order, so `delivered_rows` is an exact prefix of the streamed
-  /// operand, and the degradation rung recomputes only the remainder and
-  /// never redelivers a chunk to streaming consumers.
-  struct GpuProgress {
-    bool stream_b = true;
-    std::atomic<std::size_t> delivered_rows{0};
-  };
-  /// Fills `out` in place (partial results survive a mid-run throw for
-  /// the degradation rung to finish from).
+  /// Fills `out` in place, and `delivered` with the exact prefix of the
+  /// streamed operand its chunks delivered (they drain in stream order):
+  /// partial results survive a mid-run throw for the degradation rung to
+  /// finish from, never redelivering a row to streaming consumers.
   void compare_gpu(const bits::BitMatrix& a, const bits::BitMatrix& b,
                    bits::Comparison op, const ComputeOptions& options,
-                   rt::FaultLog* fault_log, GpuProgress* progress,
+                   rt::FaultLog* fault_log, std::size_t& delivered,
                    CompareResult& out);
 
   std::optional<cl::Device> gpu_;

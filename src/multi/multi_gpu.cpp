@@ -1,7 +1,6 @@
 #include "multi/multi_gpu.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstddef>
 #include <exception>
 #include <numeric>
@@ -11,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "cpu/engine.hpp"
 #include "model/peak.hpp"
 #include "obs/obs.hpp"
 #include "rt/fault.hpp"
@@ -133,35 +131,26 @@ void for_each_shard(std::size_t count, Fn&& task) {
   }
 }
 
-/// Host-engine fallback for one shard's row range — the final rung of the
+/// Host-engine fallback for one shard's rows — the final rung of the
 /// recovery ladder when the shard's device (and, under failover, every
-/// other device) is gone. Counts are bit-identical to the device path,
-/// whose functional kernel is the same host engine.
+/// other device) is gone. The host chunk loop runs from the shard's first
+/// row and writes its counts straight into the merged `gamma`; the
+/// callback sees the shard-relative offsets the device pipeline gives.
 CompareResult host_compare_shard(const BitMatrix& a, const BitMatrix& b,
-                                 Comparison op, bool shard_b,
-                                 const Shard& s,
-                                 const ComputeOptions& opts) {
-  const auto t0 = std::chrono::steady_clock::now();
-  CompareResult r;
-  if (opts.functional) {
-    const BitMatrix part = shard_b ? b.row_slice(s.begin, s.end)
-                                   : a.row_slice(s.begin, s.end);
-    const BitMatrix& ca = shard_b ? a : part;
-    const BitMatrix& cb = shard_b ? part : b;
-    r.counts = cpu::compare_blocked(ca, cb, op);
-    if (opts.chunk_callback) {
-      // Same shard-relative offsets as the device pipeline's chunks.
+                                 Comparison op, const Shard& s,
+                                 const ComputeOptions& opts,
+                                 CountMatrix& gamma) {
+  ComputeOptions shard = opts;
+  if (opts.chunk_callback) {
+    shard.chunk_callback = [&](const ComputeOptions::ChunkView& v) {
       opts.chunk_callback(
-          ComputeOptions::ChunkView{0, shard_b, r.counts});
-    }
+          ComputeOptions::ChunkView{v.row0 - s.begin, v.streamed_b, v.part});
+    };
   }
+  CompareResult r;
+  r.timing = Context::compare_host(a, b, op, shard, s.begin, s.end, gamma);
   r.timing.device = "cpu (shard fallback)";
   r.timing.degraded = true;
-  r.timing.chunks = 1;
-  r.timing.end_to_end_s = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-  r.timing.kernel_s = r.timing.end_to_end_s;
   return r;
 }
 
@@ -266,9 +255,9 @@ MultiCompareResult MultiGpuContext::compare(const BitMatrix& a,
       // Each failed shard falls straight to the host rung.
       SNP_OBS_COUNT("rt.degrades", failed.size());
       for (const Shard& s : failed) {
-        completed.push_back(
-            {s, host_compare_shard(a, b, op, shard_b, s,
-                                   options.per_device)});
+        completed.push_back({s, host_compare_shard(a, b, op, s,
+                                                   options.per_device,
+                                                   result.counts)});
       }
       result.timing.degraded = true;
       continue;
@@ -297,9 +286,9 @@ MultiCompareResult MultiGpuContext::compare(const BitMatrix& a,
       // Whole box gone: final degradation rung.
       SNP_OBS_COUNT("rt.degrades", failed.size());
       for (const Shard& s : failed) {
-        completed.push_back(
-            {s, host_compare_shard(a, b, op, shard_b, s,
-                                   options.per_device)});
+        completed.push_back({s, host_compare_shard(a, b, op, s,
+                                                   options.per_device,
+                                                   result.counts)});
       }
       result.timing.degraded = true;
       continue;
@@ -342,6 +331,7 @@ MultiCompareResult MultiGpuContext::compare(const BitMatrix& a,
       result.timing.slowest_device = r.timing;
     }
     if (options.per_device.functional) {
+      // A host fallback's counts are in place already; its block is empty.
       result.counts.put_block(r.counts, shard_b ? 0 : s.begin,
                               shard_b ? s.begin : 0);
     }

@@ -27,20 +27,35 @@ constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
 /// (0 < weight_sum, cum <= weight_sum). The split and the ledger's
 /// decoder both take it from here, so a rebuilt share is the share.
 u128 scaled_floor(std::uint64_t total, u128 cum, u128 weight_sum) {
-  // total*W fitting in 64 bits covers every realistic batch (ns totals
-  // against row-count weights), and the hardware divide there is several
-  // times cheaper than the library u128 divide — this runs once per
-  // member per cost axis on the batch-completion path.
-  std::uint64_t product = 0;
-  if (weight_sum <= kU64Max &&
-      !__builtin_mul_overflow(total, static_cast<std::uint64_t>(weight_sum),
-                              &product)) {
-    return total * static_cast<std::uint64_t>(cum) /
-           static_cast<std::uint64_t>(weight_sum);
+  if (weight_sum <= kU64Max) {
+    // total*W fitting in 64 bits covers every realistic batch (ns totals
+    // against row-count weights), and the hardware divide there is several
+    // times cheaper than the library u128 divide — this runs once per
+    // member per cost axis on the batch-completion path.
+    const auto w = static_cast<std::uint64_t>(weight_sum);
+    std::uint64_t product = 0;
+    if (!__builtin_mul_overflow(total, w, &product)) {
+      return total * static_cast<std::uint64_t>(cum) / w;
+    }
+    // Else total * cum fits in 128 bits, the weight sum in 64.
+    return static_cast<u128>(total) * cum / weight_sum;
   }
-  // 128-bit products: total * cum fits in unsigned __int128 while the
-  // weight sum fits in 64 bits.
-  return static_cast<u128>(total) * cum / weight_sum;
+  // Past 2^64 the product needs up to 192 bits. Walk total's bits from the
+  // top, keeping (total's bits so far) * cum = q * W + r with r < W; each
+  // step adds r or cum (both at most W) to r, and no comparison wraps.
+  u128 q = 0;
+  u128 r = 0;
+  const auto add = [&](u128 x) {
+    const bool carry = r >= weight_sum - x;
+    r = carry ? r - (weight_sum - x) : r + x;
+    q += carry ? 1 : 0;
+  };
+  for (int bit = 63; bit >= 0; --bit) {
+    q <<= 1;
+    add(r);
+    add((total >> bit) & 1U ? cum : 0);
+  }
+  return q;
 }
 
 /// Member i's share of `total`: floor(total*C[i+1]/W) - floor(total*C[i]/W)

@@ -127,7 +127,8 @@ FaultPlan FaultPlan::parse(std::string_view spec) {
       char* end = nullptr;
       if (key == "p") {
         clause.p = std::strtod(value.c_str(), &end);
-        if (end == nullptr || *end != '\0' || clause.p < 0.0 || clause.p > 1.0)
+        if (end == nullptr || *end != '\0' ||
+            !(clause.p >= 0.0 && clause.p <= 1.0))  // NaN fails both
           parse_fail(spec, "p must be a number in [0,1]");
         any_trigger = any_trigger || clause.p > 0.0;
       } else if (key == "seed") {

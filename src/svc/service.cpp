@@ -408,11 +408,15 @@ struct ServiceEngine::Impl {
       database = database.negated();
     }
     auto next = std::make_shared<const bits::BitMatrix>(std::move(database));
+    // The old epoch's cache moves out under mu and dies after the lock is
+    // released, so freeing its rows holds up no submit() or batch.
+    decltype(cache) old_cache;
+    decltype(cache_fifo) old_fifo;
     const std::lock_guard lock(mu);
     db = std::move(next);
     epoch++;
-    cache.clear();
-    cache_fifo.clear();
+    cache.swap(old_cache);
+    cache_fifo.swap(old_fifo);
     cache_bytes = 0;
     SNP_OBS_GAUGE_SET("svc.cache.bytes", 0);
     SNP_OBS_COUNT("svc.epoch_bumps", 1);

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "cpu/engine.hpp"
 #include "io/datagen.hpp"
+#include "obs/obs.hpp"
 #include "rt/status.hpp"
 
 namespace snp {
@@ -268,6 +270,27 @@ TEST(Context, EstimateCpuUsesXeonModel) {
   // 1000*1000*313 word-ops at 85 % of 50.4 G/s.
   EXPECT_NEAR(t.kernel_s, 313e6 / (50.4e9 * 0.85), 1e-6);
   EXPECT_NE(t.device.find("Xeon"), std::string::npos);
+}
+
+TEST(Context, CpuLdKeepsTheEngineSelfRule) {
+  // A CPU context keeps gamma in one window, so ld() hands the engine one
+  // matrix on both sides and the engine computes only the tiles on or
+  // above the diagonal, as cpu::ld_counts does.
+  if (!obs::kEnabled) {
+    GTEST_SKIP() << "telemetry compiled out (SNPCMP_OBS=OFF)";
+  }
+  const obs::Counter& wordops =
+      obs::MetricsRegistry::global().counter("cpu.wordops");
+  const auto loci = io::random_bitmatrix(2048, 256, 0.5, 270);
+  std::uint64_t w0 = wordops.value();
+  const bits::CountMatrix direct = cpu::ld_counts(loci);
+  const std::uint64_t engine = wordops.value() - w0;
+  Context ctx = Context::cpu();
+  w0 = wordops.value();
+  const CompareResult r = ctx.ld(loci);
+  EXPECT_EQ(wordops.value() - w0, engine);
+  EXPECT_EQ(r.timing.chunks, 1);
+  EXPECT_TRUE(r.counts == direct);
 }
 
 }  // namespace

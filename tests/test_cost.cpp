@@ -123,6 +123,87 @@ TEST(SplitExact, HugeTotalsUseWideArithmetic) {
   EXPECT_EQ(static_cast<std::uint64_t>(sum), total);
 }
 
+/// floor(total * c / w) by binary long division of the 192-bit product,
+/// built from 32-bit limbs: independent of split_exact's arithmetic.
+u128 long_division_floor(std::uint64_t total, u128 c, u128 w) {
+  constexpr std::uint64_t kMask = 0xffffffffULL;
+  const std::uint64_t t[2] = {total & kMask, total >> 32};
+  std::uint64_t cl[4];
+  for (int j = 0; j < 4; ++j) {
+    cl[j] = static_cast<std::uint64_t>(c >> (32 * j)) & kMask;
+  }
+  std::uint64_t prod[6] = {};  // total * c, least significant limb first
+  for (int i = 0; i < 2; ++i) {
+    std::uint64_t carry = 0;
+    for (int j = 0; j < 4; ++j) {
+      const std::uint64_t cur = prod[i + j] + t[i] * cl[j] + carry;
+      prod[i + j] = cur & kMask;
+      carry = cur >> 32;
+    }
+    prod[i + 4] += carry;
+  }
+  u128 q = 0;
+  u128 rem = 0;
+  for (int bit = 191; bit >= 0; --bit) {
+    const bool carry_out = (rem >> 127) != 0;
+    rem = (rem << 1) | ((prod[bit / 32] >> (bit % 32)) & 1U);
+    q <<= 1;
+    if (carry_out || rem >= w) {
+      rem -= w;
+      q |= 1;
+    }
+  }
+  return q;
+}
+
+/// Checks every share against the long-division reference and their sum
+/// against the total.
+void expect_long_division_shares(std::uint64_t total,
+                                 const std::vector<std::uint64_t>& weights) {
+  const auto shares = obs::split_exact(total, weights);
+  ASSERT_EQ(shares.size(), weights.size());
+  u128 weight_sum = 0;
+  for (const auto w : weights) {
+    weight_sum += w;
+  }
+  u128 cum = 0;
+  u128 prev = 0;
+  u128 sum = 0;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    cum += weights[i];
+    const u128 next = long_division_floor(total, cum, weight_sum);
+    ASSERT_EQ(static_cast<u128>(shares[i]), next - prev)
+        << "share " << i << " of " << weights.size();
+    prev = next;
+    sum += shares[i];
+  }
+  EXPECT_TRUE(sum == total);
+}
+
+TEST(SplitExact, WeightSumsPast2To64MatchLongDivision) {
+  // 2^64 - 1 is divisible by 3, so three equal weights split it evenly.
+  const std::vector<std::uint64_t> equal(3, 1ULL << 63);
+  EXPECT_EQ(obs::split_exact(~0ULL, equal),
+            std::vector<std::uint64_t>(3, 6148914691236517205ULL));
+  expect_long_division_shares(~0ULL, equal);
+
+  std::mt19937_64 rng(8802);
+  std::uniform_int_distribution<std::size_t> n_dist(2, 40);
+  for (int rep = 0; rep < 300; ++rep) {
+    std::vector<std::uint64_t> weights(n_dist(rng));
+    for (auto& w : weights) {
+      // Mostly top-heavy weights, with zeros and small ones between.
+      const auto kind = rng() % 8;
+      w = kind == 0 ? 0 : kind == 1 ? rng() % 1000 : rng() | (1ULL << 63);
+    }
+    weights[0] = ~0ULL;
+    weights[1] = ~0ULL;  // the sum is past 2^64 whatever the others are
+    const std::uint64_t total = rep % 3 == 0 ? ~0ULL - rng() % 1024 : rng();
+    SCOPED_TRACE("rep=" + std::to_string(rep));
+    expect_long_division_shares(total, weights);
+  }
+}
+
 TEST(QuantizeCostNs, RoundsToNearestAndClampsJunk) {
   EXPECT_EQ(obs::quantize_cost_ns(1.0), 1'000'000'000ULL);
   EXPECT_EQ(obs::quantize_cost_ns(1.5e-9), 2ULL);  // round to nearest

@@ -1,6 +1,7 @@
-// Host-memory pins for the simulated GPU path: device buffers hold no
-// bytes, a GPU-context compare allocates its result once, the FastID
-// answers never hold the gamma matrix, and r^2 keeps each locus pair once.
+// Host-memory pins for the chunk loop: device buffers hold no bytes, a
+// GPU-context compare allocates its result once, the FastID answers never
+// hold the gamma matrix (on a GPU context, a CPU context, or a GPU run
+// that degrades mid-stream), and r^2 keeps each locus pair once.
 //
 // Live bytes are counted by replacing the global operator new/delete for
 // this binary (live_heap.hpp), which is why the test has an executable of
@@ -18,6 +19,7 @@
 #include "exec/thread_pool.hpp"
 #include "io/datagen.hpp"
 #include "live_heap.hpp"
+#include "rt/fault.hpp"
 #include "stats/ld.hpp"
 
 namespace snp {
@@ -107,6 +109,69 @@ TEST(DeviceMemory, FastIdAnswersHoldNoGammaMatrix) {
   ASSERT_EQ(mix.timing.chunks, 16);
   EXPECT_LT(peak, kGammaBytes)
       << "mixture_analysis peaked " << peak << " B above its start";
+}
+
+TEST(DeviceMemory, CpuFastIdAnswersHoldNoGammaMatrix) {
+  // The CPU context runs the same chunk loop with no device: 4,096-row
+  // windows, each block folded as it drains.
+  const bits::BitMatrix db = io::random_bitmatrix(65536, 1024, 0.3, 33);
+  const bits::BitMatrix few = io::random_bitmatrix(8, 1024, 0.6, 34);
+  constexpr std::int64_t kGammaBytes = 8 * 65536 * 4;
+  Context ctx = Context::cpu();
+  ComputeOptions opts;
+  opts.chunk_rows = 4096;
+
+  std::int64_t before = live_heap::live();
+  live_heap::reset_peak();
+  const IdentitySearchResult ids = ctx.identity_search(few, db, 10, opts);
+  std::int64_t peak = live_heap::peak() - before;
+  ASSERT_EQ(ids.timing.chunks, 16);
+  ASSERT_EQ(ids.top[0].size(), 10u);
+  EXPECT_LT(peak, kGammaBytes)
+      << "identity_search peaked " << peak << " B above its start";
+
+  before = live_heap::live();
+  live_heap::reset_peak();
+  const MixtureAnalysisResult mix =
+      ctx.mixture_analysis(db, few, 100, opts);
+  peak = live_heap::peak() - before;
+  ASSERT_EQ(mix.timing.chunks, 16);
+  EXPECT_LT(peak, kGammaBytes)
+      << "mixture_analysis peaked " << peak << " B above its start";
+}
+
+TEST(DeviceMemory, DegradedSearchCopiesNoDatabaseRows) {
+  // The device loses its launch from the third chunk on, past its
+  // retries, and the degrade rung resumes the chunk loop on the host at
+  // row 8,192. The 57,344 rows left hold 7 MiB of profiles and their
+  // gamma 1.75 MiB: a copy of either rest, or a block of all of it, would
+  // break the bound.
+  const bits::BitMatrix db = io::random_bitmatrix(65536, 1024, 0.3, 35);
+  const bits::BitMatrix few = io::random_bitmatrix(8, 1024, 0.6, 36);
+  constexpr std::int64_t kGammaBytes = 8 * 65536 * 4;
+  Context ctx = Context::gpu("titanv");
+  ComputeOptions opts;
+  opts.chunk_rows = 4096;
+  const IdentitySearchResult clean = ctx.identity_search(few, db, 10, opts);
+  opts.recovery.policy = rt::FailPolicy::kDegrade;
+  opts.recovery.backoff_base_s = 0.0;
+
+  const rt::ScopedFaultPlan plan("launch:p=1:at=2");
+  const std::int64_t before = live_heap::live();
+  live_heap::reset_peak();
+  const IdentitySearchResult ids = ctx.identity_search(few, db, 10, opts);
+  const std::int64_t peak = live_heap::peak() - before;
+  ASSERT_TRUE(ids.timing.degraded);
+  for (std::size_t q = 0; q < few.rows(); ++q) {
+    ASSERT_EQ(ids.top[q].size(), 10u);
+    for (std::size_t k = 0; k < 10; ++k) {
+      EXPECT_EQ(ids.top[q][k].reference_index,
+                clean.top[q][k].reference_index)
+          << "query " << q << ", rank " << k;
+    }
+  }
+  EXPECT_LT(peak, kGammaBytes)
+      << "degraded identity_search peaked " << peak << " B above its start";
 }
 
 TEST(DeviceMemory, R2MatrixPeaksAtItsPackedTriangle) {

@@ -8,6 +8,8 @@
 #include <functional>
 #include <initializer_list>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "io/datagen.hpp"
 #include "io/formats.hpp"
@@ -15,6 +17,8 @@
 #include "io/plink_lite.hpp"
 #include "io/rng.hpp"
 #include "io/vcf_lite.hpp"
+#include "obs/flight.hpp"
+#include "obs/report.hpp"
 #include "rt/fault.hpp"
 #include "rt/status.hpp"
 
@@ -140,6 +144,157 @@ TEST(TextFuzz, VcfLiteGarbageLines) {
     std::stringstream ss(c);
     EXPECT_THROW((void)load_vcf_lite(ss), std::exception) << c;
   }
+}
+
+// --- The parsers of untrusted text outside io: SNPCMP_FAULTS
+// (rt::FaultPlan::parse), SNPCMP_FLIGHT_RING (obs::parse_flight_ring) and
+// obs::jsonlite::parse, which reads serve scripts and `snpcmp report`
+// input. Each runs over a seeded corpus of valid inputs and mutants of
+// it, and every input must parse or fail the documented way.
+
+/// `count` seeded mutants of `corpus`: byte flips, truncations, and
+/// splices of one input's head onto another's tail.
+std::vector<std::string> mutants(const std::vector<std::string>& corpus,
+                                 std::uint64_t seed, int count) {
+  Rng rng(seed);
+  const auto pick = [&] { return corpus[rng.next_below(corpus.size())]; };
+  std::vector<std::string> out;
+  for (int i = 0; i < count; ++i) {
+    std::string s = pick();
+    switch (rng.next_below(3)) {
+      case 0:
+        for (auto flips = 1 + rng.next_below(3); flips > 0 && !s.empty();
+             --flips) {
+          s[rng.next_below(s.size())] = static_cast<char>(rng.next_u64());
+        }
+        break;
+      case 1:
+        s.resize(rng.next_below(s.size() + 1));
+        break;
+      default: {
+        const std::string tail = pick();
+        s = s.substr(0, rng.next_below(s.size() + 1)) +
+            tail.substr(rng.next_below(tail.size() + 1));
+      }
+    }
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+TEST(ParserFuzz, FaultPlanParsesOrThrowsRtError) {
+  const std::vector<std::string> corpus = {
+      "",
+      "launch:p=0.01:seed=7",
+      "h2d:after=3",
+      "shard:at=1:after=1",
+      "pool:p=0.5:count=2,readback:after=1",
+      "alloc:p=1,io:after=2:count=1,timeout:p=0.1:seed=9:at=0",
+      "launch:p=nan:after=1",
+      "launch:p=1e-3:seed=18446744073709551615",
+  };
+  int parsed = 0;
+  for (const std::string& spec : mutants(corpus, 9101, 3000)) {
+    try {
+      const rt::FaultPlan plan = rt::FaultPlan::parse(spec);
+      for (const rt::FaultClause& c : plan.clauses) {
+        EXPECT_TRUE(c.p >= 0.0 && c.p <= 1.0) << "'" << spec << "'";
+        EXPECT_TRUE(c.p > 0.0 || c.after > 0) << "'" << spec << "'";
+        EXPECT_GE(c.at, -1) << "'" << spec << "'";
+      }
+      ++parsed;
+    } catch (const rt::Error&) {
+      // rejected, the documented way
+    }
+  }
+  EXPECT_GT(parsed, 0);
+}
+
+TEST(ParserFuzz, FlightRingParsesToAPowerOfTwoInRangeOrNullopt) {
+  const std::vector<std::string> corpus = {
+      "16",  "4096", " 2048 ", "100", "16777216", "\t64\n",
+      "1e4", "-5",   "",       "99999999999999999999999",
+  };
+  int parsed = 0;
+  for (const std::string& text : mutants(corpus, 9102, 3000)) {
+    if (const auto cap = obs::parse_flight_ring(text)) {
+      EXPECT_GE(*cap, 16u) << "'" << text << "'";
+      EXPECT_LE(*cap, obs::FlightRecorder::kMaxCapacity) << "'" << text << "'";
+      EXPECT_EQ(*cap & (*cap - 1), 0u) << "'" << text << "'";
+      ++parsed;
+    }
+  }
+  EXPECT_GT(parsed, 0);
+}
+
+/// A seeded valid JSON document of at most `depth` nested levels.
+std::string random_json(Rng& rng, int depth) {
+  switch (rng.next_below(depth > 0 ? 7 : 5)) {
+    case 0:
+      return "null";
+    case 1:
+      return rng.next_below(2) != 0 ? "true" : "false";
+    case 2:
+      return std::to_string(rng.next_u64() >> rng.next_below(64));
+    case 3:
+      return "-" + std::to_string(rng.next_below(1000)) + ".25e-3";
+    case 4:
+      return R"("a\"b\\c\n\u00e9 \ud83d\ude00")";
+    case 5: {
+      std::string s = "[";
+      for (auto n = rng.next_below(4); n > 0; --n) {
+        s += random_json(rng, depth - 1) + (n > 1 ? ", " : "");
+      }
+      return s + "]";
+    }
+    default: {
+      std::string s = "{";
+      for (auto n = rng.next_below(4); n > 0; --n) {
+        s += "\"k" + std::to_string(n) + "\": " + random_json(rng, depth - 1) +
+             (n > 1 ? "," : "");
+      }
+      return s + "}";
+    }
+  }
+}
+
+TEST(ParserFuzz, JsonliteParsesOrThrowsRuntimeError) {
+  std::vector<std::string> corpus = {
+      R"({"submit": {"query": 3, "deadline_ms": 50}})",
+      R"({"barrier": true})",
+      R"({"epoch": {"db": "next.sbm"}})",
+      R"([{"name": "svc.batch", "ph": "X", "ts": 1.5, "dur": 2, "pid": 1}])",
+      R"({"counters": {"svc.batches": 12}, "gauges": {"svc.cache.bytes": 474}})",
+  };
+  Rng rng(9103);
+  for (int i = 0; i < 40; ++i) {
+    corpus.push_back(random_json(rng, 5));
+  }
+  for (const std::string& doc : corpus) {
+    EXPECT_NO_THROW((void)obs::jsonlite::parse(doc)) << doc;
+  }
+  // At the nesting cap and past it, alone and mutated.
+  for (const std::size_t depth : {64u, 65u, 200u}) {
+    const std::string open(depth, '[');
+    const std::string close(depth, ']');
+    corpus.push_back(open + close);
+    if (depth > 64) {
+      EXPECT_THROW((void)obs::jsonlite::parse(open + close),
+                   std::runtime_error);
+    } else {
+      EXPECT_NO_THROW((void)obs::jsonlite::parse(open + close));
+    }
+  }
+  int parsed = 0;
+  for (const std::string& doc : mutants(corpus, 9104, 3000)) {
+    try {
+      (void)obs::jsonlite::parse(doc);
+      ++parsed;
+    } catch (const std::runtime_error&) {
+      // rejected, the documented way
+    }
+  }
+  EXPECT_GT(parsed, 0);
 }
 
 // --- rt::Status loader API (docs/robustness.md): truncation at *every*

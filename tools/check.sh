@@ -20,14 +20,16 @@
 #      in-place chunk pipeline, the host engines whose loops run on the
 #      exec pool — CPU engine, GPU kernel, LD stats, sparse — the obs
 #      metrics/span
-#      registry, the fault-injection soak, and the multi-client
-#      service-engine soak, its teardown race repeated 50 times). Every
+#      registry, the fault-injection soak, the multi-GPU shard fallback,
+#      and the multi-client service-engine soak, its teardown race
+#      repeated 50 times). Every
 #      host thread is an exec pool thread, so TSan sees the parallel code
 #      production runs.
 #   4. Telemetry compiled out (-DSNPCMP_OBS=OFF) build with warnings as
 #      errors + tier-1 tests.
 #   5. Portable build (-DSNP_NATIVE=OFF, baseline x86-64 codegen) + the
-#      suites that check the host engine's counts against the reference.
+#      suites that check the host engine's counts against the reference,
+#      and the chunk loop's shard fallback and memory pins.
 #
 # The release stage also runs a fault-injection smoke: an injected
 # search under --fail-policy degrade must match the clean ranking and
@@ -58,7 +60,8 @@ portable_stage() {
   # The micro-kernel is one portable source: under baseline x86-64
   # codegen its counts must stay bit-exact too.
   local suites=(test_cpu_engine test_cross_engine test_gpu_kernel
-                test_chunk_pipeline test_ld_stats)
+                test_chunk_pipeline test_ld_stats test_multi_gpu
+                test_device_memory)
   cmake -S . -B build-portable -DCMAKE_BUILD_TYPE=Release -DSNP_NATIVE=OFF \
     >/dev/null
   cmake --build build-portable -j "$jobs" --target "${suites[@]}"
@@ -490,8 +493,8 @@ cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$jobs" \
   --target test_exec test_chunk_pipeline test_streaming \
            test_cpu_engine test_gpu_kernel test_ld_stats test_sparse \
-           test_obs test_fault_injection test_service test_chaos \
-           test_flight test_tracing
+           test_obs test_fault_injection test_multi_gpu test_service \
+           test_chaos test_flight test_tracing
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_exec
 # Each chunk's execute stage spreads its tiles over the host pool, whose
 # threads write disjoint parts of one result matrix; the engine's tile
@@ -510,6 +513,9 @@ TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_ld_stats
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_sparse
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_obs
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_fault_injection
+# A lost shard's host fallback runs the host chunk loop, whose engine
+# tiles run on the host pool.
+TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_multi_gpu
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_service
 TSAN_OPTIONS=halt_on_error=1 timeout 600 ./build-tsan/tests/test_service \
   --gtest_filter="$teardown_test" --gtest_repeat=50 --gtest_brief=1
