@@ -83,14 +83,18 @@ double trace_anchor_us() {
   return 0.0;
 }
 
-/// Rows per chunk that keep one chunk's streamed rows and its block of
-/// `per_row` bytes a row within 256 MiB, so transfers pipeline against
-/// compute: "the amount of data to be transferred at each step must be
-/// evenly balanced with the amount of computation ... to sufficiently
-/// overlap execution and data transfer" (paper Section VI-E-2).
-std::size_t pipeline_rows(std::size_t per_row) {
-  constexpr std::size_t kMaxChunkBytes = 256ull << 20;
-  return std::max<std::size_t>(kMaxChunkBytes / per_row, 1);
+/// Rows per host window when ComputeOptions::chunk_rows is unset. The
+/// host engine reads the streamed rows in place, so a window holds only
+/// its block of counts: at most 1 MiB of it, in whole n_c blocks of the
+/// engine, and at least one. On a 4-vCPU AVX-512 host, identity_search
+/// of 1 to 256 queries ran at one speed with blocks of 0.25 to 8 MiB, and
+/// slower with blocks of 32 MiB and up.
+std::size_t host_window_rows(std::size_t resident_rows) {
+  constexpr std::size_t kMaxBlockBytes = 1ull << 20;
+  const std::size_t n_c = cpu::CpuBlocking{}.n_c;
+  const std::size_t rows =
+      kMaxBlockBytes / (resident_rows * sizeof(std::uint32_t));
+  return std::max(rows / n_c * n_c, n_c);
 }
 
 /// Copies one chunk's block out of the full gamma matrix: columns
@@ -186,8 +190,15 @@ ChunkPlan plan_chunks(const model::GpuSpec& dev,
     const std::size_t by_alloc_in =
         dev.max_alloc_bytes / p.stream_row_bytes;
     const std::size_t by_alloc_out = dev.max_alloc_bytes / p.c_row_bytes;
+    // Also keep chunks modest so transfers pipeline against compute: "the
+    // amount of data to be transferred at each step must be evenly
+    // balanced with the amount of computation ... to sufficiently overlap
+    // execution and data transfer" (paper Section VI-E-2).
+    constexpr std::size_t kMaxChunkBytes = 256ull << 20;
+    const std::size_t by_pipeline = std::max<std::size_t>(
+        kMaxChunkBytes / per_row, 1);
     p.chunk_rows = std::min({by_global, by_alloc_in, by_alloc_out,
-                             pipeline_rows(per_row), p.stream_rows});
+                             by_pipeline, p.stream_rows});
     const auto tile =
         static_cast<std::size_t>(p.stream_b ? cfg.n_r : cfg.m_c);
     p.chunk_rows = std::max(tile, p.chunk_rows / tile * tile);
@@ -247,15 +258,13 @@ struct ModelSums {
 /// place (its tiles spread over exec::host_pool()), and drain delivers the
 /// chunk callback. The device path runs a chunk inside each simulated
 /// kernel launch, the host paths (Context::compare_host) back to back.
+/// A chunk is delivered once run() returns.
 struct ChunkStages {
   const BitMatrix& a;
   const BitMatrix& b;
   Comparison op;  ///< what the engine computes (Eq. 3 already lowered)
   const ComputeOptions& options;
   CountMatrix& gamma;  ///< a.rows() x b.rows(), written when keep_counts
-  /// The exact prefix of the streamed operand the consumers have seen,
-  /// where the degradation rung resumes.
-  std::size_t& delivered;
   Clock::time_point wall0;  ///< the chunks' host stamps count from here
 
   /// Runs streamed rows [row0, row0 + rows) as chunk `ci`, stamping its
@@ -315,9 +324,6 @@ struct ChunkStages {
       }
     });
     SNP_OBS_FLIGHT(obs::FlightKind::kChunkDrain, trace_id, 0, ci_ix, rows);
-    // Only after a fully delivered chunk (block computed, callback ran)
-    // does the delivered prefix grow.
-    delivered = row0 + rows;
     cev.host_drain_end = now();
   }
 };
@@ -503,9 +509,10 @@ TimingReport Context::compare_host(const BitMatrix& a, const BitMatrix& b,
   const std::size_t resident_rows = stream_b ? a.rows() : b.rows();
   std::size_t window = options.keep_counts ? last - first : options.chunk_rows;
   if (window == 0) {
-    window = pipeline_rows((stream_b ? b : a).words64_per_row() * 8 +
-                           resident_rows * 4);
+    window = host_window_rows(resident_rows);
   }
+  // No wider than the range, so stepping a window past it cannot wrap.
+  window = std::max<std::size_t>(std::min(window, last - first), 1);
   if (options.functional && options.keep_counts &&
       (gamma.rows() != a.rows() || gamma.cols() != b.rows())) {
     // The windows' blocks tile it and the engine stores each one.
@@ -516,10 +523,7 @@ TimingReport Context::compare_host(const BitMatrix& a, const BitMatrix& b,
   t.chunks = static_cast<int>(bits::ceil_div(last - first, window));
   t.wordops = static_cast<std::uint64_t>(resident_rows) * (last - first) *
               bits::ceil_div(a.bit_cols(), bits::kBitsPerWord32);
-  std::size_t delivered = first;
-  const ChunkStages stages{a,       b,     op,
-                           options, gamma, delivered,
-                           Clock::now()};
+  const ChunkStages stages{a, b, op, options, gamma, Clock::now()};
   for (std::size_t row0 = first; options.functional && row0 < last;
        row0 += window) {
     const std::size_t rows = std::min(window, last - row0);
@@ -662,8 +666,7 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
 
   // Functional runs compute each chunk inside its kernel enqueue.
   const ChunkStages stages{a,       b_eff,         kernel.lowered_op(),
-                           options, result.counts, delivered,
-                           wall0};
+                           options, result.counts, wall0};
 
   for (std::size_t ci = 0; ci < n_chunks; ++ci) {
     // Cooperative cancellation boundary: a fired token (explicit cancel
@@ -738,7 +741,12 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
     };
     std::function<void()> functional;
     if (options.functional) {
-      functional = [&] { stages.run(ci, row0, rows, cev, guard); };
+      // Only a fully delivered chunk (block computed, callback ran) grows
+      // the prefix the degradation rung resumes after.
+      functional = [&] {
+        stages.run(ci, row0, rows, cev, guard);
+        delivered = row0 + rows;
+      };
     }
     const cl::Event evk = rt::with_retry(
         rec, "launch", static_cast<std::int64_t>(ci), fault_log, [&] {

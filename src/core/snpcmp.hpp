@@ -289,10 +289,11 @@ class Context {
   /// The chunk loop with no device, over rows [first, last) of the
   /// streamed operand (B when it has at least as many rows as A): a CPU
   /// context's compare, compare()'s degrade rung and a lost multi-GPU
-  /// shard. Windows take options.chunk_rows rows, or as many as fit 256
-  /// MiB. A run that keeps counts in `gamma` (a.rows() x b.rows(), sized
-  /// here if it is not) takes one window: more would save no memory and
-  /// cost a self-comparison its triangle-only path. Nothing is copied.
+  /// shard. Nothing is copied, so a window's memory is its block: windows
+  /// take options.chunk_rows rows, or as many 2,048-row blocks as fit 1 MiB
+  /// (at least one). A run that keeps counts in `gamma` (a.rows() x
+  /// b.rows(), sized here if it is not) takes one window: more would save
+  /// no memory and cost a self-comparison its triangle-only path.
   /// Returns the wall-clock timing, one chunk event per window.
   [[nodiscard]] static TimingReport compare_host(
       const bits::BitMatrix& a, const bits::BitMatrix& b,

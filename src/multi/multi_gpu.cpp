@@ -251,39 +251,30 @@ MultiCompareResult MultiGpuContext::compare(const BitMatrix& a,
       continue;
     }
 
-    if (policy == rt::FailPolicy::kDegrade) {
-      // Each failed shard falls straight to the host rung.
-      SNP_OBS_COUNT("rt.degrades", failed.size());
-      for (const Shard& s : failed) {
-        completed.push_back({s, host_compare_shard(a, b, op, s,
-                                                   options.per_device,
-                                                   result.counts)});
-      }
-      result.timing.degraded = true;
-      continue;
-    }
-
     // kFailover: mark the shard's device lost and re-shard its rows
     // across the survivors by their throughput weights.
-    for (const Shard& s : failed) {
-      if (!device_lost[s.device]) {
-        device_lost[s.device] = true;
-        SNP_OBS_COUNT("rt.failovers", 1);
-        result.timing.lost_devices.push_back(
-            contexts_[s.device].device_name() + "[" +
-            std::to_string(s.device) + "]");
-      }
-    }
     std::vector<std::size_t> survivors;
     std::vector<double> surv_weights;
-    for (std::size_t d = 0; d < contexts_.size(); ++d) {
-      if (!device_lost[d]) {
-        survivors.push_back(d);
-        surv_weights.push_back(weights_[d]);
+    if (policy == rt::FailPolicy::kFailover) {
+      for (const Shard& s : failed) {
+        if (!device_lost[s.device]) {
+          device_lost[s.device] = true;
+          SNP_OBS_COUNT("rt.failovers", 1);
+          result.timing.lost_devices.push_back(
+              contexts_[s.device].device_name() + "[" +
+              std::to_string(s.device) + "]");
+        }
+      }
+      for (std::size_t d = 0; d < contexts_.size(); ++d) {
+        if (!device_lost[d]) {
+          survivors.push_back(d);
+          surv_weights.push_back(weights_[d]);
+        }
       }
     }
     if (survivors.empty()) {
-      // Whole box gone: final degradation rung.
+      // kDegrade, or the whole box gone: each failed shard falls to the
+      // host rung.
       SNP_OBS_COUNT("rt.degrades", failed.size());
       for (const Shard& s : failed) {
         completed.push_back({s, host_compare_shard(a, b, op, s,

@@ -11,8 +11,8 @@
 //              (multi::MultiGpuContext); with no survivors, fall
 //              through to the CPU rung.
 //   degrade  — retry first; if the device pipeline still cannot finish,
-//              the remaining rows are recomputed on the host
-//              (cpu::compare_blocked) and the report is flagged
+//              the host chunk loop resumes at the first undelivered row
+//              (Context::compare_host) and the report is flagged
 //              `degraded` — slower, never wrong, never silent.
 //
 // Everything here is deterministic: backoff is a pure function of the

@@ -140,6 +140,32 @@ TEST(DeviceMemory, CpuFastIdAnswersHoldNoGammaMatrix) {
       << "mixture_analysis peaked " << peak << " B above its start";
 }
 
+TEST(DeviceMemory, CpuFastIdAnswersAtDefaultOptionsHoldOneWindow) {
+  // With chunk_rows unset, a CPU context's window holds a block of at
+  // most 1 MiB: 32,768 profiles for 8 queries, half of this gamma.
+  const bits::BitMatrix db = io::random_bitmatrix(65536, 1024, 0.3, 37);
+  const bits::BitMatrix few = io::random_bitmatrix(8, 1024, 0.6, 38);
+  constexpr std::int64_t kGammaBytes = 8 * 65536 * 4;
+  Context ctx = Context::cpu();
+
+  std::int64_t before = live_heap::live();
+  live_heap::reset_peak();
+  const IdentitySearchResult ids = ctx.identity_search(few, db);
+  std::int64_t peak = live_heap::peak() - before;
+  ASSERT_EQ(ids.timing.chunks, 2);
+  ASSERT_EQ(ids.top[0].size(), 10u);
+  EXPECT_LT(peak, kGammaBytes)
+      << "identity_search peaked " << peak << " B above its start";
+
+  before = live_heap::live();
+  live_heap::reset_peak();
+  const MixtureAnalysisResult mix = ctx.mixture_analysis(db, few, 100);
+  peak = live_heap::peak() - before;
+  ASSERT_EQ(mix.timing.chunks, 2);
+  EXPECT_LT(peak, kGammaBytes)
+      << "mixture_analysis peaked " << peak << " B above its start";
+}
+
 TEST(DeviceMemory, DegradedSearchCopiesNoDatabaseRows) {
   // The device loses its launch from the third chunk on, past its
   // retries, and the degrade rung resumes the chunk loop on the host at

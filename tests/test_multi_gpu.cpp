@@ -2,6 +2,7 @@
 // composition, gather model, estimate/compare agreement.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -229,6 +230,50 @@ TEST(MultiGpuFailover, DegradePolicyRecomputesTheShardOnHost) {
   EXPECT_TRUE(r.counts == expected);
   EXPECT_TRUE(r.timing.degraded);
   EXPECT_TRUE(r.timing.lost_devices.empty());  // no failover happened
+}
+
+TEST(MultiGpuFailover, DegradedShardDeliversEachRowOnceAtAnyChunkRows) {
+  // The lost shard starts at row 128, and chunk_rows is as large as a
+  // size_t holds: the host loop still takes the shard's rows once, in one
+  // window, with shard-relative offsets.
+  const auto a = io::random_bitmatrix(4, 128, 0.4, 984);
+  const auto b = io::random_bitmatrix(256, 128, 0.5, 985);
+  Context single = Context::gpu("vega64");
+  const auto expected = single.compare(a, b, Comparison::kXor).counts;
+  rt::ScopedFaultPlan plan(rt::FaultPlan::parse("shard:at=1:after=1"));
+  MultiGpuContext box("vega64", 2);
+  MultiGpuOptions opts = failover_opts(rt::FailPolicy::kDegrade);
+  opts.per_device.chunk_rows = std::numeric_limits<std::size_t>::max();
+  opts.per_device.keep_counts = false;
+  std::vector<int> seen(b.rows(), 0);
+  std::size_t shard_base = 0;
+  std::size_t delivered = 0;
+  std::size_t wrong = 0;
+  opts.per_device.chunk_callback = [&](const ComputeOptions::ChunkView& v) {
+    ASSERT_TRUE(v.streamed_b);
+    ASSERT_LT(v.row0, b.rows()) << "shard-relative offset " << v.row0;
+    if (v.row0 == 0) {
+      shard_base = delivered;  // shards drain in row order
+    }
+    for (std::size_t j = 0; j < v.part.cols(); ++j) {
+      const std::size_t col = shard_base + v.row0 + j;
+      ASSERT_LT(col, b.rows());
+      ++seen[col];
+      for (std::size_t i = 0; i < a.rows(); ++i) {
+        if (v.part.at(i, j) != expected.at(i, col)) {
+          ++wrong;
+        }
+      }
+    }
+    delivered += v.part.cols();
+  };
+  const auto r = box.compare(a, b, Comparison::kXor, opts);
+  EXPECT_TRUE(r.timing.degraded);
+  EXPECT_EQ(delivered, b.rows());
+  EXPECT_EQ(wrong, 0u);
+  for (std::size_t j = 0; j < b.rows(); ++j) {
+    EXPECT_EQ(seen[j], 1) << "row " << j;
+  }
 }
 
 TEST(MultiGpuFailover, AbortPolicyPropagatesShardLoss) {
