@@ -110,10 +110,11 @@ bool BitMatrix::operator==(const BitMatrix& other) const {
   return true;
 }
 
-bool BitMatrix::padding_is_zero() const {
+bool BitMatrix::padding_is_zero(std::size_t row_begin,
+                                std::size_t row_end) const {
   const std::size_t full_words = bit_cols_ / kBitsPerWord64;
   const std::size_t tail_bits = bit_cols_ % kBitsPerWord64;
-  for (std::size_t r = 0; r < rows_; ++r) {
+  for (std::size_t r = row_begin; r < std::min(row_end, rows_); ++r) {
     auto row = row64(r);
     if (tail_bits != 0 && (row[full_words] & ~low_mask64(tail_bits)) != 0) {
       return false;

@@ -108,8 +108,10 @@ class BitMatrix {
   [[nodiscard]] bool operator==(const BitMatrix& other) const;
 
   /// Verifies the zero-padding invariant (all bits at column >= bit_cols are
-  /// zero). Cheap enough to call from tests and debug assertions.
-  [[nodiscard]] bool padding_is_zero() const;
+  /// zero) on rows [row_begin, row_end), every row by default. Cheap enough
+  /// to call from tests and debug assertions.
+  [[nodiscard]] bool padding_is_zero(std::size_t row_begin = 0,
+                                     std::size_t row_end = SIZE_MAX) const;
 
  private:
   std::size_t rows_ = 0;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
 
@@ -114,6 +115,59 @@ CountMatrix chunk_block(const CountMatrix& counts, std::size_t row0,
 
 }  // namespace
 
+/// The pre-launch verdicts of one GPU context. The lock is held while a
+/// new key is proved, so concurrent launches prove it once.
+struct Context::LintMemo {
+  /// Everything analyze::analyze reads besides the context's device.
+  struct Key {
+    model::KernelConfig cfg;
+    Comparison op{};
+    std::uint64_t k_iterations = 0;
+    int lds_words = 0;
+    bool operator==(const Key&) const = default;
+  };
+  struct Verdict {
+    Key key;
+    std::vector<std::string> notes;  ///< TimingReport::lint_notes
+    std::optional<analyze::VerificationError> error;  ///< blocks the launch
+  };
+  /// Verdicts kept; past it the oldest is dropped.
+  static constexpr std::size_t kMaxVerdicts = 16;
+
+  std::mutex mu;
+  std::vector<Verdict> verdicts;  ///< guarded by mu
+
+  /// The verdict for a launch, proved on `dev` unless a launch with the
+  /// same key was proved before.
+  Verdict prove(const model::GpuSpec& dev, const model::KernelConfig& cfg,
+                Comparison op, const analyze::AnalyzeOptions& aopts) {
+    const Key key{cfg, op, aopts.k_iterations, aopts.lds_words};
+    const std::lock_guard lock(mu);
+    for (const Verdict& v : verdicts) {
+      if (v.key == key) {
+        return v;
+      }
+    }
+    SNP_OBS_SPAN("core.lint");
+    const auto lint = analyze::analyze(dev, cfg, op, aopts);
+    SNP_OBS_COUNT("core.lint.diags", lint.diagnostics().size());
+    Verdict v{key, {}, {}};
+    for (const auto& d : lint.diagnostics()) {
+      v.notes.push_back(std::string(analyze::to_string(d.severity)) + "  " +
+                        d.id + "  " + d.message);
+    }
+    if (const auto* first = lint.first_error()) {
+      v.error.emplace(first->id,
+                      "pre-launch verification failed: " + first->message);
+    }
+    if (verdicts.size() == kMaxVerdicts) {
+      verdicts.erase(verdicts.begin());
+    }
+    verdicts.push_back(v);
+    return v;
+  }
+};
+
 Context::Context() = default;
 Context::~Context() = default;
 Context::Context(Context&&) noexcept = default;
@@ -124,6 +178,7 @@ Context Context::cpu() { return Context(); }
 Context Context::gpu(const std::string& device_name) {
   Context ctx;
   ctx.gpu_ = cl::Platform::device(device_name);
+  ctx.lint_ = std::make_unique<LintMemo>();
   return ctx;
 }
 
@@ -596,27 +651,19 @@ void Context::compare_gpu(const BitMatrix& a, const BitMatrix& b,
   if (options.lint) {
     // Pre-launch verification: the dataflow engine proves the generated
     // kernel program race-free, in-bounds, and overflow-free for the
-    // *actual* trip count and LDS allocation of this launch. Warn/info
-    // findings ride along in lint_notes; an error-severity finding means
-    // the kernel must not launch and aborts with exit code 3 (the first
-    // failed check's ID leads the message).
-    SNP_OBS_SPAN("core.lint");
+    // *actual* trip count and LDS allocation of this launch, once per
+    // context. Warn/info findings ride along in lint_notes; an
+    // error-severity finding means the kernel must not launch and aborts
+    // with exit code 3 (the first failed check's ID leads the message).
     analyze::AnalyzeOptions aopts;
     aopts.k_iterations = std::max<std::uint64_t>(
         1, (k_words + static_cast<std::size_t>(aopts.unroll) - 1) /
                static_cast<std::size_t>(aopts.unroll));
     aopts.lds_words = options.lds_words;
-    const auto lint = analyze::analyze(dev, cfg, op, aopts);
-    SNP_OBS_COUNT("core.lint.diags", lint.diagnostics().size());
-    for (const auto& d : lint.diagnostics()) {
-      result.timing.lint_notes.push_back(
-          std::string(analyze::to_string(d.severity)) + "  " + d.id +
-          "  " + d.message);
-    }
-    if (lint.has_errors()) {
-      const auto* first = lint.first_error();
-      throw analyze::VerificationError(
-          first->id, "pre-launch verification failed: " + first->message);
+    LintMemo::Verdict v = lint_->prove(dev, cfg, op, aopts);
+    result.timing.lint_notes = std::move(v.notes);
+    if (v.error) {
+      throw *v.error;
     }
   }
   if (options.functional && options.keep_counts) {

@@ -64,7 +64,9 @@ struct ComputeOptions {
   /// count; warn/info findings never block, but an error-severity finding
   /// (a race, out-of-bounds access, or accumulator overflow the engine
   /// can prove) aborts the launch with analyze::VerificationError (CLI
-  /// exit code 3, check ID first).
+  /// exit code 3, check ID first). A context proves each launch once: a
+  /// later launch with the same config, op, trip count and lds_words
+  /// replays the verdict, notes or error, without running the analyzer.
   bool lint = true;
   /// Launch-time LDS allocation override in 32-bit words for the lint
   /// pass, e.g. an autotuner's proposed tile. 0 = the config's Eq. 4/5
@@ -313,6 +315,9 @@ class Context {
                    CompareResult& out);
 
   std::optional<cl::Device> gpu_;
+  /// GPU contexts: the pre-launch lint verdicts proved so far.
+  struct LintMemo;
+  std::unique_ptr<LintMemo> lint_;
 };
 
 }  // namespace snp

@@ -7,13 +7,15 @@
 // throwing loaders and the rt::Status world: `checked_load` runs a loader
 // body, samples the `io` fault-injection site first, and converts any
 // failure into an rt::Status — kIoCorrupt carrying the byte offset at
-// which the stream stood when parsing gave up, unless the body already
-// threw a classified rt::Error.
+// which the input stood when parsing gave up, unless the body already
+// threw a classified rt::Error. A file read by offset rather than as a
+// stream (io::load_bitmatrix of a path) tracks that offset itself.
 #pragma once
 
 #include <cstdint>
 #include <istream>
 #include <optional>
+#include <utility>
 
 #include "rt/fault.hpp"
 #include "rt/status.hpp"
@@ -30,12 +32,14 @@ inline std::uint64_t stream_offset(std::istream& is) {
 }
 
 /// Runs `body` (a throwing loader) and folds the outcome into a Status.
-template <typename Fn>
-[[nodiscard]] rt::Status checked_load(std::istream& is, Fn&& body) {
+/// `offset()` says where the input stands: it stamps an injected fault,
+/// drawn before the body runs, and an exception that carries no Status.
+template <typename Offset, typename Fn>
+[[nodiscard]] rt::Status checked_load_at(const Offset& offset, Fn&& body) {
   auto& injector = rt::FaultInjector::global();
   if (injector.armed()) {
     if (std::optional<rt::Status> st = injector.check(rt::FaultSite::kIo)) {
-      st->offset = stream_offset(is);
+      st->offset = offset();
       return *st;
     }
   }
@@ -46,8 +50,15 @@ template <typename Fn>
     return e.status();
   } catch (const std::exception& e) {
     return rt::Status::failure(rt::ErrorCode::kIoCorrupt, e.what(),
-                               stream_offset(is));
+                               offset());
   }
+}
+
+/// checked_load_at over a stream, at the offset the stream points at.
+template <typename Fn>
+[[nodiscard]] rt::Status checked_load(std::istream& is, Fn&& body) {
+  return checked_load_at([&] { return stream_offset(is); },
+                         std::forward<Fn>(body));
 }
 
 }  // namespace snp::io

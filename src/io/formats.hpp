@@ -36,6 +36,11 @@ void save_bitmatrix(const bits::BitMatrix& m, std::ostream& os);
 void save_bitmatrix(const bits::BitMatrix& m,
                     const std::filesystem::path& path);
 [[nodiscard]] bits::BitMatrix load_bitmatrix(std::istream& is);
+/// Reads a regular file through one descriptor, its payload in row-aligned
+/// slices read by offset in parallel on exec::host_pool(); any other path
+/// (a pipe, a device) is read as a stream. Either way the checks, the
+/// thrown rt::Error's code, message and offset, and the one `io`
+/// fault-site draw are the stream loader's.
 [[nodiscard]] bits::BitMatrix load_bitmatrix(
     const std::filesystem::path& path);
 /// Status-returning variant: on failure returns kIoCorrupt with the byte

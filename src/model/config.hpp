@@ -58,6 +58,7 @@ struct KernelConfig {
   [[nodiscard]] int accumulators_per_thread(const GpuSpec& dev) const;
 
   [[nodiscard]] std::string to_string() const;
+  [[nodiscard]] bool operator==(const KernelConfig&) const = default;
 };
 
 /// Validation verdict with a reason, so callers can surface config errors.

@@ -170,7 +170,11 @@ MultiCompareResult MultiGpuContext::compare(const BitMatrix& a,
 
   MultiCompareResult result;
   result.timing.devices = static_cast<int>(shards.size());
-  if (options.per_device.functional) {
+  // A streaming consumer (keep_counts off) gets its counts through the
+  // chunk callback and empty counts here, as from one Context.
+  const bool keep = options.per_device.functional &&
+                    options.per_device.keep_counts;
+  if (keep) {
     result.counts = CountMatrix(a.rows(), b.rows());
   }
 
@@ -321,7 +325,7 @@ MultiCompareResult MultiGpuContext::compare(const BitMatrix& a,
       worst = r.timing.end_to_end_s;
       result.timing.slowest_device = r.timing;
     }
-    if (options.per_device.functional) {
+    if (keep) {
       // A host fallback's counts are in place already; its block is empty.
       result.counts.put_block(r.counts, shard_b ? 0 : s.begin,
                               shard_b ? s.begin : 0);

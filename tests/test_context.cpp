@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "analyze/diagnostics.hpp"
 #include "cpu/engine.hpp"
 #include "io/datagen.hpp"
 #include "obs/obs.hpp"
@@ -291,6 +296,99 @@ TEST(Context, CpuLdKeepsTheEngineSelfRule) {
   EXPECT_EQ(wordops.value() - w0, engine);
   EXPECT_EQ(r.timing.chunks, 1);
   EXPECT_TRUE(r.counts == direct);
+}
+
+/// The "core.lint" spans `run` records (0 with telemetry compiled out).
+template <typename Fn>
+int lint_spans(const Fn& run) {
+  obs::TraceCollector& collector = obs::TraceCollector::global();
+  collector.set_enabled(true);
+  collector.begin_session();
+  run();
+  collector.set_enabled(false);
+  int spans = 0;
+  for (const obs::TraceEvent& ev : collector.events()) {
+    spans += ev.name == "core.lint" ? 1 : 0;
+  }
+  return spans;
+}
+
+TEST(ContextLint, RepeatedLaunchReplaysItsVerdict) {
+  // gtx980's LD preset idles cores at this shape: SNP-CFG-006 warns.
+  Context ctx = Context::gpu("gtx980");
+  const auto loci = io::random_bitmatrix(40, 200, 0.5, 290);
+  std::vector<std::string> first, again;
+  EXPECT_EQ(lint_spans([&] {
+              first = ctx.ld(loci).timing.lint_notes;
+              again = ctx.ld(loci).timing.lint_notes;
+            }),
+            obs::kEnabled ? 1 : 0);
+  ASSERT_FALSE(first.empty());
+  EXPECT_NE(first.front().find("SNP-CFG-006"), std::string::npos)
+      << first.front();
+  EXPECT_EQ(again, first);
+  // A changed k is a different launch, proved once; the first shape is
+  // still known.
+  const auto wider = io::random_bitmatrix(40, 2000, 0.5, 291);
+  EXPECT_EQ(lint_spans([&] {
+              (void)ctx.ld(wider);
+              (void)ctx.ld(wider);
+              EXPECT_EQ(ctx.ld(loci).timing.lint_notes, first);
+            }),
+            obs::kEnabled ? 1 : 0);
+  // Verdicts belong to their context.
+  Context other = Context::gpu("gtx980");
+  EXPECT_EQ(lint_spans([&] {
+              EXPECT_EQ(other.ld(loci).timing.lint_notes, first);
+            }),
+            obs::kEnabled ? 1 : 0);
+}
+
+TEST(ContextLint, ErrorVerdictBlocksEveryLaunch) {
+  // An LDS allocation of 16 words cannot hold the A tile: SNP-BOUND-001.
+  Context ctx = Context::gpu("titanv");
+  const auto q = io::random_bitmatrix(8, 128, 0.5, 292);
+  ComputeOptions undersized;
+  undersized.lds_words = 16;
+  EXPECT_EQ(lint_spans([&] {
+              for (int i = 0; i < 3; ++i) {
+                try {
+                  (void)ctx.compare(q, q, Comparison::kXor, undersized);
+                  ADD_FAILURE() << "launch " << i << " went through";
+                } catch (const analyze::VerificationError& e) {
+                  EXPECT_EQ(e.check_id(), "SNP-BOUND-001") << "launch " << i;
+                  EXPECT_EQ(std::string(e.what())
+                                .rfind("pre-launch verification failed", 0),
+                            0u)
+                      << e.what();
+                }
+              }
+            }),
+            obs::kEnabled ? 1 : 0);
+  // The default allocation is another key, and launches.
+  EXPECT_NO_THROW((void)ctx.compare(q, q, Comparison::kXor));
+}
+
+TEST(ContextLint, ConcurrentLaunchesProveOnce) {
+  Context ctx = Context::gpu("gtx980");
+  const auto loci = io::random_bitmatrix(40, 200, 0.5, 293);
+  const CompareResult expected = Context::gpu("gtx980").ld(loci);
+  constexpr std::size_t kThreads = 4;
+  std::vector<CompareResult> results(kThreads);
+  EXPECT_EQ(lint_spans([&] {
+              std::vector<std::thread> threads;
+              for (std::size_t t = 0; t < kThreads; ++t) {
+                threads.emplace_back([&, t] { results[t] = ctx.ld(loci); });
+              }
+              for (std::thread& t : threads) {
+                t.join();
+              }
+            }),
+            obs::kEnabled ? 1 : 0);
+  for (const CompareResult& r : results) {
+    EXPECT_EQ(r.timing.lint_notes, expected.timing.lint_notes);
+    EXPECT_TRUE(r.counts == expected.counts);
+  }
 }
 
 }  // namespace

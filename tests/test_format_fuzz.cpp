@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <initializer_list>
 #include <sstream>
@@ -346,6 +348,88 @@ std::string header_only(const char* magic,
     blob.append(reinterpret_cast<const char*>(&v), sizeof(v));
   }
   return blob;
+}
+
+/// `blob` written to a file in a directory of the running test's own:
+/// TempDir() is shared with every concurrently running test process.
+std::filesystem::path write_blob(const std::string& name,
+                                 const std::string& blob) {
+  const auto dir =
+      std::filesystem::path(::testing::TempDir()) /
+      (std::string("snpcmp_format_fuzz_") +
+       ::testing::UnitTest::GetInstance()->current_test_info()->name());
+  std::filesystem::create_directories(dir);
+  const auto path = dir / name;
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+  return path;
+}
+
+/// The Status of loading `blob` through a file by path, which reads by
+/// offset, after checking that loading it as a stream agrees on the code,
+/// the message and the offset.
+rt::Status expect_routes_agree(const std::string& blob,
+                               const std::string& what) {
+  const auto path = write_blob("routes.sbm", blob);
+  rt::Status by_path;
+  try {
+    (void)load_bitmatrix(path);
+  } catch (const rt::Error& e) {
+    by_path = e.status();
+  }
+  std::stringstream ss(blob);
+  bits::BitMatrix out;
+  const rt::Status by_stream = try_load_bitmatrix(ss, out);
+  EXPECT_EQ(by_path.code, by_stream.code) << what << ": "
+                                          << by_path.to_string();
+  EXPECT_EQ(by_path.message, by_stream.message) << what;
+  EXPECT_EQ(by_path.offset, by_stream.offset) << what;
+  return by_path;
+}
+
+TEST(StatusApi, PathLoadsFlagEveryTruncationBoundaryLikeTheStream) {
+  const std::string blob = valid_sbm();
+  for (std::size_t cut = 0; cut < blob.size(); ++cut) {
+    const rt::Status st = expect_routes_agree(
+        blob.substr(0, cut), "truncated at byte " + std::to_string(cut));
+    EXPECT_EQ(st.code, rt::ErrorCode::kIoCorrupt) << "@" << cut;
+  }
+  EXPECT_EQ(load_bitmatrix(write_blob("whole.sbm", blob)),
+            random_bitmatrix(6, 100, 0.5, 1));
+}
+
+TEST(StatusApi, PathLoadsRejectCorruptHeadersLikeTheStream) {
+  // Bad magic, dimensions past their caps or a stride too narrow for
+  // the columns, and sizes that wrap past 64 bits.
+  Rng rng(9105);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string blob = valid_sbm();
+    blob[rng.next_below(4 + 3 * 8)] = static_cast<char>(rng.next_u64());
+    (void)expect_routes_agree(blob, "trial " + std::to_string(trial));
+  }
+  EXPECT_EQ(expect_routes_agree(
+                header_only("SBM1", {1ull << 40, 64, 1ull << 24}),
+                "wrapping size")
+                .code,
+            rt::ErrorCode::kIoCorrupt);
+}
+
+TEST(StatusApi, IoFaultPlanFiresOncePerPathLoad) {
+  // Each path load draws the io site once: with the fault planted on the
+  // second draw, only the second of three loads fails.
+  const std::string blob = valid_sbm();
+  const auto path = write_blob("fault.sbm", blob);
+  rt::ScopedFaultPlan plan(rt::FaultPlan::parse("io:after=2"));
+  EXPECT_NO_THROW((void)load_bitmatrix(path));
+  try {
+    (void)load_bitmatrix(path);
+    FAIL() << "the second load must draw the planted fault";
+  } catch (const rt::Error& e) {
+    EXPECT_EQ(e.code(), rt::ErrorCode::kIoCorrupt);
+    EXPECT_TRUE(e.status().injected);
+    EXPECT_EQ(e.status().offset, 0u);
+  }
+  EXPECT_NO_THROW((void)load_bitmatrix(path));
 }
 
 TEST(StatusApi, BinaryLoadersRejectHeadersWhoseSizesOverflow) {

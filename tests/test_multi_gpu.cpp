@@ -276,6 +276,40 @@ TEST(MultiGpuFailover, DegradedShardDeliversEachRowOnceAtAnyChunkRows) {
   }
 }
 
+TEST(MultiGpuFailover, StreamingConsumerGetsEmptyCountsLikeOneContext) {
+  // With keep_counts off, the counts reach the consumer only through the
+  // chunk callback, on healthy devices and on the host rung alike, and the
+  // result's counts stay empty, as one Context's do.
+  const auto a = io::random_bitmatrix(4, 128, 0.4, 986);
+  const auto b = io::random_bitmatrix(300, 128, 0.5, 987);
+  Context single = Context::gpu("titanv");
+  const auto expected = single.compare(a, b, Comparison::kXor).counts;
+  for (const char* spec : {"", "shard:p=1"}) {
+    rt::ScopedFaultPlan plan(rt::FaultPlan::parse(spec));
+    MultiGpuContext box("titanv", 3);
+    MultiGpuOptions opts = failover_opts(rt::FailPolicy::kFailover);
+    opts.per_device.keep_counts = false;
+    opts.per_device.chunk_rows = 32;
+    bits::CountMatrix seen(a.rows(), b.rows());
+    std::size_t shard_base = 0;
+    std::size_t delivered = 0;
+    opts.per_device.chunk_callback =
+        [&](const ComputeOptions::ChunkView& v) {
+          if (v.row0 == 0) {
+            shard_base = delivered;  // shards drain in row order
+          }
+          seen.put_block(v.part, 0, shard_base + v.row0);
+          delivered += v.part.cols();
+        };
+    const auto r = box.compare(a, b, Comparison::kXor, opts);
+    EXPECT_EQ(r.timing.degraded, *spec != '\0') << "'" << spec << "'";
+    EXPECT_EQ(r.counts.rows(), 0u) << "'" << spec << "'";
+    EXPECT_EQ(r.counts.cols(), 0u) << "'" << spec << "'";
+    EXPECT_EQ(delivered, b.rows()) << "'" << spec << "'";
+    EXPECT_TRUE(seen == expected) << "'" << spec << "'";
+  }
+}
+
 TEST(MultiGpuFailover, AbortPolicyPropagatesShardLoss) {
   const auto a = io::random_bitmatrix(4, 128, 0.4, 976);
   const auto b = io::random_bitmatrix(200, 128, 0.5, 977);

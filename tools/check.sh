@@ -18,8 +18,10 @@
 #   2. ASan/UBSan build + tier-1 tests.
 #   3. TSan build + the concurrency-heavy suites (the exec pool, the
 #      in-place chunk pipeline, the host engines whose loops run on the
-#      exec pool — CPU engine, GPU kernel, LD stats, sparse — the obs
-#      metrics/span
+#      exec pool — CPU engine, GPU kernel, LD stats, sparse — the .sbm
+#      path loader, whose payload slices are read on the exec pool
+#      (formats and format-fuzz suites), a context's pre-launch lint
+#      verdicts under concurrent launches, the obs metrics/span
 #      registry, the fault-injection soak, the multi-GPU shard fallback,
 #      and the multi-client service-engine soak, its teardown race
 #      repeated 50 times). Every
@@ -493,6 +495,7 @@ cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$jobs" \
   --target test_exec test_chunk_pipeline test_streaming \
            test_cpu_engine test_gpu_kernel test_ld_stats test_sparse \
+           test_formats test_format_fuzz test_context \
            test_obs test_fault_injection test_multi_gpu test_service \
            test_chaos test_flight test_tracing
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_exec
@@ -511,6 +514,12 @@ TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_cpu_engine
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_gpu_kernel
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_ld_stats
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_sparse
+# A .sbm path load reads its payload in row-aligned slices on the host
+# pool, each slice checking its own rows' padding.
+TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_formats
+TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_format_fuzz
+# Concurrent launches on one context share its pre-launch lint verdicts.
+TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_context
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_obs
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_fault_injection
 # A lost shard's host fallback runs the host chunk loop, whose engine
